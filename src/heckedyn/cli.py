@@ -6,6 +6,7 @@ case is how the acceptance suite detects violations of structural guarantees.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -111,7 +112,7 @@ def _emit(payload, path):
 def cmd_ssgraph(args):
     if args.ell % 2 == 0:
         raise UsageError("ell must be odd")
-    if args.N < 1 or _gcd(args.N, args.p * args.ell) != 1:
+    if args.N < 1 or math.gcd(args.N, args.p * args.ell) != 1:
         raise UsageError("gcd(N, p*ell) != 1")
     G = ssgraph.build_ssgraph(args.p, args.ell, args.N)
     if args.out:
@@ -124,12 +125,6 @@ def cmd_ssgraph(args):
     if not (args.out or args.dot or args.report):
         _emit({"vertices": len(G.vertices), "arrows": len(G.arrows)}, None)
     return 0
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cmd_volcano(args):
@@ -192,7 +187,7 @@ def cmd_dyn_walk_measure(args):
         raise UsageError("ell must be odd")
     M = args.M or _default_precision()
     G = ssgraph.build_ssgraph(args.p, args.ell, args.N)
-    certs = ssgraph.monoid_certificates(G, budget=args.budget)
+    odd_walk = ssgraph.odd_closed_walk(G, 0, args.budget)
     walks = ssgraph.closed_walks(G, 0, args.budget)
     gens = [discdyn.identity_unit(args.p, M)]
     seen = set()
@@ -217,7 +212,7 @@ def cmd_dyn_walk_measure(args):
         "generators": len(gens),
         "classes_visited": len(measure.counts),
         "classes_total": args.p ** (2 * args.k),
-        "odd_walk_len": len(certs["odd_walk"]),
+        "odd_walk_len": len(odd_walk),
         "histogram": hist,
     }
     _emit(payload, args.out)

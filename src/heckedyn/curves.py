@@ -6,13 +6,12 @@ base fields (F_p, F_{p^2}), while torsion points over larger extensions are
 produced by cofactor multiplication, never by root finding in big fields.
 """
 
-import math
-
 from .errors import (BadTorsionOrder, EqualCharacteristic, InvariantBreach,
                      NotAKernel, NotSupersingular, TraceAmbiguous,
                      UnsupportedCharacteristic)
-from .fields import (Poly, embed_poly, embedding, make_field, poly_factor,
-                     poly_roots, x_poly)
+from .fields import (Poly, embed_poly, embedding, factor, make_field,
+                     multiplicative_order, poly_factor, poly_roots, x_poly,
+                     xgcd)
 
 AUX_TRACE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
@@ -630,17 +629,6 @@ def iso_scalars(E1, E2):
 # ---------------------------------------------------------------------------
 # torsion fields and bases (cofactor method, no large root finding)
 
-def multiplicative_order(a, m):
-    a %= m
-    if math.gcd(a, m) != 1:
-        raise ValueError("not a unit")
-    r, x = 1, a
-    while x != 1:
-        x = x * a % m
-        r += 1
-    return r
-
-
 def _companion_order(t, q, m):
     """Order of the companion matrix of x^2 - t x + q modulo m."""
     a, b, c, d = 0, (-q) % m, 1 % m, t % m
@@ -749,23 +737,10 @@ def torsion_basis(E, N):
     got = E._torsion_cache.get(("basis", N))
     if got is not None:
         return got
-    parts = []
-    n = N
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            parts.append((d, e))
-        d += 1
-    if n > 1:
-        parts.append((n, 1))
     big, _, _ = torsion_field(E, N)
     P1 = E.infinity(big)
     P2 = E.infinity(big)
-    for ell, e in parts:
+    for ell, e in factor(N):
         A, B = _prime_power_basis(E, ell, e)
         emb = embedding(A.field, big)
         A = CurvePoint(E, big, emb(A.x), emb(A.y), False, check=False)
@@ -778,20 +753,10 @@ def torsion_basis(E, N):
 
 def point_order(P, bound):
     """Exact order of P given that it divides bound."""
-    n = bound
-    d = 2
     order = bound
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            while order % d == 0 and ((order // d) * P).inf:
-                order //= d
-        d += 1
-    if n > 1:
-        d = n
-        while order % d == 0 and ((order // d) * P).inf:
-            order //= d
+    for q, _ in factor(bound):
+        while order % q == 0 and ((order // q) * P).inf:
+            order //= q
     return order
 
 
@@ -965,7 +930,7 @@ def chain_trace(steps, E, ell, d, skip_primes=(), max_ext_degree=40,
     t = 0
     mod = 1
     for res, m in residues:
-        g, u, v = _xgcd(mod, m)
+        g, u, v = xgcd(mod, m)
         t = (t + mod * ((res - t) // g % (m // g)) * u) % (mod * m // g)
         mod = mod * m // g
     t %= mod
@@ -974,15 +939,3 @@ def chain_trace(steps, E, ell, d, skip_primes=(), max_ext_degree=40,
     if t * t > 4 * norm:
         raise TraceAmbiguous("lifted trace violates the Weil bound")
     return t
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    return old_r, old_s, old_t

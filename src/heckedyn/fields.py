@@ -9,6 +9,7 @@ repeated runs produce identical output.
 Scale: p < 2**31 with plain Python integers; no FFT multiplication.
 """
 
+import math
 import random
 import threading
 
@@ -39,6 +40,58 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+def xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g, g a gcd of a and b (extended Euclid)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def factor(n):
+    """Prime factorization [(q, e), ...] of n >= 1 by trial division,
+    primes increasing."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            out.append((q, e))
+        q += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def squarefree_split(n):
+    """(core, f) with n = core * f^2 and core squarefree; n >= 1."""
+    core = f = 1
+    for q, e in factor(n):
+        core *= q ** (e % 2)
+        f *= q ** (e // 2)
+    return core, f
+
+
+def multiplicative_order(a, m):
+    """Least r >= 1 with a^r = 1 mod m (1 when m = 1); a must be a unit."""
+    a %= m
+    if math.gcd(a, m) != 1:
+        raise ValueError("not a unit")
+    r, x = 1, a
+    while x != 1 % m:
+        x = x * a % m
+        r += 1
+    return r
 
 
 class FieldDesc:
@@ -373,18 +426,7 @@ def _is_irreducible(field_p, coeffs):
     xp = x.pow_mod(p ** k, tmp)
     if xp != x.mod(tmp):
         return False
-    kk = k
-    prime_divs = []
-    d = 2
-    while d * d <= kk:
-        if kk % d == 0:
-            prime_divs.append(d)
-            while kk % d == 0:
-                kk //= d
-        d += 1
-    if kk > 1:
-        prime_divs.append(kk)
-    for t in prime_divs:
+    for t, _ in factor(k):
         g = x.pow_mod(p ** (k // t), tmp) - x
         if tmp.gcd(g).degree() != 0:
             return False
@@ -684,13 +726,6 @@ def _enc(field, coeff_tuple):
 
 def x_poly(field):
     return Poly(field, [0, 1])
-
-
-def poly_from_roots(field, roots):
-    f = Poly(field, [1])
-    for r in roots:
-        f = f * Poly(field, [-r, field.one()])
-    return f
 
 
 # ---------------------------------------------------------------------------

@@ -188,10 +188,9 @@ def synthetic_to_dict(V):
 
 def volcano_to_dot(vol):
     lines = ["digraph volcano {"]
-    for v in range(len(vol.curves)):
+    for enc, v in sorted(vol.j_index.items(), key=lambda kv: kv[1]):
         lvl = "?" if vol.levels is None else vol.levels[v]
-        lines.append('  v%d [label="j=%d lvl=%s"];'
-                     % (v, [e for e, i in vol.j_index.items() if i == v][0], lvl))
+        lines.append('  v%d [label="j=%d lvl=%s"];' % (v, enc, lvl))
     for ar in vol.arrows:
         lines.append("  v%d -> v%d;" % (ar.src, ar.dst))
     lines.append("}")

@@ -5,6 +5,7 @@ second-eigenvalue modulus uses floating point (documented tolerance 1e-10).
 The level process of a volcano walk is reduced to an exact birth-death chain.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import (Bipartite, DepthTooSmall, NotOutRegular, Reducible,
@@ -35,40 +36,12 @@ def _positive_graph(T):
     return out
 
 
-def _reachable(out, start):
-    seen = {start}
+def _bfs_dist(out, start):
+    """Distances from start in the digraph of out-neighbour lists (None
+    where unreachable)."""
+    dist = [None] * len(out)
+    dist[start] = 0
     frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in out[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
-def is_irreducible(T):
-    n = len(T)
-    out = _positive_graph(T)
-    if len(_reachable(out, 0)) != n:
-        return False
-    rev = [[] for _ in range(n)]
-    for i in range(n):
-        for j in out[i]:
-            rev[j].append(i)
-    return len(_reachable(rev, 0)) == n
-
-
-def period(T):
-    """gcd of cycle lengths of an irreducible chain."""
-    import math
-    n = len(T)
-    out = _positive_graph(T)
-    dist = [None] * n
-    dist[0] = 0
-    frontier = [0]
     while frontier:
         nxt = []
         for u in frontier:
@@ -77,11 +50,38 @@ def period(T):
                     dist[w] = dist[u] + 1
                     nxt.append(w)
         frontier = nxt
+    return dist
+
+
+def is_strongly_connected(out):
+    """Strong connectivity of the digraph given by out-neighbour lists."""
+    if None in _bfs_dist(out, 0):
+        return False
+    rev = [[] for _ in out]
+    for i, ws in enumerate(out):
+        for j in ws:
+            rev[j].append(i)
+    return None not in _bfs_dist(rev, 0)
+
+
+def out_period(out):
+    """gcd of cycle lengths of a strongly connected digraph given by
+    out-neighbour lists."""
+    dist = _bfs_dist(out, 0)
     g = 0
-    for i in range(n):
-        for j in out[i]:
+    for i, ws in enumerate(out):
+        for j in ws:
             g = math.gcd(g, dist[i] + 1 - dist[j])
     return abs(g)
+
+
+def is_irreducible(T):
+    return is_strongly_connected(_positive_graph(T))
+
+
+def period(T):
+    """gcd of cycle lengths of an irreducible chain."""
+    return out_period(_positive_graph(T))
 
 
 def _solve_exact(rows, rhs):
@@ -107,37 +107,12 @@ def _solve_exact(rows, rhs):
     return [A[i][n] for i in range(n)]
 
 
-def matrix_rank(rows):
-    A = [list(r) for r in rows]
-    n = len(A)
-    m = len(A[0]) if A else 0
-    rank = 0
-    row = 0
-    for col in range(m):
-        piv = None
-        for r in range(row, n):
-            if A[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        inv = 1 / A[row][col]
-        A[row] = [x * inv for x in A[row]]
-        for r in range(n):
-            if r != row and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-        row += 1
-        rank += 1
-    return rank
-
-
 def stationary(T):
     """The unique exact stationary distribution of an irreducible chain.
 
-    Solves pi T = pi with sum(pi) = 1 over the rationals and certifies
-    uniqueness by the rank of T - I.
+    Solves pi T = pi with sum(pi) = 1 over the rationals.  The solve finds
+    n pivots, so the n - 1 rows of T^t - I it uses are independent; with the
+    exact check pi T = pi below, rank(T - I) = n - 1 and pi is unique.
     """
     if not is_irreducible(T):
         raise Reducible("chain is not irreducible")
@@ -149,14 +124,10 @@ def stationary(T):
     rows.append([Fraction(1)] * n)
     rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
     pi = _solve_exact(rows, rhs)
-    # verification and uniqueness certificate
     for j in range(n):
         s = sum(pi[i] * T[i][j] for i in range(n))
         if s != pi[j]:
             raise Reducible("solution is not stationary")
-    tmi = [[T[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    if matrix_rank(tmi) != n - 1:
-        raise Reducible("stationary distribution is not unique")
     return tuple(pi)
 
 

@@ -9,7 +9,7 @@ CyclotomicRing quotients, which are exact.
 
 from .errors import (ConvergenceDomain, NotAUnit, NotSplit,
                      PrecisionExhausted)
-from .fields import is_prime
+from .fields import is_prime, multiplicative_order
 
 DEFAULT_PRECISION = 24
 
@@ -140,15 +140,6 @@ class PadicNumber:
         v = self.valuation()
         unit = self.val // (self.p ** v)
         return "%d^%d * %d mod %d^%d" % (self.p, v, unit, self.p, self.prec)
-
-
-def from_int(p, prec, n):
-    return PadicNumber(p, prec, n)
-
-
-def from_rational(p, prec, num, den):
-    d = PadicNumber(p, prec, den)
-    return PadicNumber(p, prec, num) * d.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +374,6 @@ class WqElement:
     def shift_down(self, v):
         return WqElement(self.a0.shift_down(v), self.a1.shift_down(v), self.d)
 
-    def residue_pair(self, k=1):
-        """(a0, a1) mod p^k, the residue class key."""
-        m = self.p ** k
-        return (self.a0.val % m, self.a1.val % m)
-
     def __repr__(self):
         return "(%d + %d*r%d) mod %d^%d" % (
             self.a0.val, self.a1.val, self.d, self.p, self.prec)
@@ -395,36 +381,6 @@ class WqElement:
 
 def wq(p, prec, a0, a1=0):
     return WqElement(PadicNumber(p, prec, a0), PadicNumber(p, prec, a1))
-
-
-def teichmuller_wq(x):
-    """Teichmuller lift in W(F_{p^2}): the fixed point of y -> y^(p^2)."""
-    if not x.is_unit():
-        raise NotAUnit("Teichmuller lift needs a unit")
-    w = x
-    q = x.p * x.p
-    for _ in range(x.prec + 1):
-        acc = wq(x.p, x.prec, 1)
-        base = w
-        e = q
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        w = acc
-    return w
-
-
-def wq_units_mod_p(p, prec):
-    """Representatives of W(F_q)^x mod p, as Teichmuller-style pairs (a0, a1)."""
-    out = []
-    for a0 in range(p):
-        for a1 in range(p):
-            if a0 == 0 and a1 == 0:
-                continue
-            out.append(wq(p, prec, a0, a1))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +531,7 @@ def orbit_closure(lam):
         # Z_2^x = {1,-1} x (1 + 4 Z_2)
         r = 1 if lam.val % 4 == 1 else 2
     else:
-        x = lam.val % p
-        r = 1
-        y = x
-        while y != 1:
-            y = y * x % p
-            r += 1
+        r = multiplicative_order(lam.val, p)
     lam_r = lam ** r
     diff = lam_r - 1
     if diff.val == 0:

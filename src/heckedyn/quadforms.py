@@ -7,7 +7,7 @@ levels grow like l^(2i)*D and must never be truncated.
 from fractions import Fraction
 
 from .errors import BadDiscriminant, InertPrime, PositiveDiscriminant
-from .fields import is_prime
+from .fields import is_prime, squarefree_split, xgcd
 
 
 class QuadForm:
@@ -41,10 +41,6 @@ class QuadForm:
         if a == c and b < 0:
             return False
         return True
-
-    def is_primitive(self):
-        import math
-        return math.gcd(math.gcd(self.a, self.b), self.c) == 1
 
     def __repr__(self):
         return "QuadForm(%d, %d, %d)" % (self.a, self.b, self.c)
@@ -127,25 +123,13 @@ def _represent_coprime_to(f, n):
                 val = f(x, y)
                 if val > 0 and math.gcd(val, n) == 1:
                     # extend (x, y) to a determinant +1 matrix
-                    g, u, v = _xgcd(x, y)
+                    g, u, v = xgcd(x, y)
                     if g < 0:
                         g, u, v = -g, -u, -v
                     assert x * u + v * y == 1
                     return _transform(f, ((x, -v), (y, u)))
         if bound > 64:
             raise BadDiscriminant("could not find coprime representation")
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def compose(f1, f2):
@@ -157,7 +141,7 @@ def compose(f1, f2):
     a1, b1 = f1.a, f1.b
     a2, b2 = g2.a, g2.b
     # CRT for B: B = b1 mod 2a1, B = b2 mod 2a2; gcd(2a1, 2a2) = 2 divides b2-b1
-    g, u, v = _xgcd(2 * a1, 2 * a2)
+    g, u, v = xgcd(2 * a1, 2 * a2)
     assert (b2 - b1) % g == 0
     lcm = (2 * a1) * (2 * a2) // g
     B = (b1 + (2 * a1) * ((b2 - b1) // g) * u) % lcm
@@ -251,14 +235,7 @@ def kronecker(D, n):
 def fundamental_discriminant(D):
     """Write D = f^2 * D0 with D0 fundamental; returns (D0, f)."""
     _check_disc(D)
-    n = -D
-    f = 1
-    d = 2
-    while d * d <= n:
-        while n % (d * d) == 0:
-            n //= d * d
-            f *= d
-        d += 1
+    n, f = squarefree_split(-D)
     D0 = -n
     if D0 % 4 not in (0, 1):
         D0 *= 4

@@ -18,18 +18,10 @@ from .curves import (all_points_of_order, automorphism_scalars,
 from .errors import (BudgetExhausted, EvenEll, InvariantBreach, NotAUnit,
                      NotClosed, ScaleExceeded, SharedCharacteristic,
                      UsageError)
-from .fields import embedding, is_prime, make_field
-
-
-def alpha_of_level(ell, N):
-    """Multiplicative order of ell modulo N (1 when N = 1)."""
-    if N == 1:
-        return 1
-    a, x = 1, ell % N
-    while x != 1:
-        x = x * ell % N
-        a += 1
-    return a
+from .fields import (embedding, factor, is_prime, make_field,
+                     squarefree_split)
+from .fields import multiplicative_order as alpha_of_level  # noqa: F401
+from .markov import is_strongly_connected, out_period
 
 
 class SSVertex:
@@ -83,14 +75,8 @@ class WalkEndo:
         d = self.disc()
         if d == 0:
             return 0
-        s = 1
-        n = abs(d)
-        f = 2
-        while f * f <= n:
-            while n % (f * f) == 0:
-                n //= f * f
-            f += 1
-        return (d // abs(d)) * n
+        core, _ = squarefree_split(abs(d))
+        return core if d > 0 else -core
 
     def __repr__(self):
         return "WalkEndo(t=%d, n=%d)" % (self.trace, self.norm)
@@ -272,45 +258,9 @@ def build_ssgraph(p, ell, N=1):
 # ---------------------------------------------------------------------------
 # structural report
 
-def _bfs_dist(G, start, reverse=False):
-    n = len(G.vertices)
-    dist = [None] * n
-    dist[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for ai in range(len(G.arrows)):
-                ar = G.arrows[ai]
-                a, b = (ar.dst, ar.src) if reverse else (ar.src, ar.dst)
-                if a == u and dist[b] is None:
-                    dist[b] = dist[u] + 1
-                    nxt.append(b)
-        frontier = nxt
-    return dist
-
-
-def _is_strongly_connected(G):
-    fwd = _bfs_dist(G, 0)
-    bwd = _bfs_dist(G, 0, reverse=True)
-    return all(d is not None for d in fwd) and all(d is not None for d in bwd)
-
-
-def _period(G):
-    """gcd of closed-walk lengths (assumes strong connectivity)."""
-    dist = _bfs_dist(G, 0)
-    g = 0
-    for ar in G.arrows:
-        g = math.gcd(g, dist[ar.src] + 1 - dist[ar.dst])
-    return abs(g)
-
-
-def _girth(G):
-    n = len(G.vertices)
+def _girth(out):
+    n = len(out)
     best = None
-    out = [[] for _ in range(n)]
-    for ar in G.arrows:
-        out[ar.src].append(ar.dst)
     for s in range(n):
         dist = [None] * n
         frontier = [(s, 0)]
@@ -374,12 +324,14 @@ def self_dual_loop_count(G):
 
 
 def graph_report(G):
-    connected = _is_strongly_connected(G)
-    period = _period(G) if connected else 0
+    out = [[G.arrows[ai].dst for ai in G.out_arrows[v]]
+           for v in range(len(G.vertices))]
+    connected = is_strongly_connected(out)
+    period = out_period(out) if connected else 0
     report = {
         "connected": connected,
         "bipartite": (period % 2 == 0),
-        "girth": _girth(G),
+        "girth": _girth(out),
         "out_degrees": [G.out_degree(v.id) for v in G.vertices],
         "in_degrees": [G.in_degree(v.id) for v in G.vertices],
         "rigid": G.rigid,
@@ -437,18 +389,8 @@ def walk_char_poly(G, walk, base=None):
     E = G.vertices[v0].curve
     steps = _walk_steps(G, walk)
     d = len(walk)
-    skip = set()
-    n = G.N
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            skip.add(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        skip.add(n)
-    t = chain_trace(steps, E, G.ell, d, skip_primes=tuple(skip))
+    skip = tuple(q for q, _ in factor(G.N))
+    t = chain_trace(steps, E, G.ell, d, skip_primes=skip)
     if G.N > 1:
         P = G.vertices[v0].point
         img = chain_eval(steps, P)
@@ -489,16 +431,14 @@ def closed_walks(G, base, max_len, cap=20000):
     return out
 
 
-def monoid_certificates(G, budget=4, base=0):
-    """Search certificates: an odd closed walk, a pair of walk endomorphisms
-    generating distinct quadratic fields, and the ell^d = 1 mod N congruence
-    on every closed walk found."""
-    odd_walk = None
+def odd_closed_walk(G, base, budget):
+    """An odd closed walk at ``base``, found by BFS over (vertex, parity);
+    raises BudgetExhausted when none of length <= budget + #vertices is
+    found."""
     n = len(G.vertices)
-    # BFS over (vertex, parity)
     prev = {(base, 0): None}
     frontier = [(base, 0)]
-    while frontier and odd_walk is None:
+    while frontier:
         nxt = []
         for (v, par) in frontier:
             for ai in G.out_arrows[v]:
@@ -516,14 +456,16 @@ def monoid_certificates(G, budget=4, base=0):
                         walk.append(a2)
                     walk.reverse()
                     if len(walk) % 2 == 1 and len(walk) <= budget + n:
-                        odd_walk = walk
-                        break
-            if odd_walk:
-                break
+                        return walk
         frontier = nxt
-    if odd_walk is None:
-        raise BudgetExhausted("no odd closed walk within budget")
+    raise BudgetExhausted("no odd closed walk within budget")
 
+
+def monoid_certificates(G, budget=4, base=0):
+    """Search certificates: an odd closed walk, a pair of walk endomorphisms
+    generating distinct quadratic fields, and the ell^d = 1 mod N congruence
+    on every closed walk found."""
+    odd_walk = odd_closed_walk(G, base, budget)
     walks = closed_walks(G, base, budget)
     endos = []
     alpha_ok = True

@@ -426,13 +426,8 @@ def _decompose(vol, stack, start):
     return path, middle
 
 
-def reduce_walk(vol, walk, start):
-    """Normal form of a closed walk: (path to the rim, winding integer).
-
-    ``walk`` is a list of (edge_id, direction) steps with direction +-1.
-    The winding is a signed turn count for split rims, a parity bit for a
-    ramified loop, and 0 for ramified edges and inert points.
-    """
+def _normal_form(vol, walk, start):
+    """(path to the rim, surviving rim steps, winding) of a closed walk."""
     at = start
     for step in walk:
         at = _step_end(vol, at, step)
@@ -440,7 +435,7 @@ def reduce_walk(vol, walk, start):
         raise NotClosed("walk does not return to its start")
     stack = _cancel_steps(vol, walk)
     if not stack:
-        return [], 0
+        return [], [], 0
     path, middle = _decompose(vol, stack, start)
     if vol.rim_type == "split-cycle":
         net = sum(d for (e, d) in middle)
@@ -454,6 +449,17 @@ def reduce_walk(vol, walk, start):
         if middle:
             raise InvariantBreach("unreduced rim steps on a %s rim" % vol.rim_type)
         net = 0
+    return path, middle, net
+
+
+def reduce_walk(vol, walk, start):
+    """Normal form of a closed walk: (path to the rim, winding integer).
+
+    ``walk`` is a list of (edge_id, direction) steps with direction +-1.
+    The winding is a signed turn count for split rims, a parity bit for a
+    ramified loop, and 0 for ramified edges and inert points.
+    """
+    path, _, net = _normal_form(vol, walk, start)
     return path, net
 
 
@@ -475,17 +481,7 @@ def walk_endo_synthetic(vol, walk, start):
     Cancelled pairs and the conjugating path each contribute a scalar factor
     of ell; the surviving rim steps compose to a power of the rim generator.
     """
-    at = start
-    for step in walk:
-        at = _step_end(vol, at, step)
-    if at != start:
-        raise NotClosed("walk is not closed")
-    stack = _cancel_steps(vol, walk)
-    if not stack:
-        path, middle = [], []
-    else:
-        path, middle = _decompose(vol, stack, start)
-    _, n = reduce_walk(vol, walk, start)
+    _, middle, n = _normal_form(vol, walk, start)
     if vol.rim_endo is not None and n != 0:
         core = quad_power(vol.rim_endo[0], vol.rim_endo[1], abs(n))
     else:

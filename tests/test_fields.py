@@ -1,10 +1,12 @@
+import math
 import random
 
 import pytest
 
 from heckedyn.errors import DegreeZero, NonPrime, ZeroPolynomial
-from heckedyn.fields import (Poly, embedding, is_prime, make_field,
-                             poly_factor, poly_roots)
+from heckedyn.fields import (Poly, embedding, factor, is_prime, make_field,
+                             multiplicative_order, poly_factor, poly_roots,
+                             squarefree_split, xgcd)
 
 
 def brute_irreducible(p, coeffs):
@@ -217,3 +219,46 @@ def test_sqrt_roundtrip():
         sq = a * a
         r = sq.sqrt()
         assert r is not None and r * r == sq
+
+
+def test_factor_brute_force():
+    for n in range(1, 10 ** 4 + 1):
+        parts = factor(n)
+        qs = [q for q, _ in parts]
+        assert qs == sorted(set(qs))
+        assert all(is_prime(q) and e >= 1 for q, e in parts)
+        prod = 1
+        for q, e in parts:
+            prod *= q ** e
+        assert prod == n
+
+
+def test_squarefree_split_brute_force():
+    for n in range(1, 10 ** 4 + 1):
+        core, f = squarefree_split(n)
+        assert core * f * f == n
+        assert all(core % (d * d) for d in range(2, math.isqrt(core) + 1))
+
+
+def test_xgcd_bezout():
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            g, s, t = xgcd(a, b)
+            assert s * a + t * b == g
+            assert abs(g) == math.gcd(a, b)
+
+
+def test_multiplicative_order():
+    for m in range(1, 60):
+        for a in range(-m, 2 * m):
+            if math.gcd(a, m) != 1:
+                if m > 1:
+                    with pytest.raises(ValueError):
+                        multiplicative_order(a, m)
+                continue
+            r = multiplicative_order(a, m)
+            assert pow(a, r, m) == 1 % m
+            assert all(pow(a, k, m) != 1 % m for k in range(1, r))
+    # modulo 1 every integer is a unit of order 1
+    assert multiplicative_order(3, 1) == 1
+    assert multiplicative_order(0, 1) == 1

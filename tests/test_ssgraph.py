@@ -3,12 +3,13 @@ import pytest
 from heckedyn.errors import EvenEll, NotClosed, ScaleExceeded, UsageError
 from heckedyn.curves import j_invariant
 from heckedyn.padics import PadicNumber
-from heckedyn.ssgraph import (WalkEndo, alpha_of_level, arrow_dual_kernel,
+from heckedyn.ssgraph import (SSArrow, SSGraph, SSVertex, WalkEndo,
+                              alpha_of_level, arrow_dual_kernel,
                               backtrack_endo, build_ssgraph, closed_walks,
                               graph_report,
                               is_rigid, is_solid, monoid_certificates,
-                              sat_membership, self_dual_loop_count,
-                              walk_char_poly)
+                              odd_closed_walk, sat_membership,
+                              self_dual_loop_count, walk_char_poly)
 
 
 def test_reference_instance_11_5_1(g_11_5_1):
@@ -228,3 +229,45 @@ def test_level_one_stationary_is_aut_weighted():
         weights = [Fraction(1, v.aut_order) for v in G.vertices]
         total = sum(weights)
         assert tuple(w / total for w in weights) == pi, (p, ell)
+
+
+def _hand_graph(n, edges, N=5):
+    """A bare SSGraph with n vertices and the given (src, dst) arrows."""
+    vertices = [SSVertex(i, None, None, 1, i) for i in range(n)]
+    arrows = [SSArrow(k, a, b, None, None, None, 1)
+              for k, (a, b) in enumerate(edges)]
+    return SSGraph(11, 3, N, vertices, arrows, [None] * n)
+
+
+def test_graph_report_two_components():
+    G = _hand_graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+    rep = graph_report(G)
+    assert rep["connected"] is False
+    assert rep["girth"] == 2
+
+
+def test_graph_report_directed_two_cycle():
+    rep = graph_report(_hand_graph(2, [(0, 1), (1, 0)]))
+    assert rep["connected"] is True
+    assert rep["bipartite"] is True
+    assert rep["girth"] == 2
+    assert rep["out_degrees"] == [1, 1] and rep["in_degrees"] == [1, 1]
+    # a loop makes the period odd
+    rep = graph_report(_hand_graph(2, [(0, 1), (1, 0), (1, 1)]))
+    assert rep["connected"] is True
+    assert rep["bipartite"] is False
+    assert rep["girth"] == 1
+
+
+def test_odd_closed_walk_matches_certificates(g_11_5_1):
+    walk = odd_closed_walk(g_11_5_1, 0, 3)
+    assert walk == monoid_certificates(g_11_5_1, budget=3)["odd_walk"]
+    assert len(walk) % 2 == 1
+    assert g_11_5_1.arrows[walk[0]].src == 0
+    assert g_11_5_1.arrows[walk[-1]].dst == 0
+
+
+def test_odd_closed_walk_budget_exhausted():
+    from heckedyn.errors import BudgetExhausted
+    with pytest.raises(BudgetExhausted):
+        odd_closed_walk(_hand_graph(2, [(0, 1), (1, 0)]), 0, 4)
