@@ -186,6 +186,12 @@ def cmd_dyn_walk_measure(args):
     if args.ell % 2 == 0:
         raise UsageError("ell must be odd")
     M = args.M or _default_precision()
+    if args.k < 1:
+        raise UsageError("-k must be >= 1")
+    if args.steps < 1:
+        raise UsageError("--steps must be >= 1")
+    if M < args.k + 1:
+        raise UsageError("classes mod p^%d need -M >= %d" % (args.k, args.k + 1))
     G = ssgraph.build_ssgraph(args.p, args.ell, args.N)
     odd_walk = ssgraph.odd_closed_walk(G, 0, args.budget)
     walks = ssgraph.closed_walks(G, 0, args.budget)

@@ -5,13 +5,14 @@ quaternionic units on the period disc, and seeded random-walk measures.
 The disc of interest is restricted to unramified points: coordinates are
 elements of W(F_{p^2}) of valuation >= 1.  The Moebius chart is pinned by
 two constraints: the identity matrix acts trivially, and unit matrices map
-the disc into itself isometrically (mobius_apply enforces the latter with a
-ChartEscape guard on every call).
+the disc into itself isometrically (every Moebius step enforces the latter
+with a ChartEscape guard).
 """
 
 import random
 
-from .errors import ChartEscape, NotAUnit, SearchExhausted, UsageError
+from .errors import (ChartEscape, NotAUnit, PrecisionExhausted,
+                     SearchExhausted, UsageError)
 from .padics import (PadicNumber, WqElement, binom_pow, exp, log1p,
                      smallest_nonresidue, sqrt_unit, wq)
 
@@ -157,22 +158,45 @@ class DiscPoint:
         return "DiscPoint(%r)" % (self.w,)
 
 
-def mobius_apply(gamma, pt):
-    """w -> (a w + p b^sigma) / (b w + a^sigma); an isometry of the disc.
+def _unit_ints(gamma, m):
+    """The four coordinates (a0, a1, b0, b1) of gamma reduced mod m."""
+    return (gamma.a.a0.val % m, gamma.a.a1.val % m,
+            gamma.b.a0.val % m, gamma.b.a1.val % m)
+
+
+def _mobius_mod(g, w0, w1, p, d, m):
+    """w -> (a w + p b^sigma) / (b w + a^sigma) on w = w0 + w1*delta mod m,
+    for g = (a0, a1, b0, b1) mod m and m a power of p.
 
     Both numerator terms have ord >= 1 and the denominator is a unit, so
     the disc {ord >= 1} maps into itself; ChartEscape guards the invariant.
     """
+    a0, a1, b0, b1 = g
+    n0 = a0 * w0 + d * a1 * w1 + p * b0
+    n1 = a0 * w1 + a1 * w0 - p * b1
+    e0 = (b0 * w0 + d * b1 * w1 + a0) % m
+    e1 = (b0 * w1 + b1 * w0 - a1) % m
+    if e0 % p == 0 and e1 % p == 0:
+        raise ChartEscape("Moebius denominator is not a unit")
+    ninv = pow(e0 * e0 - d * e1 * e1, -1, m)
+    x0 = (n0 * e0 - d * n1 * e1) * ninv % m
+    x1 = (n1 * e0 - n0 * e1) * ninv % m
+    if x0 % p or x1 % p:
+        raise ChartEscape("unit matrix left the invariant disc")
+    return x0, x1
+
+
+def mobius_apply(gamma, pt):
+    """w -> (a w + p b^sigma) / (b w + a^sigma); an isometry of the disc,
+    known to the smallest precision among gamma and pt."""
     w = pt.w
     p = gamma.p
-    num = gamma.a * w + gamma.b.conj() * p
-    den = gamma.b * w + gamma.a.conj()
-    if not den.is_unit():
-        raise ChartEscape("Moebius denominator is not a unit")
-    img = num * den.inverse()
-    if not (img.a0.val % p == 0 and img.a1.val % p == 0):
-        raise ChartEscape("unit matrix left the invariant disc")
-    return DiscPoint(img)
+    prec = min(gamma.a.prec, gamma.b.prec, w.prec)
+    m = p ** prec
+    d = gamma.a.d
+    x0, x1 = _mobius_mod(_unit_ints(gamma, m), w.a0.val, w.a1.val, p, d, m)
+    return DiscPoint(WqElement(PadicNumber(p, prec, x0),
+                               PadicNumber(p, prec, x1), d))
 
 
 def transitivity_witness(x, ell):
@@ -275,6 +299,13 @@ def quat_embed(trace, norm, p, prec):
             gamma = QuatUnit(a, b)
             if gamma.det() == PadicNumber(p, gamma.a.a0.prec, norm):
                 return gamma
+    # rem has odd valuation only once 2e >= v_disc; a search stopped short
+    # of that e failed for want of precision, not of an embedding
+    e_needed = (v_disc + 1) // 2
+    if e_needed >= prec // 2:
+        raise PrecisionExhausted(
+            "precision %d is too low to embed x^2 - %dx + %d; need >= %d"
+            % (prec, trace, norm, 2 * e_needed + 2))
     raise SearchExhausted("no embedding found for (t, n) = (%d, %d)" % (trace, norm))
 
 
@@ -312,11 +343,6 @@ class EmpiricalMeasure:
         self.counts = {}
         self.total = 0
 
-    def record(self, pt):
-        key = pt.residue_key(self.k)
-        self.counts[key] = self.counts.get(key, 0) + 1
-        self.total += 1
-
     def distribution(self):
         return {k: v / self.total for k, v in self.counts.items()}
 
@@ -339,20 +365,34 @@ def random_walk(generators, x0, steps, seed, k=1, checkpoints=()):
     """Iterate uniformly random inverse generators from x0, recording the
     residue class at every step; deterministic under the seed.
 
+    Unit Moebius maps are isometries, so the walk runs on classes of w mod
+    p^(k+1), which fix the keys (w/p mod p^k); inputs must be known that far.
+    Checkpoints outside 1..steps are ignored.
+
     Returns (measure, trajectory of checkpoint measures).
     """
     if not generators:
         raise UsageError("need at least one generator")
     invs = [g.inverse() for g in generators]
+    p = x0.w.p
+    prec = min([x0.w.prec] + [min(g.a.prec, g.b.prec) for g in invs])
+    if prec < k + 1:
+        raise UsageError("classes mod %d^%d need precision >= %d, got %d"
+                         % (p, k, k + 1, prec))
+    m = p ** (k + 1)
+    d = invs[0].a.d
+    ints = [_unit_ints(g, m) for g in invs]
     rng = random.Random(seed)
     measure = EmpiricalMeasure(k)
+    counts = measure.counts
     snaps = []
-    cps = sorted(set(checkpoints))
-    pt = x0
+    cps = sorted({c for c in checkpoints if 1 <= c <= steps})
+    w0, w1 = x0.w.a0.val % m, x0.w.a1.val % m
     for i in range(1, steps + 1):
-        g = invs[rng.randrange(len(invs))]
-        pt = mobius_apply(g, pt)
-        measure.record(pt)
+        w0, w1 = _mobius_mod(ints[rng.randrange(len(ints))], w0, w1, p, d, m)
+        key = (w0 // p, w1 // p)
+        counts[key] = counts.get(key, 0) + 1
+        measure.total = i
         if cps and i == cps[0]:
             snaps.append((i, measure.copy()))
             cps.pop(0)

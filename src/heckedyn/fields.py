@@ -103,7 +103,7 @@ class FieldDesc:
     """
 
     __slots__ = ("p", "k", "modulus", "order", "_red", "_square_set",
-                 "_root_tables", "_aut_cache")
+                 "_root_tables", "_aut_cache", "_nonresidue")
 
     def __init__(self, p, k, modulus):
         self.p = p
@@ -129,6 +129,7 @@ class FieldDesc:
         self._square_set = None
         self._root_tables = {}
         self._aut_cache = {}
+        self._nonresidue = None  # filled by the first ExtFieldElement.sqrt
 
     # ---- element constructors -------------------------------------------
 
@@ -377,15 +378,16 @@ class ExtFieldElement:
         while t % 2 == 0:
             t //= 2
             s += 1
-        # find a non-residue deterministically
-        z = None
-        for n in range(2, q):
-            cand = F.from_enc(n)
-            if cand.is_zero():
-                continue
-            if (cand ** ((q - 1) // 2)).enc() != 1:
-                z = cand
-                break
+        # the first non-residue in encoding order, found once per field
+        z = F._nonresidue
+        if z is None:
+            for n in range(2, q):
+                cand = F.from_enc(n)
+                if cand.is_zero():
+                    continue
+                if (cand ** ((q - 1) // 2)).enc() != 1:
+                    z = F._nonresidue = cand
+                    break
         c = z ** t
         x = self ** ((t + 1) // 2)
         b = self ** t

@@ -152,3 +152,36 @@ def test_walk_measure_small(tmp_path, capsys):
     assert payload["classes_visited"] > 60
     lines = open(csv_path).read().strip().splitlines()
     assert lines[0] == "n,tv" and len(lines) >= 4
+
+
+def test_walk_measure_rejects_bad_inputs(tmp_path, capsys):
+    base = ["dyn", "walk-measure", "-p", "11", "-l", "5"]
+    for extra, msg in ((["-k", "-1"], "-k must be >= 1"),
+                       (["-k", "0"], "-k must be >= 1"),
+                       (["--steps", "0"], "--steps must be >= 1"),
+                       (["-k", "5", "-M", "5"], "need -M >= 6")):
+        out_path = str(tmp_path / "m.json")
+        code, out, err = run(base + extra + ["--out", out_path], capsys)
+        assert code == 1 and msg in err
+        assert not os.path.exists(out_path)
+
+
+def test_walk_measure_low_precision_exits_1(capsys):
+    code, out, err = run(["dyn", "walk-measure", "-p", "11", "-l", "5",
+                          "-M", "3", "--steps", "10"], capsys)
+    assert code == 1
+    assert "invariant breach" not in err and "precision 3" in err
+
+
+def test_walk_measure_short_walk_csv(tmp_path, capsys):
+    # --steps 10 asks for checkpoints 0, 1, 2, 5, 10; step 0 is never walked
+    out_path = str(tmp_path / "m.json")
+    csv_path = str(tmp_path / "tv.csv")
+    code, out, err = run(["--seed", "7", "dyn", "walk-measure", "-p", "11",
+                          "-l", "5", "--steps", "10", "-M", "4",
+                          "--out", out_path, "--tv-csv", csv_path], capsys)
+    assert code == 0
+    assert sum(json.loads(open(out_path).read())["histogram"].values()) == 10
+    lines = open(csv_path).read().splitlines()
+    assert lines[0] == "n,tv"
+    assert [row.split(",")[0] for row in lines[1:]] == ["2", "5", "10"]

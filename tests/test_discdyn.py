@@ -3,13 +3,13 @@ import random
 import pytest
 
 from heckedyn.discdyn import (DiscAutomorphism, DiscPoint, QuatUnit,
-                              apply, classify_periodic,
-                              identity_unit, mobius_apply, qc_count,
-                              quat_embed, random_walk, serre_tate_multivar,
-                              transitivity_witness)
-from heckedyn.errors import NotAUnit, UsageError
+                              _mobius_mod, _unit_ints, apply,
+                              classify_periodic, identity_unit, mobius_apply,
+                              qc_count, quat_embed, random_walk,
+                              serre_tate_multivar, transitivity_witness)
+from heckedyn.errors import NotAUnit, PrecisionExhausted, UsageError
 from heckedyn.padics import PadicNumber, quadratic_roots, sqrt_unit, wq
-from heckedyn.ssgraph import sat_membership
+from heckedyn.ssgraph import closed_walks, sat_membership, walk_char_poly
 
 
 def test_apply_identity_and_scalar():
@@ -178,6 +178,80 @@ def test_mobius_group_action():
         assert back == x
 
 
+def test_mobius_apply_keeps_input_precision():
+    p = 11
+    g12 = quat_embed(3, 9, p, 12)  # inert: a and b both at precision 12
+    for gamma, pt_prec, want in ((g12, 9, 9), (g12, 20, 12),
+                                 (quat_embed(3, 9, p, 20), 14, 14)):
+        x = DiscPoint(wq(p, pt_prec, 2 * p, 5 * p))
+        y = mobius_apply(gamma, x)
+        assert y.w.a0.prec == y.w.a1.prec == want
+        assert y.w.d == x.w.d
+
+
+def _walk_inverses(G, p, M):
+    """Inverse generators of the walk-measure walk on G, as the CLI builds it."""
+    gens = [identity_unit(p, M)]
+    seen = set()
+    for w in closed_walks(G, 0, 3):
+        e = walk_char_poly(G, w)
+        if (e.trace, e.norm) in seen or e.is_scalar():
+            continue
+        seen.add((e.trace, e.norm))
+        gens.append(quat_embed(e.trace, e.norm, p, M))
+    return [g.inverse() for g in gens]
+
+
+def _reference_key(gamma, pt, k):
+    # full-precision W(F_{p^2}) arithmetic, independent of the integer kernel
+    w = pt.w
+    num = gamma.a * w + gamma.b.conj() * gamma.p
+    den = gamma.b * w + gamma.a.conj()
+    return DiscPoint(num * den.inverse()).residue_key(k)
+
+
+def test_integer_kernel_matches_wq_arithmetic(g_11_5_1):
+    p, M = 11, 24
+    invs = _walk_inverses(g_11_5_1, p, M)
+    d = invs[0].a.d
+    # every generator on every class at k = 1
+    m = p ** 2
+    for gamma in invs:
+        g = _unit_ints(gamma, m)
+        for c0 in range(p):
+            for c1 in range(p):
+                pt = DiscPoint(wq(p, M, p * c0, p * c1))
+                x0, x1 = _mobius_mod(g, p * c0, p * c1, p, d, m)
+                assert (x0 // p, x1 // p) == _reference_key(gamma, pt, 1)
+    # seeded (generator, class) pairs at k = 2, class lifts with high digits
+    m = p ** 3
+    ints = [_unit_ints(gamma, m) for gamma in invs]
+    rng = random.Random(11)
+    for _ in range(2000):
+        i = rng.randrange(len(invs))
+        w0, w1 = p * rng.randrange(p ** 6), p * rng.randrange(p ** 6)
+        pt = DiscPoint(wq(p, M, w0, w1))
+        x0, x1 = _mobius_mod(ints[i], w0 % m, w1 % m, p, d, m)
+        assert (x0 // p, x1 // p) == _reference_key(invs[i], pt, 2)
+
+
+def test_random_walk_needs_precision_for_its_classes():
+    p = 11
+    x0 = DiscPoint(wq(p, 2, p, 0))
+    with pytest.raises(UsageError):
+        random_walk([identity_unit(p, 2)], x0, 10, seed=1, k=2)
+    m, _ = random_walk([identity_unit(p, 2)], x0, 10, seed=1, k=1)
+    assert m.counts == {(1, 0): 10}
+
+
+def test_random_walk_ignores_checkpoints_outside_steps():
+    p, M = 11, 16
+    x0 = DiscPoint(wq(p, M, p, 0))
+    _, snaps = random_walk([identity_unit(p, M)], x0, 10, seed=1,
+                           checkpoints=(0, 3, 3, 7, 10, 11))
+    assert [(i, s.total) for i, s in snaps] == [(3, 3), (7, 7), (10, 10)]
+
+
 def test_transitivity_witness_roundtrip():
     p, M = 13, 24
     rng = random.Random(8)
@@ -200,6 +274,16 @@ def test_quat_embed_trace_and_det():
         g = quat_embed(t, n, p, 20)
         assert g.trace() == PadicNumber(p, g.a.a0.prec, t)
         assert g.det() == PadicNumber(p, g.a.a0.prec, n)
+
+
+def test_quat_embed_low_precision_is_a_usage_error():
+    # disc 1 - 100 = -9 * 11 is ramified at 11; the search needs c = 11 u,
+    # which the bound e < prec // 2 admits from precision 4 on
+    for M in (1, 2, 3):
+        with pytest.raises(PrecisionExhausted, match="precision %d" % M):
+            quat_embed(1, 25, 11, M)
+    g = quat_embed(1, 25, 11, 4)
+    assert g.det() == PadicNumber(11, g.a.a0.prec, 25)
 
 
 def test_quat_embed_rejects_split_field():

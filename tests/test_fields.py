@@ -221,6 +221,17 @@ def test_sqrt_roundtrip():
         assert r is not None and r * r == sq
 
 
+def test_sqrt_large_field_roundtrip_and_repeatable():
+    F = make_field(4001, 2)
+    rng = random.Random(9)
+    for _ in range(6):
+        a = F.from_enc(rng.randrange(1, F.order))
+        sq = a * a
+        r = sq.sqrt()
+        assert r * r == sq
+        assert sq.sqrt() == r
+
+
 def test_factor_brute_force():
     for n in range(1, 10 ** 4 + 1):
         parts = factor(n)
