@@ -9,10 +9,11 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 from . import discdyn, graphio, markov, padics, ssgraph, volcano
-from .errors import (BudgetExhausted, HeckedynError, InvariantBreach,
-                     UsageError)
+from .errors import (Bipartite, BudgetExhausted, HeckedynError,
+                     InvariantBreach, UsageError)
 from .padics import DEFAULT_PRECISION, PadicNumber, wq
 
 
@@ -95,7 +96,7 @@ def build_parser():
     m.add_argument("--graph", required=True)
     m.add_argument("--stationary", action="store_true")
     m.add_argument("--mixing", type=float, default=None,
-                   help="epsilon for the mixing report")
+                   help="epsilon in (0, 1) for the mixing report")
     m.add_argument("--out")
 
     return top
@@ -232,21 +233,29 @@ def cmd_dyn_walk_measure(args):
 
 
 def cmd_markov(args):
+    # mixing_report compares TV with eps at denominator 10**12, where an eps
+    # at or below 5e-13 is 0 and no step reaches it
+    if args.mixing is not None and not (
+            0 < args.mixing < 1
+            and Fraction(args.mixing).limit_denominator(10 ** 12) > 0):
+        raise UsageError("--mixing must be in (0, 1) and above 5e-13, got %r"
+                         % args.mixing)
     L = graphio.load_ssgraph(args.graph)
     T = markov.normalize(L)
     payload = {"p": L.p, "ell": L.ell, "N": L.N, "size": len(T)}
-    if args.stationary or args.mixing is None:
-        pi = markov.stationary(T)
-        payload["stationary"] = ["%s" % x for x in pi]
+    rep = None
     if args.mixing is not None:
-        from .errors import Bipartite
         try:
             rep = markov.mixing_report(T, args.mixing)
+        except Bipartite:
+            payload["mixing"] = "bipartite: no mixing"
+        else:
             payload["second_eigenvalue_modulus"] = rep["second_eigenvalue_modulus"]
             payload["steps_to_eps"] = rep["steps_to_eps"]
             payload["tv_series"] = [float(x) for x in rep["tv_series"]]
-        except Bipartite:
-            payload["mixing"] = "bipartite: no mixing"
+    if args.stationary or args.mixing is None:
+        pi = rep["stationary"] if rep is not None else markov.stationary(T)
+        payload["stationary"] = ["%s" % x for x in pi]
     _emit(payload, args.out)
     return 0
 

@@ -1,8 +1,10 @@
 """Markov-chain analysis of the normalized adjacency operator.
 
-Stationary distributions are computed in exact rational arithmetic; only the
-second-eigenvalue modulus uses floating point (documented tolerance 1e-10).
-The level process of a volcano walk is reduced to an exact birth-death chain.
+Stationary distributions and TV series are exact rationals, computed with
+integers over one view of T: a common denominator D and, for each state, the
+out-list of its positive entries scaled by D.  Only the second-eigenvalue
+modulus uses floating point (documented tolerance 1e-10).  The level process
+of a volcano walk is reduced to an exact birth-death chain on integer counts.
 """
 
 import math
@@ -26,14 +28,33 @@ def normalize(G):
     return [[Fraction(adj[i][j], ell + 1) for j in range(n)] for i in range(n)]
 
 
-def _positive_graph(T):
-    n = len(T)
-    out = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if T[i][j] > 0:
-                out[i].append(j)
-    return out
+def _integer_view(T):
+    """T as integers: (D, out) with D the least common denominator of the
+    entries and out[i] the list of (j, D * T[i][j]) over the nonzero
+    entries of row i, in column order; every entry must be >= 0."""
+    D = math.lcm(*{x.denominator for row in T for x in row})
+    out = []
+    for i, row in enumerate(T):
+        arrows = [(j, x.numerator * (D // x.denominator))
+                  for j, x in enumerate(row) if x]
+        if any(w < 0 for _, w in arrows):
+            raise UsageError("row %d has a negative entry" % i)
+        out.append(arrows)
+    return D, out
+
+
+def _targets(out):
+    return [[j for j, _ in arrows] for arrows in out]
+
+
+def _irreducible_view(T):
+    """The integer view of T and its out-neighbour lists; raises Reducible
+    unless the chain is irreducible."""
+    D, out = _integer_view(T)
+    succ = _targets(out)
+    if not is_strongly_connected(succ):
+        raise Reducible("chain is not irreducible")
+    return D, out, succ
 
 
 def _bfs_dist(out, start):
@@ -76,12 +97,12 @@ def out_period(out):
 
 
 def is_irreducible(T):
-    return is_strongly_connected(_positive_graph(T))
+    return is_strongly_connected(_targets(_integer_view(T)[1]))
 
 
 def period(T):
     """gcd of cycle lengths of an irreducible chain."""
-    return out_period(_positive_graph(T))
+    return out_period(_targets(_integer_view(T)[1]))
 
 
 def _solve_exact(rows, rhs):
@@ -107,67 +128,100 @@ def _solve_exact(rows, rhs):
     return [A[i][n] for i in range(n)]
 
 
-def stationary(T):
-    """The unique exact stationary distribution of an irreducible chain.
+def _is_fixed(D, out, a):
+    """Whether the integer vector a satisfies a T = a, checked as
+    a (D T) = D a over the out-lists."""
+    s = [0] * len(a)
+    for ai, arrows in zip(a, out):
+        for j, w in arrows:
+            s[j] += ai * w
+    return all(x == D * y for x, y in zip(s, a))
 
-    Solves pi T = pi with sum(pi) = 1 over the rationals.  The solve finds
-    n pivots, so the n - 1 rows of T^t - I it uses are independent; with the
-    exact check pi T = pi below, rank(T - I) = n - 1 and pi is unique.
+
+def _stationary_ints(T, D, out):
+    """(a, Q) with pi = a / Q the stationary vector of the irreducible chain
+    T = (D, out), all integers.
+
+    The uniform vector is the candidate (T doubly stochastic).  It is
+    positive, so once a T = a holds exactly, Perron-Frobenius makes 1 a
+    simple eigenvalue and a / n the unique stationary vector.  Otherwise
+    pi T = pi is solved with sum(pi) = 1 over the rationals, from n - 1 rows
+    of T^t - I.
     """
-    if not is_irreducible(T):
-        raise Reducible("chain is not irreducible")
-    n = len(T)
-    # rows of the system: (T^t - I) pi = 0, with the last equation sum = 1
+    n = len(out)
+    if _is_fixed(D, out, [1] * n):
+        return [1] * n, n
     rows = []
     for j in range(n - 1):
         rows.append([T[i][j] - (1 if i == j else 0) for i in range(n)])
     rows.append([Fraction(1)] * n)
     rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
     pi = _solve_exact(rows, rhs)
-    for j in range(n):
-        s = sum(pi[i] * T[i][j] for i in range(n))
-        if s != pi[j]:
-            raise Reducible("solution is not stationary")
-    return tuple(pi)
+    Q = math.lcm(*(x.denominator for x in pi))
+    a = [x.numerator * (Q // x.denominator) for x in pi]
+    if not _is_fixed(D, out, a):
+        raise Reducible("solution is not stationary")
+    return a, Q
+
+
+def stationary(T):
+    """The unique exact stationary distribution of an irreducible chain."""
+    D, out, _ = _irreducible_view(T)
+    a, Q = _stationary_ints(T, D, out)
+    return tuple(Fraction(x, Q) for x in a)
 
 
 def tv_distance(a, b):
     return sum(abs(x - y) for x, y in zip(a, b)) / 2
 
 
+def _step(row, out):
+    """The integer row vector row * (D T)."""
+    nxt = [0] * len(row)
+    for c, arrows in zip(row, out):
+        if c:
+            for j, w in arrows:
+                nxt[j] += c * w
+    return nxt
+
+
 def mixing_report(T, eps, max_steps=10000):
     """Second eigenvalue modulus (float) and exact time to eps in TV.
 
+    Row i of T^n is e_i (D T)^n / D^n with integer entries c_j, and
+    pi = a / Q, so its TV distance to pi is sum |c_j Q - a_j D^n| / (2 Q D^n).
     Raises Bipartite for periodic chains, where no convergence happens.
     """
-    if not is_irreducible(T):
-        raise Reducible("chain is not irreducible")
-    if len(T) > 1 and period(T) % 2 == 0:
+    D, out, succ = _irreducible_view(T)
+    if len(T) > 1 and out_period(succ) % 2 == 0:
         raise Bipartite("chain has even period; no mixing")
     import numpy
     n = len(T)
     arr = numpy.array([[float(x) for x in row] for row in T])
     eigs = sorted(numpy.linalg.eigvals(arr), key=lambda z: -abs(z))
     second = abs(eigs[1]) if n > 1 else 0.0
-    pi = stationary(T)
-    dists = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    a, Q = _stationary_ints(T, D, out)
+    limit = Fraction(eps).limit_denominator(10 ** 12)
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Dn = 1
     tv_series = []
     steps_to_eps = None
     for step in range(1, max_steps + 1):
-        nxt = []
-        for row in dists:
-            nxt.append([sum(row[i] * T[i][j] for i in range(n)) for j in range(n)])
-        dists = nxt
-        worst = max(tv_distance(row, pi) for row in dists)
+        rows = [_step(row, out) for row in rows]
+        Dn *= D
+        aD = [x * Dn for x in a]
+        num = max(sum([abs(c * Q - y) for c, y in zip(row, aD)])
+                  for row in rows)
+        worst = Fraction(num, 2 * Q * Dn)
         tv_series.append(worst)
-        if worst < Fraction(eps).limit_denominator(10 ** 12):
+        if worst < limit:
             steps_to_eps = step
             break
     return {
         "second_eigenvalue_modulus": second,
         "steps_to_eps": steps_to_eps,
         "tv_series": tv_series,
-        "stationary": pi,
+        "stationary": tuple(Fraction(x, Q) for x in a),
     }
 
 
@@ -180,35 +234,38 @@ def volcano_escape(V, start_level, n):
     Requires the synthetic volcano to be deeper than any level reachable in
     n steps, so no floor truncation occurs.  Returns the distribution and
     the cumulative mass at or above each level (mass-below-depth table).
+    Counts of walks, with weight (ell + 1)^n in total, are evolved in
+    integers and divided once at the end.
     """
     ell = V.ell
     kron = V.kron
+    if start_level < 0 or n < 0:
+        raise UsageError("start level and steps must be >= 0")
     if start_level > V.depth:
         raise UsageError("start level beyond the built depth")
     if V.depth <= start_level + n:
         raise DepthTooSmall(
             "need depth > start + steps = %d to avoid truncation" % (start_level + n))
-    deg = Fraction(1, ell + 1)
     size = start_level + n + 2
-    dist = [Fraction(0)] * size
-    dist[start_level] = Fraction(1)
+    counts = [0] * size
+    counts[start_level] = 1
     for _ in range(n):
-        nxt = [Fraction(0)] * size
-        for lvl, mass in enumerate(dist):
-            if mass == 0:
-                continue
-            if lvl == 0:
-                stay = Fraction(1 + kron, ell + 1)
-                down = Fraction(ell - kron, ell + 1)
-                nxt[0] += mass * stay
-                nxt[1] += mass * down
-            else:
-                nxt[lvl - 1] += mass * deg
-                nxt[lvl + 1] += mass * deg * ell
-        dist = nxt
+        # the rim stays with weight 1 + kron and descends with ell - kron;
+        # below it one edge goes up and ell go down
+        nxt = [0] * size
+        nxt[0] = counts[0] * (1 + kron)
+        nxt[1] = counts[0] * (ell - kron)
+        for lvl in range(1, size - 1):
+            c = counts[lvl]
+            if c:
+                nxt[lvl - 1] += c
+                nxt[lvl + 1] += c * ell
+        counts = nxt
+    den = (ell + 1) ** n
     cumulative = []
-    acc = Fraction(0)
-    for lvl in range(size):
-        acc += dist[lvl]
-        cumulative.append((lvl, acc))
-    return {"distribution": dist, "mass_within": cumulative}
+    acc = 0
+    for lvl, c in enumerate(counts):
+        acc += c
+        cumulative.append((lvl, Fraction(acc, den)))
+    return {"distribution": [Fraction(c, den) for c in counts],
+            "mass_within": cumulative}

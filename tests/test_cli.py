@@ -185,3 +185,16 @@ def test_walk_measure_short_walk_csv(tmp_path, capsys):
     lines = open(csv_path).read().splitlines()
     assert lines[0] == "n,tv"
     assert [row.split(",")[0] for row in lines[1:]] == ["2", "5", "10"]
+
+
+def test_python_dash_m_help():
+    import subprocess
+    import sys
+
+    import heckedyn
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(heckedyn.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "heckedyn", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: heckedyn")

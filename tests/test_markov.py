@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from heckedyn import markov
+from heckedyn.cli import main
 from heckedyn.errors import (Bipartite, DepthTooSmall, NotOutRegular,
-                             Reducible)
+                             Reducible, UsageError)
 from heckedyn.markov import (is_irreducible, mixing_report, normalize, period,
                              stationary, tv_distance, volcano_escape)
 from heckedyn.volcano import build_synthetic
@@ -129,3 +131,146 @@ def test_tv_distance():
     a = (Fraction(1, 2), Fraction(1, 2))
     b = (Fraction(1), Fraction(0))
     assert tv_distance(a, b) == Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# dense Fraction reference: the algorithms the integer kernels replaced
+
+def _ref_solve(rows, rhs):
+    n = len(rows)
+    A = [list(r) + [v] for r, v in zip(rows, rhs)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        inv = 1 / A[col][col]
+        A[col] = [x * inv for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return [A[i][n] for i in range(n)]
+
+
+def _ref_stationary(T):
+    n = len(T)
+    rows = [[T[i][j] - (1 if i == j else 0) for i in range(n)]
+            for j in range(n - 1)]
+    rows.append([Fraction(1)] * n)
+    pi = _ref_solve(rows, [Fraction(0)] * (n - 1) + [Fraction(1)])
+    assert all(sum(pi[i] * T[i][j] for i in range(n)) == pi[j]
+               for j in range(n))
+    return tuple(pi)
+
+
+def _ref_mixing(T, eps, max_steps=10000):
+    n = len(T)
+    pi = _ref_stationary(T)
+    dists = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    tv_series = []
+    for step in range(1, max_steps + 1):
+        dists = [[sum(row[i] * T[i][j] for i in range(n)) for j in range(n)]
+                 for row in dists]
+        worst = max(sum(abs(x - y) for x, y in zip(row, pi)) / 2
+                    for row in dists)
+        tv_series.append(worst)
+        if worst < Fraction(eps).limit_denominator(10 ** 12):
+            return step, tv_series
+    return None, tv_series
+
+
+def _ref_escape(ell, kron, start_level, n):
+    size = start_level + n + 2
+    dist = [Fraction(0)] * size
+    dist[start_level] = Fraction(1)
+    for _ in range(n):
+        nxt = [Fraction(0)] * size
+        for lvl, mass in enumerate(dist):
+            if mass == 0:
+                continue
+            if lvl == 0:
+                nxt[0] += mass * Fraction(1 + kron, ell + 1)
+                nxt[1] += mass * Fraction(ell - kron, ell + 1)
+            else:
+                nxt[lvl - 1] += mass * Fraction(1, ell + 1)
+                nxt[lvl + 1] += mass * Fraction(ell, ell + 1)
+        dist = nxt
+    return dist
+
+
+# aperiodic (T[2][2] > 0), not doubly stochastic (column 0 sums to 5/6) and
+# not reversible (0->1->2->0 has weight 1/6, its reverse 1/24)
+_CHAIN3 = [[Fraction(0), Fraction(1, 2), Fraction(1, 2)],
+           [Fraction(1, 3), Fraction(0), Fraction(2, 3)],
+           [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]]
+
+
+@pytest.mark.parametrize("name", ["g_11_5_1", "g_11_3_1", "g_11_3_4", "chain3"])
+def test_exact_kernels_match_dense_reference(name, request):
+    T = _CHAIN3 if name == "chain3" else normalize(request.getfixturevalue(name))
+    pi = _ref_stationary(T)
+    assert stationary(T) == pi
+    rep = mixing_report(T, 1e-3)
+    steps, tv = _ref_mixing(T, 1e-3)
+    assert rep["stationary"] == pi
+    assert rep["tv_series"] == tv
+    assert rep["steps_to_eps"] == steps
+
+
+def test_non_reversible_chain_uses_elimination(monkeypatch):
+    calls = []
+    real = markov._solve_exact
+
+    def spy(rows, rhs):
+        calls.append(len(rows))
+        return real(rows, rhs)
+
+    monkeypatch.setattr(markov, "_solve_exact", spy)
+    # by hand: 7 = 6/3 + 10/2, 6 = 7/2 + 10/4, 10 = 7/2 + 2*6/3 + 10/4
+    assert stationary(_CHAIN3) == (Fraction(7, 23), Fraction(6, 23),
+                                   Fraction(10, 23))
+    assert calls == [3]
+
+
+def test_level_graphs_never_eliminate(monkeypatch, g_11_3_4):
+    def refuse(rows, rhs):
+        raise AssertionError("elimination reached")
+
+    monkeypatch.setattr(markov, "_solve_exact", refuse)
+    n = len(g_11_3_4.adjacency)
+    assert stationary(normalize(g_11_3_4)) == tuple([Fraction(1, n)] * n)
+
+
+@pytest.mark.parametrize("ell,discs", [(2, (-23, -11, -20)), (3, (-11, -7, -15))])
+def test_volcano_escape_matches_dense_reference(ell, discs):
+    krons = set()
+    for disc in discs:
+        V = build_synthetic(disc, ell, 43)
+        krons.add(V.kron)
+        for start in (0, 1, 2):
+            for n in range(41):
+                out = volcano_escape(V, start, n)
+                ref = _ref_escape(ell, V.kron, start, n)
+                assert out["distribution"] == ref, (disc, start, n)
+                cum = [sum(ref[:lvl + 1]) for lvl in range(len(ref))]
+                assert out["mass_within"] == list(enumerate(cum))
+    assert krons == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("start,n", [(-1, 5), (0, -1), (0, -2), (3, -5)])
+def test_volcano_escape_rejects_negative(start, n):
+    with pytest.raises(UsageError):
+        volcano_escape(build_synthetic(-11, 2, 10), start, n)
+
+
+def test_negative_entries_rejected():
+    T = [[Fraction(2), Fraction(-1)], [Fraction(1), Fraction(0)]]
+    with pytest.raises(UsageError):
+        stationary(T)
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1", "4e-13", "5e-13"])
+def test_markov_cli_rejects_bad_mixing(eps, capsys):
+    # checked before the graph is read, so the missing file is never opened
+    code = main(["markov", "--graph", "no-such-graph.json", "--mixing", eps])
+    assert code == 1
+    assert "--mixing must be in (0, 1)" in capsys.readouterr().err
