@@ -1,9 +1,12 @@
 """Elliptic curves over F_{p^k}, p >= 5: points, isogenies, torsion bases.
 
 Short Weierstrass models only; the package excludes characteristics 2 and 3
-throughout the curve layer.  Exhaustive point counting is used on the small
-base fields (F_p, F_{p^2}), while torsion points over larger extensions are
-produced by cofactor multiplication, never by root finding in big fields.
+throughout the curve layer.  Supersingularity is read off the Hasse
+invariant, and a canonical supersingular model is picked by the order of one
+point, so the supersingular side never counts points; exhaustive counting
+serves only traces of Frobenius on the ordinary side.
+Torsion points over larger extensions are produced by cofactor
+multiplication, never by root finding in big fields.
 """
 
 from .errors import (BadTorsionOrder, EqualCharacteristic, InvariantBreach,
@@ -200,34 +203,48 @@ def trace_of_frobenius(E):
     return E.field.order + 1 - count_points(E)
 
 
-_SS_CACHE = {}
+_HASSE_COEFFS = {}
+
+
+def _hasse_coeffs(p):
+    """The multinomial coefficients m! / (i! (2m-3i)! (2i-m)!) mod p,
+    m = (p-1)/2, for i from ceil(m/2) to floor(2m/3)."""
+    got = _HASSE_COEFFS.get(p)
+    if got is None:
+        m = (p - 1) // 2
+        fact = [1] * (m + 1)
+        for i in range(1, m + 1):
+            fact[i] = fact[i - 1] * i % p
+        inv = [1] * (m + 1)
+        inv[m] = pow(fact[m], -1, p)
+        for i in range(m, 0, -1):
+            inv[i - 1] = inv[i] * i % p
+        got = tuple(fact[m] * inv[i] * inv[2 * m - 3 * i] * inv[2 * i - m] % p
+                    for i in range((m + 1) // 2, 2 * m // 3 + 1))
+        _HASSE_COEFFS[p] = got
+    return got
 
 
 def is_supersingular(E):
-    """Supersingularity via trace of Frobenius = 0 mod p, by point count
-    over the smallest field carrying a model of j(E)."""
+    """Whether the Hasse invariant, the coefficient of x^(p-1) in
+    (x^3 + ax + b)^((p-1)/2), vanishes (Silverman, AEC V.4.1(a)); this holds
+    over every finite field of characteristic p.
+
+    The invariant collects the terms x^(3i) (ax)^(2m-3i) b^(2i-m),
+    m = (p-1)/2, so it equals a^(2m-3h) b^(2l-m) sum_t c_t (a^3)^(n-t) (b^2)^t
+    with l, h the least and greatest i and n = h - l; the sum runs by
+    Horner's rule with a running power of b^2."""
     p = E.field.p
-    j = j_invariant(E)
-    k = E.field.k
-    if k <= 2:
-        key = (p, k, j.enc())
-        got = _SS_CACHE.get(key)
-        if got is None:
-            got = trace_of_frobenius(E) % p == 0
-            _SS_CACHE[key] = got
-        return got
-    # locate j in F_p or F_{p^2}; a supersingular j always lives there
-    if j.frobenius(2) != j:
-        return False
-    if j.frobenius() == j and k % 2 == 1:
-        small = make_field(p, 1)
-    elif k % 2 == 0:
-        small = make_field(p, 2)
-    else:
-        return False
-    emb = embedding(small, E.field)
-    j_small = emb.section(j)
-    return is_supersingular(model_from_j(small, j_small))
+    m = (p - 1) // 2
+    lo, hi = (m + 1) // 2, 2 * m // 3
+    a3 = E.a * E.a * E.a
+    b2 = E.b * E.b
+    acc = E.field.zero()
+    bt = E.field.one()
+    for c in _hasse_coeffs(p):
+        acc = acc * a3 + bt * c
+        bt = bt * b2
+    return (acc * E.a ** (2 * m - 3 * hi) * E.b ** (2 * lo - m)).is_zero()
 
 
 def supersingular_j_in_base(p):
@@ -239,6 +256,28 @@ def supersingular_j_in_base(p):
         if is_supersingular(model_from_j(F, j)):
             out.append(j)
     return out
+
+
+def _is_canonical(E):
+    """Whether the supersingular E over F_{p^2} has E(F_{p^2}) = (Z/(p-1))^2.
+
+    Every other supersingular group, of order (p+1)^2 (exponent p+1),
+    p^2 + 1 or p^2 -+ p + 1, shares at most a factor 2 or 3 with p - 1.  So
+    one point P with 2P, 3P != O decides: E is canonical iff (p-1)P = O."""
+    F = E.field
+    for e in range(F.order):
+        P = E.lift_x(F.from_enc(e))
+        if P is None or (2 * P).inf or (3 * P).inf:
+            continue
+        return ((F.p - 1) * P).inf
+    raise InvariantBreach("no point of order > 3 on %r" % (E,))
+
+
+def _power_class(F, n, e):
+    """The class of F.from_enc(n) mod e-th powers, as the encoding of its
+    ((q-1)/e)-th power; encodings below p are F_p, where integers do."""
+    E = (F.order - 1) // e
+    return pow(n, E, F.p) if n < F.p else (F.from_enc(n) ** E).enc()
 
 
 def canonical_ss_model(j):
@@ -257,43 +296,44 @@ def canonical_ss_model(j):
         return got
     if not is_supersingular(model_from_j(Fp2, j)):
         raise NotSupersingular("j = %d is not supersingular at p = %d" % (j.enc(), p))
-    target = (p - 1) ** 2
-    best = None
     if j.is_zero() or j == 1728:
-        # all models are (0, b) resp. (a, 0); scan in encoding order
-        for e in range(1, Fp2.order):
-            z = Fp2.from_enc(e)
-            E = Curve(Fp2, Fp2.zero(), z) if j.is_zero() else Curve(Fp2, z, Fp2.zero())
-            if count_points(E) == target:
-                best = E
+        # all models are (0, b) resp. (a, 0); scan in encoding order.  Models
+        # whose coefficients share a class mod 6th (4th) powers are
+        # isomorphic, so a class that failed once is skipped
+        e = 6 if j.is_zero() else 4
+        rejected = set()
+        for n in range(1, Fp2.order):
+            char = _power_class(Fp2, n, e)
+            if char in rejected:
+                continue
+            z = Fp2.from_enc(n)
+            best = Curve(Fp2, Fp2.zero(), z) if j.is_zero() else Curve(Fp2, z, Fp2.zero())
+            if _is_canonical(best):
                 break
+            rejected.add(char)
+        else:
+            raise InvariantBreach("no canonical model found for j = %d" % j.enc())
     else:
         base = model_from_j(Fp2, j)
-        if count_points(base) != target:
-            # quadratic twist by the smallest non-residue
-            d = None
-            sq = Fp2.square_set()
-            for e in range(1, Fp2.order):
-                if e not in sq:
-                    d = Fp2.from_enc(e)
-                    break
+        if not _is_canonical(base):
+            # quadratic twist by the first non-residue
+            d = Fp2.nonresidue()
             base = Curve(Fp2, base.a * d * d, base.b * d * d * d)
-            if count_points(base) != target:
+            if not _is_canonical(base):
                 raise InvariantBreach("no canonical model in either twist class")
-        bestpair = None
-        for e in range(1, Fp2.order):
-            u = Fp2.from_enc(e)
-            u2 = u * u
-            u4 = u2 * u2
-            pair = ((base.a * u4).enc(), (base.b * u4 * u2).enc())
-            if bestpair is None or pair < bestpair:
-                bestpair = pair
-        best = Curve(Fp2, Fp2.from_enc(bestpair[0]), Fp2.from_enc(bestpair[1]))
-        best._count = target
-    if best is None:
-        raise InvariantBreach("no canonical model found for j = %d" % j.enc())
+        # the models are (a u^4, b u^6): the least a' is the first element of
+        # the class of a mod 4th powers, which fixes u up to a 4th root of
+        # unity, so b' is one of the two square roots of b^2 (a'/a)^3
+        a, b = base.a, base.b
+        char = _power_class(Fp2, a.enc(), 4)
+        z = Fp2.from_enc(next(n for n in range(1, Fp2.order)
+                              if _power_class(Fp2, n, 4) == char))
+        r = (b * b * z * z * z / (a * a * a)).sqrt()
+        if r is None:
+            raise InvariantBreach("b'^2 is not a square for j = %d" % j.enc())
+        best = Curve(Fp2, z, min(r, -r, key=lambda t: t.enc()))
     best.canonical_ss = True
-    best._count = target
+    best._count = (p - 1) ** 2
     _CANONICAL_CACHE[key] = best
     return best
 
@@ -398,25 +438,36 @@ def _poly_invert_mod(g, h):
     return (t0.scale(lead_inv)) % h
 
 
+def _pm_generator(ell):
+    """The least g >= 2 whose class generates (Z/ell)^x / {+-1}."""
+    dd = (ell - 1) // 2
+    for g in range(2, ell):
+        if all(pow(g, dd // q, ell) not in (1, ell - 1) for q, _ in factor(dd)):
+            return g
+
+
 def _is_kernel_poly(E, h, ell):
-    """Closure test: the root set of h is the x-set of one cyclic subgroup."""
+    """Closure test: the root set of h is the x-set of one cyclic subgroup.
+
+    h is a squarefree product of factors of psi_ell of degree (ell-1)/2, so
+    its roots are x-coordinates of ell-torsion points.  The x-set of each
+    subgroup is one orbit of (Z/ell)^x / {+-1}, of size (ell-1)/2; a root set
+    closed under [g] for one generator g is a union of orbits, so one orbit."""
     dd = (ell - 1) // 2
     if h.degree() != dd:
         return False
-    for k in range(2, dd + 1):
-        num, den = _mult_by_k_fraction(E, k)
-        den_red = den % h
-        inv = _poly_invert_mod(den_red, h)
-        if inv is None:
-            return False
-        xi = (num % h) * inv % h
-        # evaluate h at xi inside F[x]/(h)
-        acc = Poly(E.field, [])
-        for c in reversed(h.coeffs):
-            acc = (acc * xi + Poly(E.field, [c])) % h
-        if not acc.is_zero():
-            return False
-    return True
+    if dd == 1:
+        return True
+    num, den = _mult_by_k_fraction(E, _pm_generator(ell))
+    inv = _poly_invert_mod(den % h, h)
+    if inv is None:
+        return False
+    xi = (num % h) * inv % h
+    # evaluate h at xi inside F[x]/(h)
+    acc = Poly(E.field, [])
+    for c in reversed(h.coeffs):
+        acc = (acc * xi + Poly(E.field, [c])) % h
+    return acc.is_zero()
 
 
 def _degree_subsets(factors, dd):
@@ -586,14 +637,31 @@ def scaled_point(P, u, target):
     return CurvePoint(target, P.field, P.x * u2, P.y * u2 * u, False, check=False)
 
 
+def _binomial_roots(F, e, r):
+    """The roots of x^e - r in F, sorted by encoding; cached on F.  For even
+    e, u^e = r iff u^2 is a root of x^(e/2) - r, so poly_roots runs only
+    for odd e."""
+    key = (e, r.enc())
+    got = F._root_cache.get(key)
+    if got is None:
+        if e % 2:
+            roots = poly_roots(Poly(F, [-r] + [0] * (e - 1) + [1]))
+        else:
+            roots = set()
+            for y in _binomial_roots(F, e // 2, r):
+                w = y.sqrt()
+                if w is not None:
+                    roots |= {w, -w}
+        got = F._root_cache[key] = sorted(roots, key=lambda t: t.enc())
+    return got
+
+
 def automorphism_scalars(E):
     """The scalars u with (x,y) -> (u^2 x, u^3 y) an automorphism of E."""
     F = E.field
     if not E.a.is_zero() and not E.b.is_zero():
         return [F.one(), -F.one()]
-    e = 6 if E.a.is_zero() else 4
-    tab = F.power_table(e)
-    return tab.get(F.one().enc(), [F.one()])
+    return _binomial_roots(F, 6 if E.a.is_zero() else 4, F.one())
 
 
 def iso_scalars(E1, E2):
@@ -604,13 +672,11 @@ def iso_scalars(E1, E2):
     if E1.a.is_zero():
         if not E2.a.is_zero():
             return []
-        tab = F.power_table(6)
-        return tab.get((E2.b / E1.b).enc(), [])
+        return _binomial_roots(F, 6, E2.b / E1.b)
     if E1.b.is_zero():
         if not E2.b.is_zero():
             return []
-        tab = F.power_table(4)
-        return tab.get((E2.a / E1.a).enc(), [])
+        return _binomial_roots(F, 4, E2.a / E1.a)
     if E2.a.is_zero() or E2.b.is_zero():
         return []
     ratio = (E2.b * E1.a) / (E1.b * E2.a)  # u^2

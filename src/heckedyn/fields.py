@@ -103,7 +103,7 @@ class FieldDesc:
     """
 
     __slots__ = ("p", "k", "modulus", "order", "_red", "_square_set",
-                 "_root_tables", "_aut_cache", "_nonresidue")
+                 "_root_cache", "_nonresidue")
 
     def __init__(self, p, k, modulus):
         self.p = p
@@ -127,9 +127,8 @@ class FieldDesc:
             red[j] = tuple(row)
         self._red = red
         self._square_set = None
-        self._root_tables = {}
-        self._aut_cache = {}
-        self._nonresidue = None  # filled by the first ExtFieldElement.sqrt
+        self._root_cache = {}  # (e, enc(r)) -> sorted roots of x^e - r
+        self._nonresidue = None
 
     # ---- element constructors -------------------------------------------
 
@@ -272,19 +271,15 @@ class FieldDesc:
             self._square_set = s
         return self._square_set
 
-    def power_table(self, e):
-        """dict enc(z**e) -> sorted list of z, over nonzero z."""
-        tab = self._root_tables.get(e)
-        if tab is None:
-            tab = {}
-            for n in range(1, self.order):
-                z = self.from_enc(n)
-                key = (z ** e).enc()
-                tab.setdefault(key, []).append(z)
-            for lst in tab.values():
-                lst.sort(key=lambda t: t.enc())
-            self._root_tables[e] = tab
-        return tab
+    def nonresidue(self):
+        """The first non-square in encoding order (odd q), found once."""
+        if self._nonresidue is None:
+            e = (self.order - 1) // 2
+            n = 2
+            while (self.from_enc(n) ** e).enc() == 1:
+                n += 1
+            self._nonresidue = self.from_enc(n)
+        return self._nonresidue
 
     def __repr__(self):
         return "F_%d^%d" % (self.p, self.k)
@@ -378,17 +373,7 @@ class ExtFieldElement:
         while t % 2 == 0:
             t //= 2
             s += 1
-        # the first non-residue in encoding order, found once per field
-        z = F._nonresidue
-        if z is None:
-            for n in range(2, q):
-                cand = F.from_enc(n)
-                if cand.is_zero():
-                    continue
-                if (cand ** ((q - 1) // 2)).enc() != 1:
-                    z = F._nonresidue = cand
-                    break
-        c = z ** t
+        c = F.nonresidue() ** t
         x = self ** ((t + 1) // 2)
         b = self ** t
         m = s
@@ -860,9 +845,6 @@ def poly_roots(f):
 _EMBED_CACHE = {}
 _EMBED_LOCK = threading.Lock()
 
-_SECTION_BOUND = 1 << 16
-
-
 class Embedding:
     """Field embedding F_{p^k} -> F_{p^{km}} via a chosen root of the modulus."""
 
@@ -870,7 +852,7 @@ class Embedding:
         self.small = small
         self.big = big
         self.root = root
-        self._section = None
+        self._inverse = None
 
     def __call__(self, elt):
         if elt.field is self.big:
@@ -883,17 +865,39 @@ class Embedding:
             acc = acc * self.root + c
         return acc
 
+    def _inverse_rows(self):
+        """Rows T over F_p with T V = [I; 0], V the big-field coordinates
+        of root^0, ..., root^(k-1) as columns (Gauss-Jordan on [V | I])."""
+        p, k, K = self.small.p, self.small.k, self.big.k
+        cols = [(self.root ** i).coeffs for i in range(k)]
+        rows = [[col[r] for col in cols] + [int(r == s) for s in range(K)]
+                for r in range(K)]
+        for c in range(k):
+            piv = next(r for r in range(c, K) if rows[r][c])
+            rows[c], rows[piv] = rows[piv], rows[c]
+            inv = pow(rows[c][c], -1, p)
+            rows[c] = [x * inv % p for x in rows[c]]
+            for r in range(K):
+                f = rows[r][c]
+                if r != c and f:
+                    rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+        return [row[k:] for row in rows]
+
     def section(self, elt):
-        """Preimage in the small field; raises KeyError if not in the image."""
-        if self._section is None:
-            if self.small.order > _SECTION_BOUND:
-                raise ValueError("section table too large for this field pair")
-            table = {}
-            for n in range(self.small.order):
-                s = self.small.from_enc(n)
-                table[self(s).enc()] = s
-            self._section = table
-        return self._section[elt.enc()]
+        """Preimage in the small field; raises KeyError if not in the image.
+        Solves sum_i c_i root^i = elt over F_p."""
+        if elt.field is not self.big:
+            raise ValueError("element not in the target field")
+        if self.small is self.big:
+            return elt
+        if self._inverse is None:
+            self._inverse = self._inverse_rows()
+        p, k = self.small.p, self.small.k
+        w = [sum(t * v for t, v in zip(row, elt.coeffs)) % p
+             for row in self._inverse]
+        if any(w[k:]):
+            raise KeyError(elt.enc())
+        return ExtFieldElement(self.small, tuple(w[:k]))
 
 
 def embedding(small, big):

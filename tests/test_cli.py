@@ -198,3 +198,13 @@ def test_python_dash_m_help():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: heckedyn")
+
+
+def test_ssgraph_report_at_p_257(capsys):
+    code, out, err = run(["ssgraph", "-p", "257", "-l", "3", "-N", "1",
+                          "--report"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    # 257 = 5 mod 12: floor(257/12) + 1 supersingular j
+    assert rep["out_degrees"] == [4] * 22
+    assert rep["connected"] is True

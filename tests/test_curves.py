@@ -4,13 +4,17 @@ import pytest
 
 from heckedyn.errors import (BadTorsionOrder, EqualCharacteristic, NotAKernel,
                              NotSupersingular, UnsupportedCharacteristic)
-from heckedyn.curves import (Curve, all_points_of_order, automorphism_scalars,
-                             canonical_ss_model, count_points, division_poly,
-                             dual_isogeny, ell_subgroups, is_supersingular,
-                             iso_scalars, j_invariant, model_from_j,
-                             scaled_point, supersingular_j_in_base,
-                             torsion_basis, torsion_point, velu)
-from heckedyn.fields import Poly, embedding, make_field
+from heckedyn import curves
+from heckedyn.curves import (Curve, _degree_subsets, _mult_by_k_fraction,
+                             _poly_invert_mod, all_points_of_order,
+                             automorphism_scalars, canonical_ss_model,
+                             count_points, division_poly, dual_isogeny,
+                             ell_subgroups, is_supersingular, iso_scalars,
+                             j_invariant, model_from_j, scaled_point,
+                             supersingular_j_in_base, torsion_basis,
+                             torsion_point, trace_of_frobenius, velu)
+from heckedyn.fields import Poly, embedding, make_field, poly_factor
+from heckedyn.ssgraph import build_ssgraph
 
 F11 = make_field(11, 1)
 F121 = make_field(11, 2)
@@ -291,3 +295,142 @@ def test_iso_scalars_roundtrip():
     for w in got:
         w2 = w * w
         assert E.a * w2 * w2 == E2.a and E.b * w2 * w2 * w2 == E2.b
+
+
+# ---------------------------------------------------------------------------
+# brute-force references for the supersingular layer
+
+def ss_count(p):
+    """Number of supersingular j over F_{p^2}: floor(p/12) + {0,1,1,2}."""
+    return p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
+
+
+def supersingular_js(p):
+    F = make_field(p, 2)
+    return [F.from_enc(e) for e in range(F.order)
+            if is_supersingular(model_from_j(F, F.from_enc(e)))]
+
+
+def reference_canonical_ss_model(j):
+    """The lex-smallest (a, b) over F_{p^2} with #E = (p-1)^2, by exhaustive
+    point counts: a scan of b (resp. a) at j = 0 (resp. 1728), otherwise the
+    right quadratic twist and a minimum over every scaling u."""
+    p = j.field.p
+    F = j.field
+    target = (p - 1) ** 2
+    if j.is_zero() or j == 1728:
+        for e in range(1, F.order):
+            z = F.from_enc(e)
+            E = Curve(F, F.zero(), z) if j.is_zero() else Curve(F, z, F.zero())
+            if count_points(E) == target:
+                return (E.a.enc(), E.b.enc())
+        raise AssertionError("no canonical model")
+    base = model_from_j(F, j)
+    if count_points(base) != target:
+        sq = F.square_set()
+        d = F.from_enc(min(e for e in range(1, F.order) if e not in sq))
+        base = Curve(F, base.a * d * d, base.b * d * d * d)
+        assert count_points(base) == target
+    best = None
+    for e in range(1, F.order):
+        u2 = F.from_enc(e) * F.from_enc(e)
+        u4 = u2 * u2
+        pair = ((base.a * u4).enc(), (base.b * u4 * u2).enc())
+        if best is None or pair < best:
+            best = pair
+    return best
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31, 37])
+def test_canonical_model_matches_brute_force(p):
+    js = supersingular_js(p)
+    assert len(js) == ss_count(p)
+    for j in js:
+        E = canonical_ss_model(j)
+        assert (E.a.enc(), E.b.enc()) == reference_canonical_ss_model(j)
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 19])
+def test_hasse_invariant_matches_trace(p):
+    F = make_field(p, 2)
+    for e in range(F.order):
+        E = model_from_j(F, F.from_enc(e))
+        assert is_supersingular(E) == (trace_of_frobenius(E) % p == 0)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_hasse_invariant_on_every_base_field_model(p):
+    F = make_field(p, 1)
+    for a in range(p):
+        for b in range(p):
+            if (4 * a ** 3 + 27 * b ** 2) % p == 0:
+                continue
+            t = p + 1 - brute_count(p, a, b)
+            assert is_supersingular(Curve(F, a, b)) == (t % p == 0)
+
+
+def test_supersingular_side_never_counts_points(monkeypatch):
+    def refuse(E):
+        raise AssertionError("count_points called on %r" % (E,))
+    monkeypatch.setattr(curves, "count_points", refuse)
+    monkeypatch.setattr(curves, "_CANONICAL_CACHE", {})
+    G = build_ssgraph(23, 3, 1)
+    assert len(G.curves) == ss_count(23)
+    assert [j.enc() for j in supersingular_j_in_base(23)] == [0, 3, 19]
+
+
+def reference_kernel_polys(E, ell):
+    """Products of factors of psi_ell of degree (ell-1)/2 whose root set is
+    closed under every [k], 2 <= k <= (ell-1)/2."""
+    dd = (ell - 1) // 2
+    factors = [g for g, _ in poly_factor(division_poly(E, ell))]
+    out = set()
+    for subset in _degree_subsets(factors, dd):
+        h = Poly(E.field, [1])
+        for g in subset:
+            h = h * g
+        closed = True
+        for k in range(2, dd + 1):
+            num, den = _mult_by_k_fraction(E, k)
+            xi = (num % h) * _poly_invert_mod(den % h, h) % h
+            acc = Poly(E.field, [])
+            for c in reversed(h.coeffs):
+                acc = (acc * xi + Poly(E.field, [c])) % h
+            closed = closed and acc.is_zero()
+        if closed:
+            out.add(h.key())
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p, ell", [(13, 7), (29, 7), (23, 5)])
+def test_ell_subgroups_match_all_k_closure(p, ell):
+    E = canonical_ss_model(supersingular_j_in_base(p)[0])
+    got = [h.key() for h in ell_subgroups(E, ell)]
+    assert len(got) == ell + 1
+    assert got == reference_kernel_polys(E, ell)
+
+
+def test_ell_subgroups_match_all_k_closure_ordinary():
+    F = make_field(23, 1)
+    for a, b in ((1, 1), (2, 5), (3, 7)):
+        E = Curve(F, a, b)
+        assert [h.key() for h in ell_subgroups(E, 5)] == reference_kernel_polys(E, 5)
+        assert [h.key() for h in ell_subgroups(E, 7)] == reference_kernel_polys(E, 7)
+
+
+@pytest.mark.parametrize("p", [11, 23])
+def test_binomial_roots_match_power_table(p):
+    F = make_field(p, 2)
+    rng = random.Random(p)
+    for e in (4, 6):
+        table = {}
+        for n in range(1, F.order):
+            z = F.from_enc(n)
+            table.setdefault((z ** e).enc(), []).append(z.enc())
+        E0 = canonical_ss_model(F.from_enc(0 if e == 6 else 1728 % p))
+        assert [u.enc() for u in automorphism_scalars(E0)] == table[1]
+        for _ in range(6):
+            r = F.from_enc(rng.randrange(1, F.order))
+            E2 = (Curve(F, E0.a, E0.b * r) if e == 6 else
+                  Curve(F, E0.a * r, E0.b))
+            assert [u.enc() for u in iso_scalars(E0, E2)] == table.get(r.enc(), [])

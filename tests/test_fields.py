@@ -273,3 +273,33 @@ def test_multiplicative_order():
     # modulo 1 every integer is a unit of order 1
     assert multiplicative_order(3, 1) == 1
     assert multiplicative_order(0, 1) == 1
+
+
+def test_embedding_section_linear_on_large_fields():
+    small, big = make_field(257, 2), make_field(257, 4)
+    emb = embedding(small, big)
+    rng = random.Random(257)
+    encs = [0, 1, 256, 257, small.order - 1]
+    encs += [rng.randrange(small.order) for _ in range(200)]
+    for n in encs:
+        z = small.from_enc(n)
+        assert emb.section(emb(z)) == z
+    # F_{257^2} inside F_{257^4} is the fixed field of Frobenius squared
+    off = [w for w in (big.from_enc(rng.randrange(big.order)) for _ in range(40))
+           if w.frobenius(2) != w]
+    assert off
+    for w in off:
+        with pytest.raises(KeyError):
+            emb.section(w)
+    ident = embedding(small, small)
+    for n in encs:
+        z = small.from_enc(n)
+        assert ident.section(ident(z)) == z
+
+
+def test_nonresidue_is_first_non_square():
+    for p, k in ((11, 1), (11, 2), (13, 2), (3, 2)):
+        F = make_field(p, k)
+        squares = {(z * z).enc() for z in F.elements()}
+        first = min(n for n in range(1, F.order) if n not in squares)
+        assert F.nonresidue().enc() == first
