@@ -275,9 +275,8 @@ def _is_canonical(E):
 
 def _power_class(F, n, e):
     """The class of F.from_enc(n) mod e-th powers, as the encoding of its
-    ((q-1)/e)-th power; encodings below p are F_p, where integers do."""
-    E = (F.order - 1) // e
-    return pow(n, E, F.p) if n < F.p else (F.from_enc(n) ** E).enc()
+    ((q-1)/e)-th power."""
+    return (F.from_enc(n) ** ((F.order - 1) // e)).enc()
 
 
 def canonical_ss_model(j):
@@ -297,20 +296,12 @@ def canonical_ss_model(j):
     if not is_supersingular(model_from_j(Fp2, j)):
         raise NotSupersingular("j = %d is not supersingular at p = %d" % (j.enc(), p))
     if j.is_zero() or j == 1728:
-        # all models are (0, b) resp. (a, 0); scan in encoding order.  Models
-        # whose coefficients share a class mod 6th (4th) powers are
-        # isomorphic, so a class that failed once is skipped
-        e = 6 if j.is_zero() else 4
-        rejected = set()
+        # all models are (0, b) resp. (a, 0); scan in encoding order
         for n in range(1, Fp2.order):
-            char = _power_class(Fp2, n, e)
-            if char in rejected:
-                continue
             z = Fp2.from_enc(n)
             best = Curve(Fp2, Fp2.zero(), z) if j.is_zero() else Curve(Fp2, z, Fp2.zero())
             if _is_canonical(best):
                 break
-            rejected.add(char)
         else:
             raise InvariantBreach("no canonical model found for j = %d" % j.enc())
     else:
