@@ -6,15 +6,19 @@ invariant, and a canonical supersingular model is picked by the order of one
 point, so the supersingular side never counts points; exhaustive counting
 serves only traces of Frobenius on the ordinary side.
 Torsion points over larger extensions are produced by cofactor
-multiplication, never by root finding in big fields.
+multiplication, never by root finding in big fields.  Scalar multiplication
+runs in Jacobian coordinates with one field inversion at the end; the
+result is an affine point like every other.
 """
+
+import math
 
 from .errors import (BadTorsionOrder, EqualCharacteristic, InvariantBreach,
                      NotAKernel, NotSupersingular, TraceAmbiguous,
                      UnsupportedCharacteristic)
-from .fields import (Poly, embed_poly, embedding, factor, make_field,
-                     multiplicative_order, poly_factor, poly_roots, x_poly,
-                     xgcd)
+from .fields import (ExtFieldElement, Poly, embed_poly, embedding, factor,
+                     make_field, multiplicative_order, poly_factor,
+                     poly_roots, x_poly, xgcd)
 
 AUX_TRACE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
@@ -144,21 +148,66 @@ class CurvePoint:
         return self + (-other)
 
     def __rmul__(self, n):
+        """[n]P by left-to-right double-and-add in Jacobian coordinates
+        (x, y) = (X/Z^2, Y/Z^3), adding the affine P; one inversion at the end."""
         if n < 0:
             return (-n) * (-self)
-        acc = CurvePoint(self.curve, self.field, None, None, True)
-        add = self
-        while n:
-            if n & 1:
-                acc = acc + add
-            add = add + add
-            n >>= 1
-        return acc
+        F = self.field
+        if n == 0 or self.inf:
+            return CurvePoint(self.curve, F, None, None, True)
+        a = self.curve.coeffs_in(F)[0].coeffs
+        x, y = self.x.coeffs, self.y.coeffs
+        X, Y, Z = x, y, F.one().coeffs
+        for bit in bin(n)[3:]:
+            X, Y, Z = _jacobian_double(F, a, X, Y, Z)
+            if bit == "1":
+                X, Y, Z = _jacobian_add(F, a, X, Y, Z, x, y)
+        if not any(Z):
+            return CurvePoint(self.curve, F, None, None, True)
+        mul = F._mulc
+        zi = F._invc(Z)
+        zi2 = mul(zi, zi)
+        return CurvePoint(self.curve, F, ExtFieldElement(F, mul(X, zi2)),
+                          ExtFieldElement(F, mul(mul(Y, zi2), zi)), False,
+                          check=False)
 
     def __repr__(self):
         if self.inf:
             return "Point(inf)"
         return "Point(%d, %d)" % (self.x.enc(), self.y.enc())
+
+
+def _jacobian_double(F, a, X, Y, Z):
+    """2(X : Y : Z) on y^2 = x^3 + ax + b.  Z = 0 is the point at infinity:
+    it stays there, and the double of a point with Y = 0 lands there."""
+    mul, add, sub, smul = F._mulc, F._addc, F._subc, F._smulc
+    YY = mul(Y, Y)
+    ZZ = mul(Z, Z)
+    S = smul(4, mul(X, YY))
+    M = add(smul(3, mul(X, X)), mul(a, mul(ZZ, ZZ)))
+    X3 = sub(mul(M, M), add(S, S))
+    Y3 = sub(mul(M, sub(S, X3)), smul(8, mul(YY, YY)))
+    return X3, Y3, smul(2, mul(Y, Z))
+
+
+def _jacobian_add(F, a, X, Y, Z, x, y):
+    """(X : Y : Z) + (x, y) with (x, y) affine."""
+    if not any(Z):
+        return x, y, F.one().coeffs
+    mul, add, sub = F._mulc, F._addc, F._subc
+    ZZ = mul(Z, Z)
+    H = sub(mul(x, ZZ), X)
+    r = sub(mul(y, mul(Z, ZZ)), Y)
+    if not any(H):
+        if any(r):
+            return X, Y, F.zero().coeffs
+        return _jacobian_double(F, a, X, Y, Z)
+    HH = mul(H, H)
+    HHH = mul(H, HH)
+    V = mul(X, HH)
+    X3 = sub(sub(mul(r, r), HHH), add(V, V))
+    Y3 = sub(mul(r, sub(V, X3)), mul(Y, HHH))
+    return X3, Y3, mul(Z, H)
 
 
 # ---------------------------------------------------------------------------
@@ -808,17 +857,9 @@ def torsion_basis(E, N):
     return P1, P2
 
 
-def point_order(P, bound):
-    """Exact order of P given that it divides bound."""
-    order = bound
-    for q, _ in factor(bound):
-        while order % q == 0 and ((order // q) * P).inf:
-            order //= q
-    return order
-
-
 def all_points_of_order(E, N):
-    """Every point of exact order N, sorted by (x, y) encoding."""
+    """Every point of exact order N, sorted by (x, y) encoding.  The point
+    i P1 + j P2 has order N / gcd(N, i, j) on a basis of E[N]."""
     if N == 1:
         return [E.infinity()]
     P1, P2 = torsion_basis(E, N)
@@ -827,9 +868,8 @@ def all_points_of_order(E, N):
     for i in range(N):
         cur = row
         for j in range(N):
-            if not (i == 0 and j == 0):
-                if point_order(cur, N) == N:
-                    out.append(cur)
+            if math.gcd(N, i, j) == 1:
+                out.append(cur)
             cur = cur + P2
         row = row + P1
     out.sort(key=lambda P: P.key())

@@ -6,11 +6,17 @@ carry an integer encoding used for every lex tie-break in the package, and
 the randomized factorization steps are driven by a caller-visible seed so
 repeated runs produce identical output.
 
-Scale: p < 2**31 with plain Python integers; no FFT multiplication.
+Scale: p < 2**31 with plain Python integers.  Products in F_{p^2} use a
+closed form in the reduction row x^2 = r0 + r1 x, and inverses the norm.
+Products in F_{p^k}, k >= 3, use Kronecker substitution: both coefficient
+vectors are packed into one integer with slots of 8 to 64 bits (wider ones
+for p near 2**31 and above) that hold 2k(p-1)^2, multiplied once, and the
+k-1 high slots are folded back with packed rows x^j mod modulus.
 """
 
 import math
 import random
+import struct
 import threading
 
 from .errors import DegreeZero, NonPrime, ZeroPolynomial
@@ -94,6 +100,20 @@ def multiplicative_order(a, m):
     return r
 
 
+def _pack_shift(a, bits):
+    """sum_i a_i 2^(bits i): the Kronecker packing for slots too wide
+    for ``struct``."""
+    n = 0
+    for c in reversed(a):
+        n = (n << bits) | c
+    return n
+
+
+def _unpack_shift(n, bits, count):
+    mask = (1 << bits) - 1
+    return [(n >> (bits * i)) & mask for i in range(count)]
+
+
 class FieldDesc:
     """F_{p^k} in polynomial basis over the monic irreducible ``modulus``.
 
@@ -103,7 +123,8 @@ class FieldDesc:
     """
 
     __slots__ = ("p", "k", "modulus", "order", "_red", "_square_set",
-                 "_root_cache", "_nonresidue")
+                 "_root_cache", "_nonresidue", "_structs", "_slot",
+                 "_low_mask", "_red_packed")
 
     def __init__(self, p, k, modulus):
         self.p = p
@@ -126,6 +147,8 @@ class FieldDesc:
                     row[i] = (row[i] + top * base[i]) % p
             red[j] = tuple(row)
         self._red = red
+        if k >= 3:
+            self._init_kronecker()
         self._square_set = None
         self._root_cache = {}  # (e, enc(r)) -> sorted roots of x^e - r
         self._nonresidue = None
@@ -165,39 +188,78 @@ class FieldDesc:
 
     # ---- coefficient-level arithmetic ------------------------------------
 
-    def _mulc(self, a, b):
+    def _init_kronecker(self):
+        """Slot layout of the packed product (k >= 3).  A slot holds a
+        product coefficient plus the k-1 reduction rows folded onto it, at
+        most (2k-1)(p-1)^2 < 2k(p-1)^2.  Slots of 8, 16, 32 or 64 bits are
+        packed by ``struct``; wider ones (p near 2^31 and above) by shifts."""
         p, k = self.p, self.k
+        bits = (2 * k * (p - 1) ** 2).bit_length()
+        code = next((c for c in "BHIQ" if bits <= 8 * struct.calcsize(c)), None)
+        if code is None:
+            self._structs = None
+            rows = [_pack_shift(self._red[j], bits) for j in range(k, 2 * k - 1)]
+        else:
+            bits = 8 * struct.calcsize(code)
+            pk = struct.Struct("<%d%s" % (k, code))
+            self._structs = (pk, struct.Struct("<%d%s" % (2 * k - 1, code)))
+            rows = [int.from_bytes(pk.pack(*self._red[j]), "little")
+                    for j in range(k, 2 * k - 1)]
+        self._slot = bits
+        self._low_mask = (1 << (bits * k)) - 1
+        self._red_packed = tuple(rows)
+
+    def _mulc(self, a, b):
+        k = self.k
+        if k == 2:
+            # (a0 + a1 x)(b0 + b1 x) with x^2 = r0 + r1 x
+            p = self.p
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1
+            r0, r1 = self._red[2]
+            return ((a0 * b0 + t * r0) % p, (a0 * b1 + a1 * b0 + t * r1) % p)
         if k == 1:
-            return (a[0] * b[0] % p,)
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        red = self._red
-        for j in range(2 * k - 2, k - 1, -1):
-            c = prod[j] % p
+            return (a[0] * b[0] % self.p,)
+        # Kronecker substitution: one integer product; the k-1 high slots
+        # are reduced mod p and folded back with the packed rows x^j mod
+        # modulus, j = k, ..., 2k-2
+        p = self.p
+        S = self._structs
+        if S is None:
+            bits = self._slot
+            A = _pack_shift(a, bits)
+            C = A * A if a is b else A * _pack_shift(b, bits)
+            high = _unpack_shift(C >> (bits * k), bits, k - 1)
+        else:
+            pk, pk2 = S
+            A = int.from_bytes(pk.pack(*a), "little")
+            C = A * A if a is b else A * int.from_bytes(pk.pack(*b), "little")
+            high = pk2.unpack(C.to_bytes(pk2.size, "little"))[k:]
+        low = C & self._low_mask
+        for c, row in zip(high, self._red_packed):
+            c %= p
             if c:
-                row = red[j]
-                for i in range(k):
-                    prod[i] += c * row[i]
-        return tuple(v % p for v in prod[:k])
+                low += c * row
+        if S is None:
+            return tuple([v % p for v in _unpack_shift(low, bits, k)])
+        return tuple([v % p for v in pk.unpack(low.to_bytes(pk.size, "little"))])
 
     def _addc(self, a, b):
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def _subc(self, a, b):
         p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def _negc(self, a):
         p = self.p
-        return tuple((-x) % p for x in a)
+        return tuple([(-x) % p for x in a])
 
     def _smulc(self, s, a):
         p = self.p
-        return tuple(s * x % p for x in a)
+        return tuple([s * x % p for x in a])
 
     def _powc(self, a, e):
         if e < 0:
@@ -218,6 +280,13 @@ class FieldDesc:
         p = self.p
         if self.k == 1:
             return (pow(a[0], -1, p),)
+        if self.k == 2:
+            # conjugate over the norm: with x^2 = r0 + r1 x, the product
+            # (a0 + a1 x)(a0 + r1 a1 - a1 x) is a0^2 + r1 a0 a1 - r0 a1^2
+            a0, a1 = a
+            r0, r1 = self._red[2]
+            inv = pow((a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1) % p, -1, p)
+            return ((a0 + r1 * a1) * inv % p, -a1 * inv % p)
         r0 = list(self.modulus)
         r1 = [c for c in a]
         while r1 and r1[-1] == 0:
@@ -366,18 +435,23 @@ class ExtFieldElement:
         q = F.order
         if q % 2 == 0:
             return self ** (q // 2)
-        if (self ** ((q - 1) // 2)).enc() != 1:
-            return None
-        # write q-1 = 2^s * t
+        # write q-1 = 2^s * t; one power z = a^((t-1)/2) gives x = a^((t+1)/2)
+        # and b = a^t, and Euler's criterion a^((q-1)/2) = b^(2^(s-1))
         t, s = q - 1, 0
         while t % 2 == 0:
             t //= 2
             s += 1
-        c = F.nonresidue() ** t
-        x = self ** ((t + 1) // 2)
-        b = self ** t
-        m = s
+        z = self ** ((t - 1) // 2)
+        x = self * z
+        b = x * z
         one = F.one()
+        e = b
+        for _ in range(s - 1):
+            e = e * e
+        if e != one:
+            return None
+        c = F.nonresidue() ** t
+        m = s
         while b != one:
             i, bb = 0, b
             while bb != one:

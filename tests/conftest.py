@@ -2,6 +2,16 @@ import pytest
 
 from heckedyn.ssgraph import build_ssgraph
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # fixed examples, no timing: the property tests give the same verdict
+    # on every run
+    settings.register_profile("heckedyn", derandomize=True, deadline=None)
+    settings.load_profile("heckedyn")
+
 
 @pytest.fixture(scope="session")
 def g_11_5_1():

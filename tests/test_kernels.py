@@ -1,0 +1,245 @@
+"""Property tests of the field and point kernels against plain references:
+the schoolbook product, repeated affine addition, the three-power square
+root and a brute-force order filter."""
+
+import functools
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heckedyn.curves import (Curve, all_points_of_order, canonical_ss_model,
+                             torsion_basis)
+from heckedyn.fields import ExtFieldElement, make_field
+
+# k in {1, 2, 3, 4, 6, 24} at small p (8- and 16-bit slots), 32-bit slots at
+# p = 4001, and p = 2^31 - 1, whose k = 3 slot is wider than 64 bits
+FIELD_SHAPES = ((11, 1), (11, 2), (11, 3), (11, 4), (11, 6), (11, 24),
+                (5, 3), (5, 4), (4001, 2), (4001, 3),
+                (2 ** 31 - 1, 2), (2 ** 31 - 1, 3))
+
+
+def schoolbook_mulc(F, a, b):
+    """The product in F_{p^k} coefficient by coefficient, then reduced by
+    the rows x^j mod modulus from the top down."""
+    p, k = F.p, F.k
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for j in range(2 * k - 2, k - 1, -1):
+        c = prod[j] % p
+        for i in range(k):
+            prod[i] += c * F._red[j][i]
+    return tuple(v % p for v in prod[:k])
+
+
+def three_power_sqrt(a):
+    """Tonelli-Shanks with Euler's criterion, x and b as three separate
+    powers of a."""
+    if a.is_zero():
+        return a
+    F = a.field
+    q = F.order
+    if (a ** ((q - 1) // 2)).enc() != 1:
+        return None
+    t, s = q - 1, 0
+    while t % 2 == 0:
+        t //= 2
+        s += 1
+    c = F.nonresidue() ** t
+    x = a ** ((t + 1) // 2)
+    b = a ** t
+    m = s
+    one = F.one()
+    while b != one:
+        i, bb = 0, b
+        while bb != one:
+            bb = bb * bb
+            i += 1
+        e = c
+        for _ in range(m - i - 1):
+            e = e * e
+        x = x * e
+        c = e * e
+        b = b * c
+        m = i
+    return x
+
+
+def affine_double_and_add(n, P):
+    """[n]P by right-to-left double-and-add with affine additions."""
+    if n < 0:
+        return affine_double_and_add(-n, -P)
+    acc = P.curve.infinity(P.field)
+    while n:
+        if n & 1:
+            acc = acc + P
+        P = P + P
+        n >>= 1
+    return acc
+
+
+@st.composite
+def elements(draw, count, shapes=FIELD_SHAPES):
+    """count elements of one field whose (p, k) is drawn from shapes."""
+    F = make_field(*draw(st.sampled_from(shapes)))
+    coeffs = st.lists(st.integers(0, F.p - 1), min_size=F.k, max_size=F.k)
+    return [ExtFieldElement(F, tuple(draw(coeffs))) for _ in range(count)]
+
+
+def test_slots_hold_the_product_bound():
+    # a low slot collects up to (2k-1)(p-1)^2 before its final reduction
+    for p, k in FIELD_SHAPES:
+        if k >= 3:
+            assert 2 * k * (p - 1) ** 2 < 1 << make_field(p, k)._slot
+    assert make_field(11, 24)._structs is not None
+    assert make_field(2 ** 31 - 1, 3)._structs is None
+
+
+@pytest.mark.parametrize("shape", FIELD_SHAPES)
+def test_mulc_extreme_coefficients(shape):
+    F = make_field(*shape)
+    top = (F.p - 1,) * F.k
+    other = (F.p - 1,) * F.k        # equal, but not the same object
+    assert F._mulc(top, top) == schoolbook_mulc(F, top, top)
+    assert F._mulc(top, other) == schoolbook_mulc(F, top, top)
+
+
+@settings(max_examples=300)
+@given(elements(2))
+def test_mulc_matches_schoolbook(ab):
+    a, b = ab
+    F = a.field
+    assert F._mulc(a.coeffs, b.coeffs) == schoolbook_mulc(F, a.coeffs, b.coeffs)
+    assert F._mulc(a.coeffs, a.coeffs) == schoolbook_mulc(F, a.coeffs, a.coeffs)
+
+
+@settings(max_examples=200)
+@given(elements(3))
+def test_distributive_and_inverse(abc):
+    a, b, c = abc
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
+    if not a.is_zero():
+        assert a * a.inverse() == 1
+
+
+@settings(max_examples=60)
+@given(elements(1, ((11, 24), (41, 6), (4001, 2))))
+def test_sqrt_matches_three_power_reference(one):
+    a, = one
+    assert a.sqrt() == three_power_sqrt(a)
+    sq = a * a
+    root = sq.sqrt()
+    assert root == three_power_sqrt(sq)
+    assert root * root == sq
+
+
+# curves over small fields, each listed with all its affine points; y^2 = x^3
+# - x over F_11 and F_{11^2} has its three points of order 2 rational
+SMALL_CURVES = ((11, 1, 10, 0), (11, 1, 1, 3), (11, 2, 10, 0), (7, 2, 3, 5),
+                (5, 3, 1, 1), (13, 1, 2, 7))
+
+
+@functools.lru_cache(maxsize=None)
+def small_curve_points(index):
+    p, k, a, b = SMALL_CURVES[index]
+    F = make_field(p, k)
+    E = Curve(F, a, b)
+    pts = []
+    for x in F.elements():
+        P = E.lift_x(x)
+        if P is not None:
+            pts += [P, -P] if not P.y.is_zero() else [P]
+    return E, pts
+
+
+@functools.lru_cache(maxsize=None)
+def multiples(index, i):
+    """[O, P, 2P, ...] up to ord(P) - 1, by repeated affine addition."""
+    E, pts = small_curve_points(index)
+    P = pts[i]
+    out = [E.infinity(P.field)]
+    cur = P
+    while not cur.inf:
+        out.append(cur)
+        cur = cur + P
+    return out
+
+
+@st.composite
+def point_and_scalar(draw):
+    index = draw(st.integers(0, len(SMALL_CURVES) - 1))
+    _, pts = small_curve_points(index)
+    i = draw(st.integers(0, len(pts) - 1))
+    order = len(multiples(index, i))
+    n = draw(st.one_of(
+        st.integers(-3 * order - 2, 3 * order + 2),
+        st.builds(lambda m, d: m * order + d,
+                  st.integers(-3, 3), st.sampled_from((-1, 0, 1)))))
+    return index, i, n
+
+
+@settings(max_examples=300)
+@given(point_and_scalar())
+def test_scalar_mult_matches_repeated_addition(case):
+    index, i, n = case
+    table = multiples(index, i)
+    P = table[1]
+    assert n * P == table[n % len(table)]
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_scalar_mult_on_points_of_order_two(index):
+    E, pts = small_curve_points(index)
+    two_torsion = [P for P in pts if P.y.is_zero()]
+    assert len(two_torsion) == 3
+    for T in two_torsion:
+        for n in list(range(-6, 7)) + [2 ** 80, 2 ** 80 + 1, -(2 ** 80 + 1)]:
+            Q = n * T
+            assert Q == (T if n % 2 else E.infinity(T.field))
+            assert Q == affine_double_and_add(n, T)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(((11, 6, 3, 7), (13, 3, 2, 9), (4001, 2, 5, 11))),
+       st.integers(0, 10 ** 6), st.integers(-(2 ** 128), 2 ** 128))
+def test_scalar_mult_matches_affine_double_and_add(shape, x0, n):
+    p, k, a, b = shape
+    F = make_field(p, k)
+    E = Curve(F, a, b)
+    P = None
+    while P is None:
+        P = E.lift_x(F.from_enc(x0 % F.order))
+        x0 += 1
+    assert n * P == affine_double_and_add(n, P)
+
+
+def brute_points_of_order(E, N):
+    """i P1 + j P2 over the whole grid by repeated addition, kept when
+    repeated addition takes exactly N steps back to O."""
+    P1, P2 = torsion_basis(E, N)
+    out = []
+    row = E.infinity(P1.field)
+    for i in range(N):
+        cur = row
+        for j in range(N):
+            order, S = 1, cur
+            while not S.inf:
+                S = S + cur
+                order += 1
+            if not cur.inf and order == N:
+                out.append(cur)
+            cur = cur + P2
+        row = row + P1
+    return sorted(out, key=lambda P: P.key())
+
+
+@pytest.mark.parametrize("p, j, N", [(11, 0, 4), (11, 1, 6), (11, 0, 10),
+                                      (13, 5, 6)])
+def test_all_points_of_order_matches_brute_force(p, j, N):
+    E = canonical_ss_model(make_field(p, 1).from_enc(j))
+    assert all_points_of_order(E, N) == brute_points_of_order(E, N)
