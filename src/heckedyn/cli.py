@@ -242,7 +242,7 @@ def cmd_markov(args):
                          % args.mixing)
     L = graphio.load_ssgraph(args.graph)
     T = markov.normalize(L)
-    payload = {"p": L.p, "ell": L.ell, "N": L.N, "size": len(T)}
+    payload = {"p": L.p, "ell": L.ell, "N": L.N, "size": len(L.vertices)}
     rep = None
     if args.mixing is not None:
         try:

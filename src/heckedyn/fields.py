@@ -114,6 +114,15 @@ def _unpack_shift(n, bits, count):
     return [(n >> (bits * i)) & mask for i in range(count)]
 
 
+def encode(p, coeffs):
+    """The canonical integer encoding sum(c_i p^i) of a coefficient list
+    over F_p; a total order on field elements."""
+    n = 0
+    for c in reversed(coeffs):
+        n = n * p + c
+    return n
+
+
 class FieldDesc:
     """F_{p^k} in polynomial basis over the monic irreducible ``modulus``.
 
@@ -365,10 +374,7 @@ class ExtFieldElement:
 
     def enc(self):
         """Canonical integer encoding sum(c_i p^i); total order for ties."""
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.field.p + c
-        return n
+        return encode(self.field.p, self.coeffs)
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -645,7 +651,8 @@ class Poly:
 
     def key(self):
         """Deterministic sort key: degree, then coefficient encodings."""
-        return (self.degree(), tuple(_enc(self.field, t) for t in self._c))
+        p = self.field.p
+        return (self.degree(), tuple(encode(p, t) for t in self._c))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -776,13 +783,6 @@ class Poly:
             if any(t):
                 terms.append("(%s)x^%d" % (",".join(map(str, t)), i))
         return "Poly[" + " + ".join(terms) + "]"
-
-
-def _enc(field, coeff_tuple):
-    n = 0
-    for c in reversed(coeff_tuple):
-        n = n * field.p + c
-    return n
 
 
 def x_poly(field):

@@ -4,14 +4,26 @@ The JSON schema is the interchange format consumed by the markov command:
 {"p":..., "ell":..., "N":..., "vertices":[{"id":..., "j":[c0,c1],
  "point":..., "aut":...}], "arrows":[{"src":..., "dst":..., "kernel":[...],
  "mult":...}]}.  Field element coordinates are coefficient lists over F_p.
+
+load_ssgraph reads structure only: the vertex j, marked points and kernels
+are kept as their integer encodings, and no curve, extension field or
+polynomial is built.  A file that breaks the schema raises UsageError
+naming the defect: an unreadable file or invalid JSON; a missing key or a
+value of the wrong kind; p not a prime >= 11, ell < 2 or N < 1; a vertex
+id that is not its position; a coefficient outside [0, p), or more of them
+than the field degree (2 for j and kernel coefficients, ext_degree for
+points); an arrow end that is not a vertex index; aut or mult below 1.
+Each distinct j must pass the Hasse test, else NotSupersingular.
 """
 
 import json
 import os
 import tempfile
+from collections import namedtuple
 
-from .curves import canonical_ss_model, j_invariant
-from .fields import Poly, make_field
+from .curves import is_supersingular, j_invariant, model_from_j
+from .errors import NotSupersingular, UsageError
+from .fields import encode, make_field
 
 
 def atomic_write(path, text):
@@ -28,102 +40,103 @@ def atomic_write(path, text):
         raise
 
 
-def _elt_coeffs(e):
-    return list(e.coeffs)
-
-
-def _point_payload(P):
-    if P.inf:
-        return None
-    return {
-        "ext_degree": P.field.k,
-        "x": list(P.x.coeffs),
-        "y": list(P.y.coeffs),
-    }
-
-
 def ssgraph_to_dict(G):
-    vertices = []
-    for v in G.vertices:
-        vertices.append({
-            "id": v.id,
-            "j": _elt_coeffs(j_invariant(v.curve)),
-            "point": _point_payload(v.point),
-            "aut": v.aut_order,
-        })
-    arrows = []
-    for ar in G.arrows:
-        arrows.append({
-            "src": ar.src,
-            "dst": ar.dst,
-            "kernel": [_elt_coeffs(c) for c in ar.kernel.coeffs],
-            "mult": ar.label_orbit_size,
-        })
+    vertices = [{"id": v.id, "j": list(j_invariant(v.curve).coeffs),
+                 "point": None if v.point.inf else {
+                     "ext_degree": v.point.field.k,
+                     "x": list(v.point.x.coeffs),
+                     "y": list(v.point.y.coeffs)},
+                 "aut": v.aut_order} for v in G.vertices]
+    arrows = [{"src": ar.src, "dst": ar.dst,
+               "kernel": [list(c.coeffs) for c in ar.kernel.coeffs],
+               "mult": ar.label_orbit_size} for ar in G.arrows]
     return {"p": G.p, "ell": G.ell, "N": G.N,
             "vertices": vertices, "arrows": arrows}
 
 
-class LoadedSSGraph:
-    """Structural reconstruction of a serialized graph.
-
-    Curves are rebuilt deterministically through canonical_ss_model, so a
-    round trip reproduces the same models; the marked points and kernels are
-    restored verbatim.
-    """
-
-    def __init__(self, d):
-        self.p = d["p"]
-        self.ell = d["ell"]
-        self.N = d["N"]
-        Fp2 = make_field(self.p, 2)
-        self.vertex_data = []
-        self.curves = []
-        for v in d["vertices"]:
-            j = Fp2.elt(v["j"])
-            E = canonical_ss_model(j)
-            self.curves.append(E)
-            point = v["point"]
-            if point is not None:
-                big = make_field(self.p, point["ext_degree"])
-                x = big.elt(point["x"])
-                y = big.elt(point["y"])
-                point = E.point(x, y)
-            self.vertex_data.append({"id": v["id"], "j": v["j"],
-                                     "point": point, "aut": v["aut"]})
-        n = len(self.vertex_data)
-        self.adjacency = [[0] * n for _ in range(n)]
-        self.arrow_data = []
-        for ar in d["arrows"]:
-            kernel = Poly(Fp2, [Fp2.elt(c) for c in ar["kernel"]])
-            self.arrow_data.append({"src": ar["src"], "dst": ar["dst"],
-                                    "kernel": kernel, "mult": ar["mult"]})
-            self.adjacency[ar["src"]][ar["dst"]] += 1
-
-    def structure(self):
-        return {
-            "p": self.p, "ell": self.ell, "N": self.N,
-            "vertices": [(v["id"], tuple(v["j"]),
-                          None if v["point"] is None else v["point"].key(),
-                          v["aut"]) for v in self.vertex_data],
-            "arrows": [(a["src"], a["dst"], a["kernel"].key(), a["mult"])
-                       for a in self.arrow_data],
-        }
+Vertex = namedtuple("Vertex", "id j point aut")
+Arrow = namedtuple("Arrow", "src dst kernel mult")
+SSGraphStructure = namedtuple("SSGraphStructure", "p ell N vertices arrows")
 
 
 def ssgraph_structure(G):
-    return {
-        "p": G.p, "ell": G.ell, "N": G.N,
-        "vertices": [(v.id, tuple(j_invariant(v.curve).coeffs),
-                      None if v.point.inf else v.point.key(), v.aut_order)
-                     for v in G.vertices],
-        "arrows": [(ar.src, ar.dst, ar.kernel.key(), ar.label_orbit_size)
-                   for ar in G.arrows],
-    }
+    """The structure of a built graph, as load_ssgraph reads it back."""
+    return SSGraphStructure(
+        G.p, G.ell, G.N,
+        [Vertex(v.id, j_invariant(v.curve).enc(),
+                None if v.point.inf else v.point.key(), v.aut_order)
+         for v in G.vertices],
+        [Arrow(ar.src, ar.dst, ar.kernel.key(), ar.label_orbit_size)
+         for ar in G.arrows])
+
+
+def _int(x, what, lo, hi=None):
+    if type(x) is not int or x < lo or (hi is not None and x >= hi):
+        raise UsageError("%s is %r, not an integer in [%d, %s)"
+                         % (what, x, lo, "" if hi is None else hi))
+    return x
+
+
+def _enc(p, coeffs, k, what):
+    """The encoding of an element of F_{p^k} given as at most k
+    coefficients in [0, p)."""
+    if not isinstance(coeffs, list) or len(coeffs) > k:
+        raise UsageError("%s is not a list of at most %d coefficients"
+                         % (what, k))
+    for c in coeffs:
+        _int(c, what + " coefficient", 0, p)
+    return encode(p, coeffs)
 
 
 def load_ssgraph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return LoadedSSGraph(json.load(fh))
+    """The structure of a graph JSON file, equal to ssgraph_structure of
+    the graph it was written from.  No curve is rebuilt; the file is
+    validated as described in the module docstring."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise UsageError("cannot read graph file %s: %s"
+                         % (path, exc.strerror or exc))
+    except ValueError as exc:
+        raise UsageError("graph file %s is not JSON: %s" % (path, exc))
+    where = "graph"
+    try:
+        p = _int(d["p"], "p", 11)
+        ell = _int(d["ell"], "ell", 2)
+        N = _int(d["N"], "N", 1)
+        vertices = []
+        for i, v in enumerate(d["vertices"]):
+            where = "vertex %d" % i
+            _int(v["id"], where + " id", i, i + 1)
+            point = v["point"]
+            if point is not None:
+                k = _int(point["ext_degree"], where + " ext_degree", 1)
+                point = tuple(_enc(p, point[c], k, "%s point %s" % (where, c))
+                              for c in "xy")
+            vertices.append(Vertex(i, _enc(p, v["j"], 2, where + " j"), point,
+                                   _int(v["aut"], where + " aut", 1)))
+        n = len(vertices)
+        arrows = []
+        for i, ar in enumerate(d["arrows"]):
+            where = "arrow %d" % i
+            encs = [_enc(p, c, 2, where + " kernel") for c in ar["kernel"]]
+            while encs and encs[-1] == 0:
+                encs.pop()
+            arrows.append(Arrow(_int(ar["src"], where + " src", 0, n),
+                                _int(ar["dst"], where + " dst", 0, n),
+                                (len(encs) - 1, tuple(encs)),
+                                _int(ar["mult"], where + " mult", 1)))
+    except KeyError as exc:
+        raise UsageError("%s has no key %s" % (where, exc))
+    except TypeError:  # a JSON value of the wrong kind indexed or iterated
+        raise UsageError("%s does not follow the graph schema" % where)
+    Fp2 = make_field(p, 2)
+    for j in sorted({v.j for v in vertices}):
+        if not is_supersingular(model_from_j(Fp2, Fp2.from_enc(j))):
+            raise NotSupersingular("j = %d is not supersingular at p = %d"
+                                   % (j, p))
+    return SSGraphStructure(p, ell, N, vertices, arrows)
 
 
 def ssgraph_to_dot(G):

@@ -1,13 +1,15 @@
-"""Markov-chain analysis of the normalized adjacency operator.
+"""Markov-chain analysis of the uniform walk on an out-regular graph.
 
+A chain is (D, out): D = ell + 1 and out[i] the list of (j, count) of the
+arrows i -> j, so row i of the transition matrix T is out[i] / D.
 Stationary distributions and TV series are exact rationals, computed with
-integers over one view of T: a common denominator D and, for each state, the
-out-list of its positive entries scaled by D.  Only the second-eigenvalue
-modulus uses floating point (documented tolerance 1e-10).  The level process
-of a volcano walk is reduced to an exact birth-death chain on integer counts.
+integers over these out-lists.  Only the second-eigenvalue modulus uses
+floating point (documented tolerance 1e-10).  The level process of a
+volcano walk is reduced to an exact birth-death chain on integer counts.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .errors import (Bipartite, DepthTooSmall, NotOutRegular, Reducible,
@@ -15,42 +17,33 @@ from .errors import (Bipartite, DepthTooSmall, NotOutRegular, Reducible,
 
 
 def normalize(G):
-    """Exact transition matrix adjacency / (ell + 1) of an out-regular graph."""
-    adj = getattr(G, "adjacency", None)
-    ell = getattr(G, "ell", None)
-    if adj is None or ell is None:
-        raise UsageError("object has no adjacency/ell data")
-    n = len(adj)
-    for i in range(n):
-        if sum(adj[i]) != ell + 1:
+    """The chain (D, out) of the uniform walk on an out-regular graph G:
+    D = ell + 1 and out[i] the (j, count) of the arrows i -> j in
+    ascending j, parallel arrows merged.  Reads only G.ell, the number of
+    G.vertices and each arrow's src and dst."""
+    D = G.ell + 1
+    rows = [Counter() for _ in G.vertices]
+    for ar in G.arrows:
+        rows[ar.src][ar.dst] += 1
+    for i, row in enumerate(rows):
+        if sum(row.values()) != D:
             raise NotOutRegular("row %d sums to %d, not ell+1 = %d"
-                                % (i, sum(adj[i]), ell + 1))
-    return [[Fraction(adj[i][j], ell + 1) for j in range(n)] for i in range(n)]
-
-
-def _integer_view(T):
-    """T as integers: (D, out) with D the least common denominator of the
-    entries and out[i] the list of (j, D * T[i][j]) over the nonzero
-    entries of row i, in column order; every entry must be >= 0."""
-    D = math.lcm(*{x.denominator for row in T for x in row})
-    out = []
-    for i, row in enumerate(T):
-        arrows = [(j, x.numerator * (D // x.denominator))
-                  for j, x in enumerate(row) if x]
-        if any(w < 0 for _, w in arrows):
-            raise UsageError("row %d has a negative entry" % i)
-        out.append(arrows)
-    return D, out
+                                % (i, sum(row.values()), D))
+    return D, [sorted(row.items()) for row in rows]
 
 
 def _targets(out):
     return [[j for j, _ in arrows] for arrows in out]
 
 
-def _irreducible_view(T):
-    """The integer view of T and its out-neighbour lists; raises Reducible
-    unless the chain is irreducible."""
-    D, out = _integer_view(T)
+def _irreducible_view(chain):
+    """The chain (D, out) and its out-neighbour lists; raises UsageError
+    for a weight that is not positive and Reducible unless the chain is
+    irreducible."""
+    D, out = chain
+    for i, arrows in enumerate(out):
+        if any(w <= 0 for _, w in arrows):
+            raise UsageError("row %d has a weight that is not positive" % i)
     succ = _targets(out)
     if not is_strongly_connected(succ):
         raise Reducible("chain is not irreducible")
@@ -96,13 +89,13 @@ def out_period(out):
     return abs(g)
 
 
-def is_irreducible(T):
-    return is_strongly_connected(_targets(_integer_view(T)[1]))
+def is_irreducible(chain):
+    return is_strongly_connected(_targets(chain[1]))
 
 
-def period(T):
+def period(chain):
     """gcd of cycle lengths of an irreducible chain."""
-    return out_period(_targets(_integer_view(T)[1]))
+    return out_period(_targets(chain[1]))
 
 
 def _solve_exact(rows, rhs):
@@ -128,53 +121,6 @@ def _solve_exact(rows, rhs):
     return [A[i][n] for i in range(n)]
 
 
-def _is_fixed(D, out, a):
-    """Whether the integer vector a satisfies a T = a, checked as
-    a (D T) = D a over the out-lists."""
-    s = [0] * len(a)
-    for ai, arrows in zip(a, out):
-        for j, w in arrows:
-            s[j] += ai * w
-    return all(x == D * y for x, y in zip(s, a))
-
-
-def _stationary_ints(T, D, out):
-    """(a, Q) with pi = a / Q the stationary vector of the irreducible chain
-    T = (D, out), all integers.
-
-    The uniform vector is the candidate (T doubly stochastic).  It is
-    positive, so once a T = a holds exactly, Perron-Frobenius makes 1 a
-    simple eigenvalue and a / n the unique stationary vector.  Otherwise
-    pi T = pi is solved with sum(pi) = 1 over the rationals, from n - 1 rows
-    of T^t - I.
-    """
-    n = len(out)
-    if _is_fixed(D, out, [1] * n):
-        return [1] * n, n
-    rows = []
-    for j in range(n - 1):
-        rows.append([T[i][j] - (1 if i == j else 0) for i in range(n)])
-    rows.append([Fraction(1)] * n)
-    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
-    pi = _solve_exact(rows, rhs)
-    Q = math.lcm(*(x.denominator for x in pi))
-    a = [x.numerator * (Q // x.denominator) for x in pi]
-    if not _is_fixed(D, out, a):
-        raise Reducible("solution is not stationary")
-    return a, Q
-
-
-def stationary(T):
-    """The unique exact stationary distribution of an irreducible chain."""
-    D, out, _ = _irreducible_view(T)
-    a, Q = _stationary_ints(T, D, out)
-    return tuple(Fraction(x, Q) for x in a)
-
-
-def tv_distance(a, b):
-    return sum(abs(x - y) for x, y in zip(a, b)) / 2
-
-
 def _step(row, out):
     """The integer row vector row * (D T)."""
     nxt = [0] * len(row)
@@ -185,22 +131,65 @@ def _step(row, out):
     return nxt
 
 
-def mixing_report(T, eps, max_steps=10000):
+def _stationary_ints(D, out):
+    """(a, Q) with pi = a / Q the stationary vector of the irreducible chain
+    (D, out), all integers.
+
+    The uniform vector is the candidate (T doubly stochastic).  It is
+    positive, so once a (D T) = D a holds exactly, Perron-Frobenius makes 1
+    a simple eigenvalue and a / n the unique stationary vector.  Otherwise
+    pi T = pi is solved with sum(pi) = 1 over the rationals, from n - 1 rows
+    of T^t - I.
+    """
+    n = len(out)
+    if _step([1] * n, out) == [D] * n:
+        return [1] * n, n
+    rows = [[Fraction(-1 if i == j else 0) for i in range(n)]
+            for j in range(n - 1)]
+    for i, arrows in enumerate(out):
+        for j, w in arrows:
+            if j < n - 1:
+                rows[j][i] += Fraction(w, D)
+    rows.append([Fraction(1)] * n)
+    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    pi = _solve_exact(rows, rhs)
+    Q = math.lcm(*(x.denominator for x in pi))
+    a = [x.numerator * (Q // x.denominator) for x in pi]
+    if _step(a, out) != [D * x for x in a]:
+        raise Reducible("solution is not stationary")
+    return a, Q
+
+
+def stationary(chain):
+    """The unique exact stationary distribution of an irreducible chain."""
+    D, out, _ = _irreducible_view(chain)
+    a, Q = _stationary_ints(D, out)
+    return tuple(Fraction(x, Q) for x in a)
+
+
+def tv_distance(a, b):
+    return sum(abs(x - y) for x, y in zip(a, b)) / 2
+
+
+def mixing_report(chain, eps, max_steps=10000):
     """Second eigenvalue modulus (float) and exact time to eps in TV.
 
     Row i of T^n is e_i (D T)^n / D^n with integer entries c_j, and
     pi = a / Q, so its TV distance to pi is sum |c_j Q - a_j D^n| / (2 Q D^n).
     Raises Bipartite for periodic chains, where no convergence happens.
     """
-    D, out, succ = _irreducible_view(T)
-    if len(T) > 1 and out_period(succ) % 2 == 0:
+    D, out, succ = _irreducible_view(chain)
+    n = len(out)
+    if n > 1 and out_period(succ) % 2 == 0:
         raise Bipartite("chain has even period; no mixing")
     import numpy
-    n = len(T)
-    arr = numpy.array([[float(x) for x in row] for row in T])
+    arr = numpy.zeros((n, n))
+    for i, arrows in enumerate(out):
+        for j, w in arrows:
+            arr[i, j] = w / D
     eigs = sorted(numpy.linalg.eigvals(arr), key=lambda z: -abs(z))
     second = abs(eigs[1]) if n > 1 else 0.0
-    a, Q = _stationary_ints(T, D, out)
+    a, Q = _stationary_ints(D, out)
     limit = Fraction(eps).limit_denominator(10 ** 12)
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     Dn = 1

@@ -95,19 +95,12 @@ class SSGraph:
         self.vertices = vertices
         self.arrows = arrows
         self.curves = curves
-        n = len(vertices)
-        adj = [[0] * n for _ in range(n)]
-        self.out_arrows = [[] for _ in range(n)]
+        self.out_arrows = [[] for _ in vertices]
         for ar in arrows:
-            adj[ar.src][ar.dst] += 1
             self.out_arrows[ar.src].append(ar.index)
-        self.adjacency = adj
 
     def out_degree(self, v):
-        return sum(self.adjacency[v])
-
-    def in_degree(self, v):
-        return sum(row[v] for row in self.adjacency)
+        return len(self.out_arrows[v])
 
 
 def is_rigid(N, p):
@@ -326,14 +319,17 @@ def self_dual_loop_count(G):
 def graph_report(G):
     out = [[G.arrows[ai].dst for ai in G.out_arrows[v]]
            for v in range(len(G.vertices))]
+    in_degrees = [0] * len(out)
+    for ar in G.arrows:
+        in_degrees[ar.dst] += 1
     connected = is_strongly_connected(out)
     period = out_period(out) if connected else 0
     report = {
         "connected": connected,
         "bipartite": (period % 2 == 0),
         "girth": _girth(out),
-        "out_degrees": [G.out_degree(v.id) for v in G.vertices],
-        "in_degrees": [G.in_degree(v.id) for v in G.vertices],
+        "out_degrees": [len(ws) for ws in out],
+        "in_degrees": in_degrees,
         "rigid": G.rigid,
         "solid": G.solid,
         "self_dual_loops": None,

@@ -33,11 +33,11 @@ def report(criterion, ok, detail=""):
 
 def test_criterion_01_reference_matrix_exact(g_11_5_1):
     t0 = time.monotonic()
-    T = normalize(g_11_5_1)
-    rows = sorted(sorted(row) for row in T)
-    matrix_ok = rows == [[Fraction(1, 3), Fraction(2, 3)],
-                         [Fraction(1, 2), Fraction(1, 2)]]
-    pi = stationary(T)
+    chain = normalize(g_11_5_1)
+    D, out = chain
+    rows = sorted(sorted(w for _, w in arrows) for arrows in out)
+    matrix_ok = D == 6 and rows == [[2, 4], [3, 3]]
+    pi = stationary(chain)
     pi_ok = set(pi) == {Fraction(2, 5), Fraction(3, 5)}
     elapsed = time.monotonic() - t0
     report("1", matrix_ok and pi_ok and elapsed < 5.0,
@@ -77,7 +77,7 @@ def test_criterion_03_simplicity_girth():
     rep = graph_report(G)
     loops = sum(1 for ar in G.arrows if ar.src == ar.dst)
     n = len(G.vertices)
-    multi = any(G.adjacency[i][j] > 1 for i in range(n) for j in range(n))
+    multi = len({(ar.src, ar.dst) for ar in G.arrows}) != len(G.arrows)
     simple = loops == 0 and not multi
     girth_ok = rep["girth"] >= 3
     elapsed = time.monotonic() - t0

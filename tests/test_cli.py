@@ -1,8 +1,10 @@
 import json
 import os
 
+import pytest
+
 from heckedyn.cli import main
-from heckedyn.graphio import (LoadedSSGraph, load_ssgraph, ssgraph_structure,
+from heckedyn.graphio import (dump_json, load_ssgraph, ssgraph_structure,
                               ssgraph_to_dict)
 
 
@@ -43,10 +45,11 @@ def test_ssgraph_json_roundtrip(tmp_path, capsys):
     loaded = load_ssgraph(path)
     from heckedyn.ssgraph import build_ssgraph
     G = build_ssgraph(11, 5, 1)
-    assert loaded.structure() == ssgraph_structure(G)
+    assert loaded == ssgraph_structure(G)
     # round trip through the dict twice is stable
-    again = LoadedSSGraph(ssgraph_to_dict(G))
-    assert again.structure() == loaded.structure()
+    again = str(tmp_path / "again.json")
+    dump_json(ssgraph_to_dict(G), again)
+    assert load_ssgraph(again) == loaded
     text = open(dot).read()
     assert text.startswith("digraph")
 
@@ -58,7 +61,68 @@ def test_ssgraph_json_roundtrip_with_points(tmp_path, capsys):
     assert code == 0
     loaded = load_ssgraph(path)
     from heckedyn.ssgraph import build_ssgraph
-    assert loaded.structure() == ssgraph_structure(build_ssgraph(11, 3, 4))
+    assert loaded == ssgraph_structure(build_ssgraph(11, 3, 4))
+
+
+GRAPH_11_3_7 = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "graphs", "ssgraph_11_3_7.json")
+
+
+def _set(keys, value):
+    def edit(d):
+        for k in keys[:-1]:
+            d = d[k]
+        d[keys[-1]] = value
+    return edit
+
+
+def _drop_kernel(d):
+    del d["arrows"][0]["kernel"]
+
+
+# one defect per case, made in the stored (11, 3, 7) graph, whose marked
+# points live in F_{11^6}
+MALFORMED = [
+    ("dst", _set(["arrows", 0, "dst"], 999),
+     "arrow 0 dst is 999, not an integer in [0, 20)"),
+    ("kernel", _drop_kernel, "arrow 0 has no key 'kernel'"),
+    ("point", _set(["vertices", 0, "point", "x"], [1] * 9),
+     "vertex 0 point x is not a list of at most 6 coefficients"),
+    ("coeff", _set(["vertices", 0, "j"], [11, 0]),
+     "vertex 0 j coefficient is 11, not an integer in [0, 11)"),
+    ("j_len", _set(["vertices", 0, "j"], [0, 0, 0]),
+     "vertex 0 j is not a list of at most 2 coefficients"),
+    ("kernel_len", _set(["arrows", 0, "kernel", 0], [0, 0, 0]),
+     "arrow 0 kernel is not a list of at most 2 coefficients"),
+    ("ordinary", _set(["vertices", 0, "j"], [2, 0]),
+     "j = 2 is not supersingular at p = 11"),
+]
+
+
+@pytest.mark.parametrize("name,edit,msg", MALFORMED,
+                         ids=[m[0] for m in MALFORMED])
+def test_markov_rejects_malformed_graph(name, edit, msg, tmp_path, capsys):
+    with open(GRAPH_11_3_7, encoding="utf-8") as fh:
+        d = json.load(fh)
+    edit(d)
+    path = str(tmp_path / "bad.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(d, fh)
+    code, out, err = run(["markov", "--graph", path], capsys)
+    assert code == 1
+    assert msg in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,msg", [(None, "cannot read graph file"),
+                                      ('{"p": 11,', "is not JSON")])
+def test_markov_rejects_unreadable_graph(text, msg, tmp_path, capsys):
+    path = str(tmp_path / "bad.json")
+    if text is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    code, out, err = run(["markov", "--graph", path], capsys)
+    assert code == 1
+    assert msg in err and "Traceback" not in err
 
 
 def test_volcano_synthetic(capsys):

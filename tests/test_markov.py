@@ -1,4 +1,8 @@
+import math
+import os
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -6,64 +10,94 @@ from heckedyn import markov
 from heckedyn.cli import main
 from heckedyn.errors import (Bipartite, DepthTooSmall, NotOutRegular,
                              Reducible, UsageError)
+from heckedyn.graphio import Arrow, load_ssgraph
 from heckedyn.markov import (is_irreducible, mixing_report, normalize, period,
                              stationary, tv_distance, volcano_escape)
+from heckedyn.ssgraph import build_ssgraph
 from heckedyn.volcano import build_synthetic
+
+GRAPHS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                      "graphs")
+
+
+def _graph(ell, n, edges):
+    """A bare graph object: ell, n vertices and (src, dst) arrows."""
+    return SimpleNamespace(ell=ell, vertices=range(n),
+                           arrows=[Arrow(a, b, None, 1) for a, b in edges])
+
+
+def _dense(chain):
+    """The transition matrix of the chain (D, out) as Fractions."""
+    D, out = chain
+    T = [[Fraction(0)] * len(out) for _ in out]
+    for i, arrows in enumerate(out):
+        for j, w in arrows:
+            T[i][j] += Fraction(w, D)
+    return T
 
 
 def test_normalize_reference_matrix(g_11_5_1):
-    T = normalize(g_11_5_1)
-    rows = sorted(sorted(row) for row in T)
-    assert rows == [[Fraction(1, 3), Fraction(2, 3)],
-                    [Fraction(1, 2), Fraction(1, 2)]]
-    for row in T:
-        assert sum(row) == 1
+    D, out = normalize(g_11_5_1)
+    assert D == 6
+    # the transition matrix is (1/6)[[3,3],[2,4]] up to labeling
+    rows = sorted(sorted(w for _, w in arrows) for arrows in out)
+    assert rows == [[2, 4], [3, 3]]
+    for arrows in out:
+        assert [j for j, _ in arrows] == [0, 1]
 
 
 def test_normalize_single_vertex(g_13_5_1):
-    assert normalize(g_13_5_1) == [[Fraction(1)]]
+    assert normalize(g_13_5_1) == (6, [[(0, 6)]])
+
+
+def test_normalize_merges_parallel_arrows_in_target_order():
+    G = _graph(2, 2, [(0, 1), (0, 0), (0, 1), (1, 1), (1, 0), (1, 1)])
+    assert normalize(G) == (3, [[(0, 1), (1, 2)], [(0, 1), (1, 2)]])
 
 
 def test_normalize_rejects_irregular():
-    class Fake:
-        adjacency = [[1, 1], [1, 2]]
-        ell = 2
-
+    G = _graph(1, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 1)])
     with pytest.raises(NotOutRegular):
-        normalize(Fake())
+        normalize(G)
 
 
 def test_stationary_reference_value(g_11_5_1):
-    T = normalize(g_11_5_1)
-    pi = stationary(T)
+    D, out = chain = normalize(g_11_5_1)
+    pi = stationary(chain)
     assert set(pi) == {Fraction(2, 5), Fraction(3, 5)}
     # exact fixed point
-    for j in range(2):
-        assert sum(pi[i] * T[i][j] for i in range(2)) == pi[j]
+    step = [Fraction(0)] * 2
+    for i, arrows in enumerate(out):
+        for j, w in arrows:
+            step[j] += pi[i] * Fraction(w, D)
+    assert tuple(step) == pi
 
 
 def test_stationary_uniform_for_bistochastic(g_11_3_4):
-    T = normalize(g_11_3_4)
-    n = len(T)
+    D, out = chain = normalize(g_11_3_4)
+    n = len(out)
     # rigid: column sums are 1 as well
-    for j in range(n):
-        assert sum(T[i][j] for i in range(n)) == 1
-    assert stationary(T) == tuple([Fraction(1, n)] * n)
+    col = [0] * n
+    for arrows in out:
+        for j, w in arrows:
+            col[j] += w
+    assert col == [D] * n
+    assert stationary(chain) == tuple([Fraction(1, n)] * n)
 
 
 def test_stationary_periodic_two_cycle():
-    T = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    assert stationary(T) == (Fraction(1, 2), Fraction(1, 2))
-    assert period(T) == 2
+    chain = (1, [[(1, 1)], [(0, 1)]])
+    assert stationary(chain) == (Fraction(1, 2), Fraction(1, 2))
+    assert period(chain) == 2
     with pytest.raises(Bipartite):
-        mixing_report(T, 0.1)
+        mixing_report(chain, 0.1)
 
 
 def test_stationary_rejects_reducible():
-    T = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    chain = (1, [[(0, 1)], [(1, 1)]])
     with pytest.raises(Reducible):
-        stationary(T)
-    assert not is_irreducible(T)
+        stationary(chain)
+    assert not is_irreducible(chain)
 
 
 def test_mixing_second_eigenvalue(g_11_5_1):
@@ -197,23 +231,96 @@ def _ref_escape(ell, kron, start_level, n):
     return dist
 
 
-# aperiodic (T[2][2] > 0), not doubly stochastic (column 0 sums to 5/6) and
-# not reversible (0->1->2->0 has weight 1/6, its reverse 1/24)
-_CHAIN3 = [[Fraction(0), Fraction(1, 2), Fraction(1, 2)],
-           [Fraction(1, 3), Fraction(0), Fraction(2, 3)],
-           [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]]
+# the matrix [[0, 1/2, 1/2], [1/3, 0, 2/3], [1/2, 1/4, 1/4]]: aperiodic
+# (T[2][2] > 0), not doubly stochastic (column 0 sums to 5/6) and not
+# reversible (0->1->2->0 has weight 1/6, its reverse 1/24)
+_CHAIN3 = (12, [[(1, 6), (2, 6)], [(0, 4), (2, 8)], [(0, 6), (1, 3), (2, 3)]])
 
 
 @pytest.mark.parametrize("name", ["g_11_5_1", "g_11_3_1", "g_11_3_4", "chain3"])
 def test_exact_kernels_match_dense_reference(name, request):
-    T = _CHAIN3 if name == "chain3" else normalize(request.getfixturevalue(name))
+    chain = (_CHAIN3 if name == "chain3"
+             else normalize(request.getfixturevalue(name)))
+    T = _dense(chain)
     pi = _ref_stationary(T)
-    assert stationary(T) == pi
-    rep = mixing_report(T, 1e-3)
+    assert stationary(chain) == pi
+    rep = mixing_report(chain, 1e-3)
     steps, tv = _ref_mixing(T, 1e-3)
     assert rep["stationary"] == pi
     assert rep["tv_series"] == tv
     assert rep["steps_to_eps"] == steps
+
+
+def _ref_irreducible_period(T):
+    """Irreducibility and period from powers of the dense matrix: every
+    state reaches every other in at most n - 1 steps, and since every simple
+    cycle has length <= n the period is the gcd of the k <= n with a
+    positive diagonal entry in T^k."""
+    n = len(T)
+    P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    reach = [row[:] for row in P]
+    g = 0
+    for k in range(1, n + 1):
+        P = [[sum(row[m] * T[m][j] for m in range(n)) for j in range(n)]
+             for row in P]
+        reach = [[x + y for x, y in zip(r, q)] for r, q in zip(reach, P)]
+        if any(P[i][i] for i in range(n)):
+            g = math.gcd(g, k)
+    return all(x > 0 for row in reach for x in row), g
+
+
+def test_chain_kernels_match_dense_reference_on_random_multigraphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def out_regular(draw):
+        """n <= 6 vertices, D <= 5 arrows out of each, loops and parallel
+        arrows allowed."""
+        n = draw(st.integers(1, 6))
+        D = draw(st.integers(1, 5))
+        targets = draw(st.lists(st.integers(0, n - 1), min_size=n * D,
+                                max_size=n * D))
+        return _graph(D - 1, n, [(k // D, t) for k, t in enumerate(targets)])
+
+    @hypothesis.given(out_regular())
+    def check(G):
+        chain = normalize(G)
+        T = _dense(chain)
+        irreducible, per = _ref_irreducible_period(T)
+        if not irreducible:
+            with pytest.raises(Reducible):
+                stationary(chain)
+            with pytest.raises(Reducible):
+                mixing_report(chain, 0.05)
+            return
+        pi = _ref_stationary(T)
+        assert stationary(chain) == pi
+        if per % 2 == 0:
+            with pytest.raises(Bipartite):
+                mixing_report(chain, 0.05)
+            return
+        rep = mixing_report(chain, 0.05, max_steps=60)
+        steps, tv = _ref_mixing(T, 0.05, max_steps=60)
+        assert rep["stationary"] == pi
+        assert rep["tv_series"] == tv
+        assert rep["steps_to_eps"] == steps
+
+    check()
+
+
+def test_loading_builds_no_curve(monkeypatch):
+    want = stationary(normalize(build_ssgraph(11, 3, 13)))
+
+    def refuse(j):
+        raise AssertionError("canonical_ss_model called")
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("heckedyn")
+                and hasattr(module, "canonical_ss_model")):
+            monkeypatch.setattr(module, "canonical_ss_model", refuse)
+    L = load_ssgraph(os.path.join(GRAPHS, "ssgraph_11_3_13.json"))
+    assert stationary(normalize(L)) == want
 
 
 def test_non_reversible_chain_uses_elimination(monkeypatch):
@@ -236,7 +343,7 @@ def test_level_graphs_never_eliminate(monkeypatch, g_11_3_4):
         raise AssertionError("elimination reached")
 
     monkeypatch.setattr(markov, "_solve_exact", refuse)
-    n = len(g_11_3_4.adjacency)
+    n = len(g_11_3_4.vertices)
     assert stationary(normalize(g_11_3_4)) == tuple([Fraction(1, n)] * n)
 
 
@@ -263,9 +370,9 @@ def test_volcano_escape_rejects_negative(start, n):
 
 
 def test_negative_entries_rejected():
-    T = [[Fraction(2), Fraction(-1)], [Fraction(1), Fraction(0)]]
+    chain = (1, [[(0, 2), (1, -1)], [(0, 1)]])
     with pytest.raises(UsageError):
-        stationary(T)
+        stationary(chain)
 
 
 @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1", "4e-13", "5e-13"])
