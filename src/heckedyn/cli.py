@@ -22,7 +22,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _default_precision():
+def _precision(args):
+    """-M when given, 0 included (every command rejects it), else
+    $HECKEDYN_PRECISION or the package default."""
+    if args.M is not None:
+        return args.M
     env = os.environ.get("HECKEDYN_PRECISION")
     if env:
         try:
@@ -146,7 +150,7 @@ def cmd_volcano(args):
 
 
 def cmd_dyn_orbit(args):
-    M = args.M or _default_precision()
+    M = _precision(args)
     t = PadicNumber(args.p, M, args.t)
     lam = PadicNumber(args.p, M, args.lam)
     auto = discdyn.DiscAutomorphism(lam)
@@ -161,7 +165,7 @@ def cmd_dyn_orbit(args):
 
 
 def cmd_dyn_closure(args):
-    M = args.M or _default_precision()
+    M = _precision(args)
     lam = PadicNumber(args.p, M, args.lam)
     d = padics.orbit_closure(lam)
     _emit({
@@ -176,7 +180,7 @@ def cmd_dyn_closure(args):
 
 
 def cmd_dyn_periodic(args):
-    M = args.M or _default_precision()
+    M = _precision(args)
     lam = PadicNumber(args.p, M, args.lam)
     res = discdyn.classify_periodic(lam, args.m, args.a)
     sys.stdout.write("true\n" if res else "false\n")
@@ -186,7 +190,7 @@ def cmd_dyn_periodic(args):
 def cmd_dyn_walk_measure(args):
     if args.ell % 2 == 0:
         raise UsageError("ell must be odd")
-    M = args.M or _default_precision()
+    M = _precision(args)
     if args.k < 1:
         raise UsageError("-k must be >= 1")
     if args.steps < 1:

@@ -5,6 +5,8 @@ throughout the curve layer.  Supersingularity is read off the Hasse
 invariant, and a canonical supersingular model is picked by the order of one
 point, so the supersingular side never counts points; exhaustive counting
 serves only traces of Frobenius on the ordinary side.
+The rational ell-subgroups are read off the cycles in which one [g],
+g a generator of (Z/ell)^x / {+-1}, permutes the factors of psi_ell.
 Torsion points over larger extensions are produced by cofactor
 multiplication, never by root finding in big fields.  Scalar multiplication
 runs in Jacobian coordinates with one field inversion at the end; the
@@ -486,55 +488,37 @@ def _pm_generator(ell):
             return g
 
 
-def _is_kernel_poly(E, h, ell):
-    """Closure test: the root set of h is the x-set of one cyclic subgroup.
-
-    h is a squarefree product of factors of psi_ell of degree (ell-1)/2, so
-    its roots are x-coordinates of ell-torsion points.  The x-set of each
-    subgroup is one orbit of (Z/ell)^x / {+-1}, of size (ell-1)/2; a root set
-    closed under [g] for one generator g is a union of orbits, so one orbit."""
-    dd = (ell - 1) // 2
-    if h.degree() != dd:
-        return False
-    if dd == 1:
-        return True
-    num, den = _mult_by_k_fraction(E, _pm_generator(ell))
-    inv = _poly_invert_mod(den % h, h)
+def _image_factor(f, num, den, factors):
+    """Index of the factor of psi_ell whose roots are x([g]P) for the roots
+    x(P) of f: the one of f's degree that vanishes at xi = num/den mod f."""
+    F = f.field
+    inv = _poly_invert_mod(den % f, f)
     if inv is None:
-        return False
-    xi = (num % h) * inv % h
-    # evaluate h at xi inside F[x]/(h)
-    acc = Poly(E.field, [])
-    for c in reversed(h.coeffs):
-        acc = (acc * xi + Poly(E.field, [c])) % h
-    return acc.is_zero()
-
-
-def _degree_subsets(factors, dd):
-    """Subsets of the factor list with degrees summing to dd."""
-    n = len(factors)
-
-    def rec(i, remaining, chosen):
-        if remaining == 0:
-            yield list(chosen)
-            return
-        if i >= n:
-            return
-        d = factors[i].degree()
-        if d <= remaining:
-            chosen.append(factors[i])
-            yield from rec(i + 1, remaining - d, chosen)
-            chosen.pop()
-        # skip factors too large to ever fit
-        yield from rec(i + 1, remaining, chosen)
-
-    yield from rec(0, dd, [])
+        raise InvariantBreach("x o [g] has a pole at a root of psi_ell")
+    xi = (num % f) * inv % f
+    for i, h in enumerate(factors):
+        if h.degree() != f.degree():
+            continue
+        # evaluate h at xi inside F[x]/(f)
+        acc = Poly(F, [])
+        for c in reversed(h.coeffs):
+            acc = (acc * xi + Poly(F, [c])) % f
+        if acc.is_zero():
+            return i
+    raise InvariantBreach("no factor of psi_ell vanishes at x o [g]")
 
 
 def ell_subgroups(E, ell):
     """Kernel polynomials of the rational cyclic order-ell subgroups of E,
     sorted by coefficient encoding.  On canonical supersingular models over
-    F_{p^2} this returns all ell + 1 subgroups."""
+    F_{p^2} this returns all ell + 1 subgroups.
+
+    For odd ell the x-set of a cyclic subgroup is one orbit of
+    (Z/ell)^x / {+-1}, of size (ell-1)/2, under the generator [g].  [g]
+    commutes with Galois, so it permutes the irreducible factors of psi_ell
+    and keeps their degrees; the roots of one cycle are a Galois-stable union
+    of [g]-orbits.  So the cycles of total degree (ell-1)/2 are exactly the
+    rational subgroups, and their factors all have one degree dividing it."""
     p = E.field.p
     if ell == p:
         raise EqualCharacteristic("ell = p = %d" % p)
@@ -546,19 +530,24 @@ def ell_subgroups(E, ell):
         roots = sorted(poly_roots(E.rhs_poly()), key=lambda r: r.enc())
         out = [Poly(E.field, [-r, E.field.one()]) for r in roots]
     else:
-        psi = _div_B(E, ell)
-        factors = [g for g, mult in poly_factor(psi)]
         dd = (ell - 1) // 2
+        factors = [f for f, _ in poly_factor(_div_B(E, ell))
+                   if dd % f.degree() == 0]
+        num, den = _mult_by_k_fraction(E, _pm_generator(ell))
+        image = [_image_factor(f, num, den, factors) for f in factors]
         out = []
         seen = set()
-        for subset in _degree_subsets(factors, dd):
-            h = Poly(E.field, [1])
-            for g in subset:
-                h = h * g
-            if h.key() in seen:
-                continue
-            if _is_kernel_poly(E, h, ell):
-                seen.add(h.key())
+        for start in range(len(factors)):
+            cycle = []
+            i = start
+            while i not in seen:
+                seen.add(i)
+                cycle.append(factors[i])
+                i = image[i]
+            if sum(f.degree() for f in cycle) == dd:
+                h = Poly(E.field, [1])
+                for f in cycle:
+                    h = h * f
                 out.append(h)
         out.sort(key=lambda f: f.key())
     E._kernel_cache[key] = out

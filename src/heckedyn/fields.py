@@ -1,7 +1,8 @@
 """Finite field towers F_p < F_{p^k} and univariate polynomial algebra.
 
 Everything is exact and deterministic.  The modulus of F_{p^k} is the first
-monic irreducible of degree k in the canonical coefficient order, elements
+monic irreducible of degree k in the canonical coefficient order (Rabin's
+test, run in the candidate ring F_p[x]/(f) itself), elements
 carry an integer encoding used for every lex tie-break in the package, and
 the randomized factorization steps are driven by a caller-visible seed so
 repeated runs produce identical output.
@@ -128,7 +129,9 @@ class FieldDesc:
 
     Do not construct directly; go through :func:`make_field`, which verifies
     primality and picks the canonical modulus.  Instances are immutable and
-    shared, so identity comparison is safe.
+    shared, so identity comparison is safe.  The arithmetic is that of
+    F_p[x]/(modulus) for any monic modulus, with ZeroDivisionError on a
+    non-unit; the modulus search relies on this to test its candidates.
     """
 
     __slots__ = ("p", "k", "modulus", "order", "_red", "_square_set",
@@ -294,7 +297,10 @@ class FieldDesc:
             # (a0 + a1 x)(a0 + r1 a1 - a1 x) is a0^2 + r1 a0 a1 - r0 a1^2
             a0, a1 = a
             r0, r1 = self._red[2]
-            inv = pow((a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1) % p, -1, p)
+            norm = (a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1) % p
+            if not norm:
+                raise ZeroDivisionError("element not invertible")
+            inv = pow(norm, -1, p)
             return ((a0 + r1 * a1) * inv % p, -a1 * inv % p)
         r0 = list(self.modulus)
         r1 = [c for c in a]
@@ -483,90 +489,21 @@ _FIELD_CACHE = {}
 _FIELD_LOCK = threading.Lock()
 
 
-def _is_irreducible(field_p, coeffs):
-    """Irreducibility of a monic polynomial over F_p via Frobenius gcds."""
-    p = field_p
-    k = len(coeffs) - 1
-    tmp = _RawPoly(p, coeffs)
-    x = _RawPoly(p, [0, 1])
-    # x^(p^k) == x mod f
-    xp = x.pow_mod(p ** k, tmp)
-    if xp != x.mod(tmp):
+def _is_irreducible(F):
+    """Rabin's test for the modulus f of a candidate FieldDesc, run in
+    F_p[x]/(f) with the field's own arithmetic (valid for any monic f): f is
+    irreducible iff x^(p^k) = x and x^(p^(k/t)) - x is a unit for every
+    prime t | k."""
+    p, k = F.p, F.k
+    x = (0, 1) + (0,) * (k - 2)
+    if F._powc(x, p ** k) != x:
         return False
     for t, _ in factor(k):
-        g = x.pow_mod(p ** (k // t), tmp) - x
-        if tmp.gcd(g).degree() != 0:
+        try:
+            F._invc(F._subc(F._powc(x, p ** (k // t)), x))
+        except ZeroDivisionError:
             return False
     return True
-
-
-class _RawPoly:
-    """Monic-agnostic polynomial over F_p with plain int coefficients.
-
-    Used only during modulus selection, before any FieldDesc exists.
-    """
-
-    def __init__(self, p, coeffs):
-        self.p = p
-        c = [x % p for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = c
-
-    def degree(self):
-        return len(self.c) - 1
-
-    def __eq__(self, other):
-        return self.c == other.c
-
-    def __sub__(self, other):
-        n = max(len(self.c), len(other.c))
-        r = [0] * n
-        for i, v in enumerate(self.c):
-            r[i] = v
-        for i, v in enumerate(other.c):
-            r[i] = (r[i] - v) % self.p
-        return _RawPoly(self.p, r)
-
-    def mod(self, m):
-        r = list(self.c)
-        p = self.p
-        inv = pow(m.c[-1], -1, p)
-        while len(r) >= len(m.c):
-            coef = r[-1] * inv % p
-            sh = len(r) - len(m.c)
-            if coef:
-                for i, v in enumerate(m.c):
-                    r[sh + i] = (r[sh + i] - coef * v) % p
-            r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        return _RawPoly(p, r)
-
-    def mul_mod(self, other, m):
-        p = self.p
-        prod = [0] * (len(self.c) + len(other.c) - 1) if self.c and other.c else []
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(other.c):
-                    prod[i + j] += a * b
-        return _RawPoly(p, [v % p for v in prod]).mod(m)
-
-    def pow_mod(self, e, m):
-        result = _RawPoly(self.p, [1])
-        base = self.mod(m)
-        while e:
-            if e & 1:
-                result = result.mul_mod(base, m)
-            base = base.mul_mod(base, m)
-            e >>= 1
-        return result
-
-    def gcd(self, other):
-        a, b = self, other
-        while b.c:
-            a, b = b, a.mod(b)
-        return a
 
 
 def make_field(p, k):
@@ -594,9 +531,9 @@ def make_field(p, k):
             for _ in range(k):
                 m, r = divmod(m, p)
                 c.append(r)
-            coeffs = c + [1]
-            if _is_irreducible(p, coeffs):
-                field = FieldDesc(p, k, tuple(coeffs))
+            cand = FieldDesc(p, k, tuple(c + [1]))
+            if _is_irreducible(cand):
+                field = cand
                 break
         if field is None:  # pragma: no cover - cannot happen
             raise RuntimeError("no irreducible polynomial found")

@@ -272,3 +272,19 @@ def test_ssgraph_report_at_p_257(capsys):
     # 257 = 5 mod 12: floor(257/12) + 1 supersingular j
     assert rep["out_degrees"] == [4] * 22
     assert rep["connected"] is True
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["orbit", "-p", "5", "--lam", "2", "--t", "5"], "precision"),
+    (["closure", "-p", "5", "--lam", "2"], "precision"),
+    (["periodic", "-p", "5", "--lam", "2", "-a", "1"], "precision"),
+    (["walk-measure", "-p", "11", "-l", "5", "--steps", "10"], "need -M >= 2"),
+])
+def test_dyn_precision_zero_exits_1(tmp_path, capsys, argv, msg):
+    # -M 0 is a given precision, not "unset": it must not fall back to the
+    # default and succeed
+    out_path = str(tmp_path / "out.json")
+    extra = [] if argv[0] == "periodic" else ["--out", out_path]
+    code, out, err = run(["dyn"] + argv + ["-M", "0"] + extra, capsys)
+    assert code == 1 and msg in err
+    assert not os.path.exists(out_path)

@@ -5,7 +5,7 @@ import pytest
 from heckedyn.errors import (BadTorsionOrder, EqualCharacteristic, NotAKernel,
                              NotSupersingular, UnsupportedCharacteristic)
 from heckedyn import curves
-from heckedyn.curves import (Curve, _degree_subsets, _mult_by_k_fraction,
+from heckedyn.curves import (Curve, _mult_by_k_fraction,
                              _poly_invert_mod, all_points_of_order,
                              automorphism_scalars, canonical_ss_model,
                              count_points, division_poly, dual_isogeny,
@@ -379,6 +379,27 @@ def test_supersingular_side_never_counts_points(monkeypatch):
     assert [j.enc() for j in supersingular_j_in_base(23)] == [0, 3, 19]
 
 
+def _degree_subsets(factors, dd):
+    """Subsets of the factor list with degrees summing to dd."""
+    n = len(factors)
+
+    def rec(i, remaining, chosen):
+        if remaining == 0:
+            yield list(chosen)
+            return
+        if i >= n:
+            return
+        d = factors[i].degree()
+        if d <= remaining:
+            chosen.append(factors[i])
+            yield from rec(i + 1, remaining - d, chosen)
+            chosen.pop()
+        # skip factors too large to ever fit
+        yield from rec(i + 1, remaining, chosen)
+
+    yield from rec(0, dd, [])
+
+
 def reference_kernel_polys(E, ell):
     """Products of factors of psi_ell of degree (ell-1)/2 whose root set is
     closed under every [k], 2 <= k <= (ell-1)/2."""
@@ -416,6 +437,45 @@ def test_ell_subgroups_match_all_k_closure_ordinary():
         E = Curve(F, a, b)
         assert [h.key() for h in ell_subgroups(E, 5)] == reference_kernel_polys(E, 5)
         assert [h.key() for h in ell_subgroups(E, 7)] == reference_kernel_polys(E, 7)
+
+
+@pytest.mark.parametrize("p, ell", [(13, 7), (29, 7), (23, 11), (53, 13)])
+def test_ell_subgroups_partition_psi_on_canonical_models(p, ell):
+    # all ell + 1 subgroups are rational, and their x-sets partition the
+    # nonzero ell-torsion: the kernels are pairwise coprime with product psi
+    E = canonical_ss_model(supersingular_j_in_base(p)[0])
+    kernels = ell_subgroups(E, ell)
+    assert len(kernels) == ell + 1
+    prod = Poly(E.field, [1])
+    for h in kernels:
+        assert h.degree() == (ell - 1) // 2
+        prod = prod * h
+    assert prod == division_poly(E, ell).monic()
+    for i, h in enumerate(kernels):
+        for h2 in kernels[i + 1:]:
+            assert h.gcd(h2).degree() == 0
+
+
+def test_ell_subgroups_match_subset_search_on_random_ordinary_curves():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def ordinary_curves(draw):
+        p = draw(st.sampled_from((23, 29, 31)))
+        a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        hypothesis.assume((4 * a ** 3 + 27 * b * b) % p)
+        E = Curve(make_field(p, 1), a, b)
+        hypothesis.assume(not is_supersingular(E))
+        return E
+
+    @hypothesis.settings(max_examples=20)
+    @hypothesis.given(ordinary_curves(), st.sampled_from((5, 7)))
+    def check(E, ell):
+        got = [h.key() for h in ell_subgroups(E, ell)]
+        assert got == reference_kernel_polys(E, ell)
+
+    check()
 
 
 @pytest.mark.parametrize("p", [11, 23])

@@ -4,13 +4,13 @@ import random
 import pytest
 
 from heckedyn.errors import DegreeZero, NonPrime, ZeroPolynomial
-from heckedyn.fields import (Poly, embedding, factor, is_prime, make_field,
-                             multiplicative_order, poly_factor, poly_roots,
-                             squarefree_split, xgcd)
+from heckedyn.fields import (FieldDesc, Poly, embedding, encode, factor,
+                             is_prime, make_field, multiplicative_order,
+                             poly_factor, poly_roots, squarefree_split, xgcd)
 
 
 def brute_irreducible(p, coeffs):
-    """Trial division by every lower-degree monic polynomial."""
+    """Trial division by every monic polynomial of degree at most k/2."""
     k = len(coeffs) - 1
     F = make_field(p, 1)
 
@@ -32,7 +32,7 @@ def brute_irreducible(p, coeffs):
             a.pop()
         return a
 
-    for d in range(1, k):
+    for d in range(1, k // 2 + 1):
         for n in range(p ** d):
             vec = []
             m = n
@@ -65,6 +65,48 @@ def test_make_field_f9_modulus_matches_brute_scan():
 def test_make_field_f121_modulus_irreducible():
     F = make_field(11, 2)
     assert brute_irreducible(11, F.modulus)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_make_field_modulus_is_first_irreducible_by_trial_division(p):
+    for k in range(2, 7):
+        for n in range(p ** k):
+            coeffs = tuple(n // p ** i % p for i in range(k)) + (1,)
+            if brute_irreducible(p, coeffs):
+                break
+        assert make_field(p, k).modulus == coeffs
+
+
+# the moduli the modulus search chose before it ran on FieldDesc arithmetic,
+# as the encoding of (c_0, ..., c_{k-1}): its index in the search order
+RECORDED_MODULI = {
+    (11, 2): 1, (11, 3): 15, (11, 4): 13, (11, 5): 2, (11, 6): 13,
+    (11, 7): 15, (11, 8): 15, (11, 9): 16, (11, 10): 3, (11, 11): 111,
+    (11, 12): 18, (11, 13): 26, (11, 14): 125, (11, 15): 23, (11, 16): 137,
+    (11, 17): 15, (11, 18): 15, (11, 19): 139, (11, 20): 138, (11, 21): 122,
+    (11, 22): 15, (11, 23): 152, (11, 24): 13, (11, 25): 2, (11, 26): 34,
+    (11, 27): 123, (11, 28): 15, (11, 29): 24, (11, 30): 171, (11, 31): 172,
+    (11, 32): 988, (11, 33): 15, (11, 34): 14, (11, 35): 171, (11, 36): 133,
+    (11, 37): 139, (11, 38): 15, (11, 39): 12, (11, 40): 147,
+    (1009, 2): 11, (4001, 4): 3, (2 ** 31 - 1, 3): 5,
+}
+
+
+def test_make_field_moduli_match_recorded_search():
+    for (p, k), n in RECORDED_MODULI.items():
+        F = make_field(p, k)
+        assert F.modulus[k] == 1 and encode(p, F.modulus[:k]) == n
+
+
+def test_field_inverse_of_zero_divisor_raises_zero_division():
+    # the modulus search runs the field arithmetic over reducible moduli,
+    # where a zero divisor must raise ZeroDivisionError at every k
+    for modulus, a in (((0, 0, 1), (0, 1)),            # x mod x^2
+                       ((6, 5, 1), (2, 1)),            # x + 2 mod (x+2)(x+3)
+                       ((0, 1, 0, 1), (0, 1, 0))):     # x mod x(x^2+1)
+        F = FieldDesc(7, len(a), modulus)
+        with pytest.raises(ZeroDivisionError):
+            F._invc(a)
 
 
 def test_make_field_rejects_bad_input():
