@@ -20,7 +20,7 @@ from .errors import (BadTorsionOrder, EqualCharacteristic, InvariantBreach,
                      UnsupportedCharacteristic)
 from .fields import (ExtFieldElement, Poly, embed_poly, embedding, factor,
                      make_field, multiplicative_order, poly_factor,
-                     poly_roots, x_poly, xgcd)
+                     poly_roots, x_poly)
 
 AUX_TRACE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 
@@ -865,6 +865,29 @@ def all_points_of_order(E, N):
     return out
 
 
+def torsion_coordinates(R, m):
+    """(a, b) with R = a Q1 + b Q2 on the basis (Q1, Q2) = torsion_basis(E, m)
+    of R's curve: baby steps in <Q2>, a table of m points cached per curve,
+    and giant steps R - a Q1."""
+    E = R.curve
+    Q1, Q2 = torsion_basis(E, m)
+    table = E._torsion_cache.get(("baby", m))
+    if table is None:
+        table = {}
+        S = E.infinity(Q2.field)
+        for b in range(m):
+            table[S.key()] = b
+            S = S + Q2
+        E._torsion_cache[("baby", m)] = table
+    S = R
+    for a in range(m):
+        b = table.get(S.key())
+        if b is not None:
+            return a, b
+        S = S - Q1
+    raise InvariantBreach("point is not in E[%d]" % m)
+
+
 def torsion_point(E, N):
     """A point of exact order N with lex-smallest (x, y); N = 1 is infinity."""
     if N == 1:
@@ -958,16 +981,45 @@ def chain_trace(steps, E, ell, d, skip_primes=(), max_ext_degree=40,
                 candidate_traces=None):
     """Trace of the endomorphism given by a closed chain of degree ell^d.
 
-    Recovered from the action on E[m] for auxiliary primes m, by CRT with a
-    centered lift against the Weil bound 4 ell^(d/2).  When the caller knows
-    a finite candidate set (the endomorphism lies in a known quadratic
-    field), residues are only collected until one candidate survives, which
-    keeps the auxiliary torsion fields small.
+    The residue mod m is the t with phi^2 - t phi + ell^d = 0 on a basis
+    of E[m]; ``trace_from_residues`` picks the primes and lifts.
+    """
+    norm = ell ** d
+
+    def residue(m):
+        Q1, Q2 = torsion_basis(E, m)
+        w1, w2 = chain_eval(steps, Q1), chain_eval(steps, Q2)
+        ww1, ww2 = chain_eval(steps, w1), chain_eval(steps, w2)
+        lhs1 = ww1 + (norm % m) * Q1
+        lhs2 = ww2 + (norm % m) * Q2
+        acc1 = E.infinity(Q1.field)
+        acc2 = E.infinity(Q2.field)
+        for t in range(m):
+            if acc1 == lhs1 and acc2 == lhs2:
+                return t
+            acc1 = acc1 + w1
+            acc2 = acc2 + w2
+        raise InvariantBreach("no trace residue mod %d satisfies the relation" % m)
+
+    return trace_from_residues(E, ell, d, residue, skip_primes,
+                               max_ext_degree, candidate_traces)
+
+
+def trace_from_residues(E, ell, d, residue, skip_primes=(), max_ext_degree=40,
+                        candidate_traces=None):
+    """Trace of an endomorphism of E of degree ell^d from residue(m), its
+    trace mod auxiliary primes m.
+
+    The primes are taken by increasing degree r of the field of E[m], until
+    CRT with a centered lift against the Weil bound 4 ell^(d/2) is
+    unambiguous.  When the caller knows a finite candidate set (the
+    endomorphism lies in a known quadratic field), residues are only
+    collected until one candidate survives, which keeps the auxiliary
+    torsion fields small.
     """
     norm = ell ** d
     if d == 0:
         return 2
-    prod = 1
     p = E.field.p
     cands = []
     for m in AUX_TRACE_PRIMES:
@@ -982,28 +1034,14 @@ def chain_trace(steps, E, ell, d, skip_primes=(), max_ext_degree=40,
         cands.append((r, m))
     cands.sort()
     survivors = None if candidate_traces is None else sorted(set(candidate_traces))
-    residues = []
-    for r, m in cands:
-        Q1, Q2 = torsion_basis(E, m)
-        t_m = None
-        w1, w2 = chain_eval(steps, Q1), chain_eval(steps, Q2)
-        ww1, ww2 = chain_eval(steps, w1), chain_eval(steps, w2)
-        lhs1 = ww1 + (norm % m) * Q1
-        lhs2 = ww2 + (norm % m) * Q2
-        acc1 = E.infinity(Q1.field)
-        acc2 = E.infinity(Q2.field)
-        for t in range(m):
-            if acc1 == lhs1 and acc2 == lhs2:
-                t_m = t
-                break
-            acc1 = acc1 + w1
-            acc2 = acc2 + w2
-        if t_m is None:
-            raise InvariantBreach("no trace residue mod %d satisfies the relation" % m)
-        residues.append((t_m, m))
+    t, prod = 0, 1
+    for _, m in cands:
+        t_m = residue(m)
+        # CRT step: t = t_m mod m, t unchanged mod prod
+        t = (t + prod * ((t_m - t) * pow(prod, -1, m) % m)) % (prod * m)
         prod *= m
         if survivors is not None:
-            survivors = [t for t in survivors if t % m == t_m]
+            survivors = [s for s in survivors if s % m == t_m]
             if len(survivors) == 1:
                 return survivors[0]
             if not survivors:
@@ -1013,15 +1051,8 @@ def chain_trace(steps, E, ell, d, skip_primes=(), max_ext_degree=40,
     if (prod - 1) ** 2 < 16 * norm:
         raise TraceAmbiguous(
             "auxiliary primes insufficient for degree %d^%d" % (ell, d))
-    t = 0
-    mod = 1
-    for res, m in residues:
-        g, u, v = xgcd(mod, m)
-        t = (t + mod * ((res - t) // g % (m // g)) * u) % (mod * m // g)
-        mod = mod * m // g
-    t %= mod
-    if t > mod // 2:
-        t -= mod
+    if t > prod // 2:
+        t -= prod
     if t * t > 4 * norm:
         raise TraceAmbiguous("lifted trace violates the Weil bound")
     return t

@@ -493,17 +493,21 @@ def _is_irreducible(F):
     """Rabin's test for the modulus f of a candidate FieldDesc, run in
     F_p[x]/(f) with the field's own arithmetic (valid for any monic f): f is
     irreducible iff x^(p^k) = x and x^(p^(k/t)) - x is a unit for every
-    prime t | k."""
+    prime t | k.  A root in F_p (x^p - x not a unit) rejects most
+    candidates with one short power before x^(p^k) is taken."""
     p, k = F.p, F.k
     x = (0, 1) + (0,) * (k - 2)
-    if F._powc(x, p ** k) != x:
-        return False
-    for t, _ in factor(k):
+
+    def unit(e):
         try:
-            F._invc(F._subc(F._powc(x, p ** (k // t)), x))
+            F._invc(F._subc(F._powc(x, p ** e), x))
         except ZeroDivisionError:
             return False
-    return True
+        return True
+
+    if not unit(1) or F._powc(x, p ** k) != x:
+        return False
+    return all(unit(k // t) for t, _ in factor(k) if t < k)
 
 
 def make_field(p, k):

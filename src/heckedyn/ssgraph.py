@@ -14,7 +14,7 @@ from .curves import (all_points_of_order, automorphism_scalars,
                      canonical_ss_model, chain_eval, chain_trace,
                      dual_isogeny, ell_subgroups, iso_scalars, j_invariant,
                      scaled_point, supersingular_j_in_base, torsion_basis,
-                     velu)
+                     torsion_coordinates, trace_from_residues, velu)
 from .errors import (BudgetExhausted, EvenEll, InvariantBreach, NotAUnit,
                      NotClosed, ScaleExceeded, SharedCharacteristic,
                      UsageError)
@@ -51,9 +51,6 @@ class SSArrow:
         self.isogeny = isogeny
         self.post_scalar = post_scalar
         self.label_orbit_size = orbit
-
-    def steps(self):
-        return [self.isogeny, (None, self.post_scalar)]
 
 
 class WalkEndo:
@@ -95,6 +92,9 @@ class SSGraph:
         self.vertices = vertices
         self.arrows = arrows
         self.curves = curves
+        # (arrow index, m) -> the arrow on E_src[m] -> E_dst[m], see
+        # _arrow_matrix
+        self.arrow_matrices = {}
         self.out_arrows = [[] for _ in vertices]
         for ar in arrows:
             self.out_arrows[ar.src].append(ar.index)
@@ -368,10 +368,45 @@ def validate_walk(G, walk):
             raise NotClosed("arrow %d does not continue arrow %d" % (walk[i + 1], walk[i]))
 
 
+def _arrow_matrix(G, ai, m):
+    """The arrow ai on m-torsion as (a, b, c, d) = [[a, b], [c, d]] mod m,
+    against the torsion_basis of the source and target curves; column j
+    holds the coordinates of the image of Qj.  Cached on G.
+
+    The canonical models all have Frobenius_{p^2} = [p], so E[m] of every
+    curve lies over the same field and the bases can be compared.
+    """
+    M = G.arrow_matrices.get((ai, m))
+    if M is None:
+        ar = G.arrows[ai]
+        steps = _walk_steps(G, [ai])
+        Q1, Q2 = torsion_basis(G.vertices[ar.src].curve, m)
+        a, c = torsion_coordinates(chain_eval(steps, Q1), m)
+        b, d = torsion_coordinates(chain_eval(steps, Q2), m)
+        M = G.arrow_matrices[(ai, m)] = (a, b, c, d)
+    return M
+
+
+def _walk_residue(G, walk, m):
+    """tr of the walk on E[m]: the product of its arrow matrices, the last
+    arrow leftmost, checked against det = ell^d mod m."""
+    a, b, c, d = 1, 0, 0, 1
+    for ai in walk:
+        e, f, g, h = _arrow_matrix(G, ai, m)
+        a, b, c, d = ((e * a + f * c) % m, (e * b + f * d) % m,
+                      (g * a + h * c) % m, (g * b + h * d) % m)
+    if (a * d - b * c - G.ell ** len(walk)) % m:
+        raise InvariantBreach("walk determinant mod %d is not ell^%d"
+                              % (m, len(walk)))
+    return (a + d) % m
+
+
 def walk_char_poly(G, walk, base=None):
     """WalkEndo of a closed labeled walk (list of arrow indices).
 
-    The trace is recovered from the action on auxiliary torsion and the
+    The trace comes from per-arrow torsion matrices: each arrow acts on
+    E[m] as a 2x2 matrix mod m, cached on G, and the walk's trace mod m is
+    the trace of their product, lifted by CRT as in ``chain_trace``.  The
     marked-point closure is verified exactly.
     """
     if not walk:
@@ -383,13 +418,13 @@ def walk_char_poly(G, walk, base=None):
     if base is not None and base != v0:
         raise NotClosed("walk does not start at the requested base")
     E = G.vertices[v0].curve
-    steps = _walk_steps(G, walk)
     d = len(walk)
     skip = tuple(q for q, _ in factor(G.N))
-    t = chain_trace(steps, E, G.ell, d, skip_primes=skip)
+    t = trace_from_residues(E, G.ell, d, lambda m: _walk_residue(G, walk, m),
+                            skip_primes=skip)
     if G.N > 1:
         P = G.vertices[v0].point
-        img = chain_eval(steps, P)
+        img = chain_eval(_walk_steps(G, walk), P)
         if img != P:
             raise InvariantBreach("composed walk does not fix the marked point")
     return WalkEndo(t, G.ell ** d)

@@ -17,7 +17,8 @@ from heckedyn.discdyn import (DiscAutomorphism, DiscPoint, apply,
 from heckedyn.markov import normalize, stationary
 from heckedyn.padics import (PadicNumber, binom_pow, cyclo_binom_fixed,
                              orbit_closure, quadratic_roots, wq)
-from heckedyn.quadforms import hurwitz_class_number
+from heckedyn.quadforms import (class_number, fundamental_discriminant,
+                                kronecker)
 from heckedyn.ssgraph import (backtrack_endo, build_ssgraph, closed_walks,
                               graph_report, is_rigid, monoid_certificates,
                               sat_membership, walk_char_poly)
@@ -380,17 +381,34 @@ def test_criterion_10_measure_simulation(g_11_5_1):
 
 # -- criterion 11 ------------------------------------------------------------
 
+def _self_dual_loop_formula(p, ell):
+    """Sum over f^2 | 4 ell of h_w(-4 ell / f^2) (1 - (d0/p)) / 2, with
+    h_w = h / (w/2) and d0 the fundamental discriminant of -4 ell / f^2."""
+    n = 4 * ell
+    total = Fraction(0)
+    f = 1
+    while f * f <= n:
+        d = -(n // (f * f))
+        if n % (f * f) == 0 and d % 4 in (0, 1):
+            h_w = Fraction(class_number(d), {-3: 3, -4: 2}.get(d, 1))
+            d0, _ = fundamental_discriminant(d)
+            total += h_w * (1 - kronecker(d0, p)) / 2
+        f += 1
+    return total
+
+
 def test_criterion_11_rank_formula_report():
     ok = True
     lines = []
-    for (p, ell) in ((13, 5), (37, 3)):
+    for (p, ell) in ((13, 5), (37, 3), (13, 3), (61, 5), (73, 3)):
         G = build_ssgraph(p, ell, 1)
         rep = graph_report(G)
         direct = rep["cycle_rank_ud"]
-        gamma = hurwitz_class_number(4 * ell) / 2
-        formula = 1 + gamma / 2 + Fraction((ell - 1) * (p - 1), 24)
-        ok = ok and isinstance(direct, int) and direct >= 0
-        agree = direct == formula
+        loops = _self_dual_loop_formula(p, ell)
+        formula = 1 + loops / 2 + Fraction((ell - 1) * (p - 1), 24)
+        agree = (isinstance(direct, int) and direct == formula
+                 and rep["self_dual_loops"] == loops)
+        ok = ok and agree
         lines.append("(%d,%d): direct=%d formula=%s agree=%s"
                      % (p, ell, direct, formula, agree))
     report("11", ok, "; ".join(lines))

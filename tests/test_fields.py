@@ -4,9 +4,10 @@ import random
 import pytest
 
 from heckedyn.errors import DegreeZero, NonPrime, ZeroPolynomial
-from heckedyn.fields import (FieldDesc, Poly, embedding, encode, factor,
-                             is_prime, make_field, multiplicative_order,
-                             poly_factor, poly_roots, squarefree_split, xgcd)
+from heckedyn.fields import (FieldDesc, Poly, _is_irreducible, embedding,
+                             encode, factor, is_prime, make_field,
+                             multiplicative_order, poly_factor, poly_roots,
+                             squarefree_split, xgcd)
 
 
 def brute_irreducible(p, coeffs):
@@ -96,6 +97,29 @@ def test_make_field_moduli_match_recorded_search():
     for (p, k), n in RECORDED_MODULI.items():
         F = make_field(p, k)
         assert F.modulus[k] == 1 and encode(p, F.modulus[:k]) == n
+
+
+def test_modulus_search_rejects_a_root_in_fp_with_one_short_power():
+    # Rabin's verdict against trial division on every monic quartic over
+    # F_7; a candidate with a root in F_7 takes x^7 only, never x^(7^4)
+    p, k = 7, 4
+
+    class Recording(FieldDesc):
+        def _powc(self, a, e):
+            exponents.append(e)
+            return FieldDesc._powc(self, a, e)
+
+    rejected = 0
+    for n in range(p ** k):
+        coeffs = tuple(n // p ** i % p for i in range(k)) + (1,)
+        exponents = []
+        verdict = _is_irreducible(Recording(p, k, coeffs))
+        assert verdict == brute_irreducible(p, coeffs), coeffs
+        if any(sum(c * r ** i for i, c in enumerate(coeffs)) % p == 0
+               for r in range(p)):
+            assert exponents == [p], coeffs
+            rejected += 1
+    assert rejected > p ** k // 2
 
 
 def test_field_inverse_of_zero_divisor_raises_zero_division():

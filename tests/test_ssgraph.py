@@ -2,11 +2,14 @@ from collections import Counter
 
 import pytest
 
-from heckedyn.errors import EvenEll, NotClosed, ScaleExceeded, UsageError
-from heckedyn.curves import j_invariant
+from heckedyn.errors import (EvenEll, InvariantBreach, NotClosed,
+                             ScaleExceeded, UsageError)
+from heckedyn.curves import (chain_trace, j_invariant, torsion_basis,
+                             torsion_coordinates)
+from heckedyn.fields import factor
 from heckedyn.padics import PadicNumber
 from heckedyn.ssgraph import (SSArrow, SSGraph, SSVertex, WalkEndo,
-                              alpha_of_level, arrow_dual_kernel,
+                              _walk_steps, alpha_of_level, arrow_dual_kernel,
                               backtrack_endo, build_ssgraph, closed_walks,
                               graph_report,
                               is_rigid, is_solid, monoid_certificates,
@@ -275,3 +278,83 @@ def test_odd_closed_walk_budget_exhausted():
     from heckedyn.errors import BudgetExhausted
     with pytest.raises(BudgetExhausted):
         odd_closed_walk(_hand_graph(2, [(0, 1), (1, 0)]), 0, 4)
+
+
+# -- walk traces from arrow matrices against chain_trace ---------------------
+
+def _reference_trace(G, w):
+    E = G.vertices[G.arrows[w[0]].src].curve
+    skip = tuple(q for q, _ in factor(G.N))
+    return chain_trace(_walk_steps(G, w), E, G.ell, len(w), skip_primes=skip)
+
+
+@pytest.mark.parametrize("case", ["11_3_1", "11_5_1", "13_5_1", "11_3_5"])
+def test_matrix_traces_equal_chain_trace(case, g_11_3_1, g_11_5_1, g_13_5_1):
+    # every walk the other tests trace: (11, 3, 1) up to length 4 from both
+    # bases, (11, 5, 1) up to length 3, the (13, 5, 1) loops, and the
+    # level-5 walks at (11, 3, 5), where the prime 5 | N is skipped
+    if case == "11_3_1":
+        G = g_11_3_1
+        walks = closed_walks(G, 0, 4) + closed_walks(G, 1, 4)
+    elif case == "11_5_1":
+        G = g_11_5_1
+        walks = closed_walks(G, 0, 3)
+    elif case == "13_5_1":
+        G = g_13_5_1
+        walks = [[ar.index] for ar in G.arrows if ar.src == ar.dst]
+    else:
+        G = build_ssgraph(11, 3, 5)
+        walks = closed_walks(G, 0, 4)
+    assert walks
+    for w in walks:
+        e = walk_char_poly(G, w)
+        assert e.trace == _reference_trace(G, w), w
+        assert e.norm == G.ell ** len(w)
+    if G.N > 1:
+        assert all(m != 5 for _, m in G.arrow_matrices)
+
+
+def test_walk_char_poly_runs_no_chain_trace(g_11_5_1, monkeypatch):
+    import heckedyn.curves
+    import heckedyn.ssgraph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chain_trace called")
+    monkeypatch.setattr(heckedyn.curves, "chain_trace", refuse)
+    monkeypatch.setattr(heckedyn.ssgraph, "chain_trace", refuse)
+    for w in closed_walks(g_11_5_1, 0, 2):
+        walk_char_poly(g_11_5_1, w)
+
+
+def test_arrow_matrix_determinant_oracle():
+    G = build_ssgraph(11, 3, 1)
+    w = closed_walks(G, 0, 1)[0]
+    walk_char_poly(G, w)
+    (ai, m), (a, b, c, d) = next(iter(G.arrow_matrices.items()))
+    # scaling one column by 2 doubles the determinant mod m
+    G.arrow_matrices[(ai, m)] = (2 * a % m, b, 2 * c % m, d)
+    with pytest.raises(InvariantBreach):
+        walk_char_poly(G, w)
+
+
+def test_torsion_coordinates_round_trip(g_11_5_1):
+    E = g_11_5_1.vertices[1].curve
+    for m in (7, 19):
+        Q1, Q2 = torsion_basis(E, m)
+        for a, b in ((0, 0), (1, 0), (0, 1), (3, 5), (m - 1, m - 2)):
+            assert torsion_coordinates(a * Q1 + b * Q2, m) == (a, b)
+
+
+@pytest.mark.parametrize("p,ell", [(37, 3), (61, 5), (101, 3), (47, 7)])
+def test_ramanujan_bound_level_one(p, ell):
+    # the arrow-count matrix at N = 1 is the Brandt matrix B(ell): one
+    # eigenvalue ell + 1, every other |lambda| <= 2 sqrt(ell)
+    import numpy as np
+    G = build_ssgraph(p, ell, 1)
+    n = len(G.vertices)
+    A = np.zeros((n, n))
+    for ar in G.arrows:
+        A[ar.src, ar.dst] += 1
+    lams = sorted(np.linalg.eigvals(A), key=lambda z: -abs(z))
+    assert abs(lams[0] - (ell + 1)) < 1e-9
+    assert all(abs(z) <= 2 * ell ** 0.5 + 1e-9 for z in lams[1:]), lams
