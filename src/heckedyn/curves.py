@@ -8,9 +8,12 @@ serves only traces of Frobenius on the ordinary side.
 The rational ell-subgroups are read off the cycles in which one [g],
 g a generator of (Z/ell)^x / {+-1}, permutes the factors of psi_ell.
 Torsion points over larger extensions are produced by cofactor
-multiplication, never by root finding in big fields.  Scalar multiplication
-runs in Jacobian coordinates with one field inversion at the end; the
-result is an affine point like every other.
+multiplication, never by root finding in big fields.  On canonical models
+the cofactor is that of the group exponent p^r - 1, and the basis scan
+skips x in F_p whenever E[ell^e] does not lie over F_{p^4}.  Scalar
+multiplication runs in Jacobian coordinates with one field inversion at
+the end, and the torsion grid of ``all_points_of_order`` is made affine
+with one batch inversion; the results are affine points like every other.
 """
 
 import math
@@ -166,12 +169,7 @@ class CurvePoint:
                 X, Y, Z = _jacobian_add(F, a, X, Y, Z, x, y)
         if not any(Z):
             return CurvePoint(self.curve, F, None, None, True)
-        mul = F._mulc
-        zi = F._invc(Z)
-        zi2 = mul(zi, zi)
-        return CurvePoint(self.curve, F, ExtFieldElement(F, mul(X, zi2)),
-                          ExtFieldElement(F, mul(mul(Y, zi2), zi)), False,
-                          check=False)
+        return _affine(self.curve, F, [(X, Y, Z)])[0]
 
     def __repr__(self):
         if self.inf:
@@ -210,6 +208,30 @@ def _jacobian_add(F, a, X, Y, Z, x, y):
     X3 = sub(sub(mul(r, r), HHH), add(V, V))
     Y3 = sub(mul(r, sub(V, X3)), mul(Y, HHH))
     return X3, Y3, mul(Z, H)
+
+
+def _affine(E, F, points):
+    """The affine points of E over F for Jacobian triples (X, Y, Z), none at
+    infinity, with one field inversion: prefix products of the Z, one
+    inverse of the last, then a walk back (Montgomery's trick)."""
+    mul = F._mulc
+    prefix = [points[0][2]]
+    for _, _, Z in points[1:]:
+        prefix.append(mul(prefix[-1], Z))
+    inv = F._invc(prefix[-1])
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        X, Y, Z = points[i]
+        if i:
+            zi = mul(inv, prefix[i - 1])
+            inv = mul(inv, Z)
+        else:
+            zi = inv
+        zi2 = mul(zi, zi)
+        out[i] = CurvePoint(E, F, ExtFieldElement(F, mul(X, zi2)),
+                            ExtFieldElement(F, mul(mul(Y, zi2), zi)), False,
+                            check=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -788,18 +810,32 @@ def _point_order_in_sylow(R, ell, cap):
 
 
 def _prime_power_basis(E, ell, e):
-    """Basis of E[ell^e] over the torsion field, deterministic scan."""
+    """Basis of E[ell^e] over the torsion field, deterministic scan.
+
+    Each lift P is pushed into the ell-Sylow subgroup by a cofactor c.  On
+    canonical models E(F_{p^(2r)}) = E[p^r - 1], so c = (p^r - 1) / ell^v
+    is prime to ell, and the point taken is (ell^(k-e) c) R with R = cP of
+    order ell^k: ell^(k-e) c^2 P, the point that the cofactor c^2 of the
+    group order (p^r - 1)^2 gives.  A point with x in F_p lies in
+    E(F_{p^4}) = E[p^2 - 1], which has no point of order ell^e unless
+    r = ord_{ell^e}(p) divides 2, so the scan then starts at encoding p."""
     m = ell ** e
-    big, n, _ = torsion_field(E, m)
+    big, n, r = torsion_field(E, m)
+    start = 0
+    if E.canonical_ss:
+        n = E.field.p ** r - 1
+        if r > 2:
+            start = E.field.p
     v = 0
     nn = n
     while nn % ell == 0:
         nn //= ell
         v += 1
     cof = n // (ell ** v)
+    rescale = cof if E.canonical_ss else 1
     first = None
     first_span = None
-    for enc in range(big.order):
+    for enc in range(start, big.order):
         x = big.from_enc(enc)
         P = E.lift_x(x)
         if P is None:
@@ -808,7 +844,7 @@ def _prime_power_basis(E, ell, e):
         k = _point_order_in_sylow(R, ell, v + 1)
         if k < e:
             continue
-        A = (ell ** (k - e)) * R
+        A = (ell ** (k - e) * rescale % ell ** k) * R
         if first is None:
             first = A
             # span of ell^(e-1) * first inside E[ell], for independence tests
@@ -848,19 +884,26 @@ def torsion_basis(E, N):
 
 def all_points_of_order(E, N):
     """Every point of exact order N, sorted by (x, y) encoding.  The point
-    i P1 + j P2 has order N / gcd(N, i, j) on a basis of E[N]."""
+    i P1 + j P2 has order N / gcd(N, i, j) on a basis of E[N]; the grid is
+    walked in Jacobian coordinates and made affine with one inversion."""
     if N == 1:
         return [E.infinity()]
     P1, P2 = torsion_basis(E, N)
-    out = []
-    row = E.infinity(P1.field)
+    F = P1.field
+    a = E.coeffs_in(F)[0].coeffs
+    x1, y1, x2, y2 = P1.x.coeffs, P1.y.coeffs, P2.x.coeffs, P2.y.coeffs
+    keep = []
+    row = (F.one().coeffs, F.one().coeffs, F.zero().coeffs)
     for i in range(N):
+        if i:
+            row = _jacobian_add(F, a, *row, x1, y1)
         cur = row
         for j in range(N):
+            if j:
+                cur = _jacobian_add(F, a, *cur, x2, y2)
             if math.gcd(N, i, j) == 1:
-                out.append(cur)
-            cur = cur + P2
-        row = row + P1
+                keep.append(cur)
+    out = _affine(E, F, keep)
     out.sort(key=lambda P: P.key())
     return out
 

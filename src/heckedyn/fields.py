@@ -493,8 +493,9 @@ def _is_irreducible(F):
     """Rabin's test for the modulus f of a candidate FieldDesc, run in
     F_p[x]/(f) with the field's own arithmetic (valid for any monic f): f is
     irreducible iff x^(p^k) = x and x^(p^(k/t)) - x is a unit for every
-    prime t | k.  A root in F_p (x^p - x not a unit) rejects most
-    candidates with one short power before x^(p^k) is taken."""
+    prime t | k.  A factor of degree 1 (x^p - x not a unit) or, for k >= 3,
+    of degree 2 (x^(p^2) - x not a unit) rejects most candidates with a
+    short power before x^(p^k) is taken."""
     p, k = F.p, F.k
     x = (0, 1) + (0,) * (k - 2)
 
@@ -505,9 +506,10 @@ def _is_irreducible(F):
             return False
         return True
 
-    if not unit(1) or F._powc(x, p ** k) != x:
+    short = (1, 2) if k >= 3 else (1,)
+    if not all(unit(e) for e in short) or F._powc(x, p ** k) != x:
         return False
-    return all(unit(k // t) for t, _ in factor(k) if t < k)
+    return all(unit(k // t) for t, _ in factor(k) if k // t not in short)
 
 
 def make_field(p, k):

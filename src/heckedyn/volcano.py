@@ -215,6 +215,7 @@ class EmpiricalVolcano:
         self.curves = []
         self.arrows = []
         self.vertex_degree = []
+        self.f2_models = {}  # vertex -> its model over F_{p^2}
         self._explore(j0, depth)
         self._assign_levels()
 
@@ -338,11 +339,14 @@ def walk_endo_empirical(vol, walk):
     v0 = vol.arrows[walk[0]].src
     if vol.arrows[walk[-1]].dst != v0:
         raise NotClosed("walk is not closed")
-    # base everything on the F_{p^2} model so twist scalars embed
-    F2 = make_field(vol.p, 2)
-    emb = embedding(vol.field, F2)
-    E = vol.curves[v0]
-    E2 = Curve(F2, emb(E.a), emb(E.b))
+    # base everything on the F_{p^2} model so twist scalars embed; one
+    # model per vertex keeps its point count and torsion bases
+    E2 = vol.f2_models.get(v0)
+    if E2 is None:
+        F2 = make_field(vol.p, 2)
+        emb = embedding(vol.field, F2)
+        E = vol.curves[v0]
+        E2 = vol.f2_models[v0] = Curve(F2, emb(E.a), emb(E.b))
     steps = []
     for ai in walk:
         ar = vol.arrows[ai]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from heckedyn.curves import (Curve, _mult_by_k_fraction,
                              j_invariant, model_from_j, scaled_point,
                              supersingular_j_in_base, torsion_basis,
                              torsion_point, trace_of_frobenius, velu)
-from heckedyn.fields import Poly, embedding, make_field, poly_factor
+from heckedyn.fields import Poly, embedding, factor, make_field, poly_factor
 from heckedyn.ssgraph import build_ssgraph
 
 F11 = make_field(11, 1)
@@ -494,3 +495,93 @@ def test_binomial_roots_match_power_table(p):
             E2 = (Curve(F, E0.a, E0.b * r) if e == 6 else
                   Curve(F, E0.a * r, E0.b))
             assert [u.enc() for u in iso_scalars(E0, E2)] == table.get(r.enc(), [])
+
+
+# ---------------------------------------------------------------------------
+# references for the torsion layer: the full F_p-first scan with the cofactor
+# of the group order, and the affine torsion grid
+
+def reference_prime_power_basis(E, ell, e):
+    """Basis of E[ell^e] over the torsion field, deterministic scan."""
+    m = ell ** e
+    big, n, _ = curves.torsion_field(E, m)
+    v = 0
+    nn = n
+    while nn % ell == 0:
+        nn //= ell
+        v += 1
+    cof = n // (ell ** v)
+    first = None
+    first_span = None
+    for enc in range(big.order):
+        x = big.from_enc(enc)
+        P = E.lift_x(x)
+        if P is None:
+            continue
+        R = cof * P
+        k = curves._point_order_in_sylow(R, ell, v + 1)
+        if k < e:
+            continue
+        A = (ell ** (k - e)) * R
+        if first is None:
+            first = A
+            # span of ell^(e-1) * first inside E[ell], for independence tests
+            F1 = (ell ** (e - 1)) * first
+            first_span = set()
+            S = E.infinity(big)
+            for _ in range(ell):
+                first_span.add(S.key())
+                S = S + F1
+            continue
+        A1 = (ell ** (e - 1)) * A
+        if A1.key() not in first_span:
+            return first, A
+    raise AssertionError("no independent %d^%d-torsion basis found" % (ell, e))
+
+
+def reference_points_of_order(E, N):
+    """The grid i P1 + j P2 by affine additions, kept by gcd(N, i, j) = 1."""
+    P1, P2 = torsion_basis(E, N)
+    out = []
+    row = E.infinity(P1.field)
+    for i in range(N):
+        cur = row
+        for j in range(N):
+            if math.gcd(N, i, j) == 1:
+                out.append(cur)
+            cur = cur + P2
+        row = row + P1
+    out.sort(key=lambda P: P.key())
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_torsion_basis_matches_reference_scan(p):
+    # torsion fields of degree 2r, r = ord_N(p) in {1, 2, 3, 4, 6, 12}; every
+    # N is a prime power ell^e, so the basis is one prime-power basis
+    for j in supersingular_js(p):
+        E = canonical_ss_model(j)
+        for N in (3, 4, 5, 7, 8, 9, 13):
+            if N % p == 0:
+                continue
+            (ell, e), = factor(N)
+            assert torsion_basis(E, N) == reference_prime_power_basis(E, ell, e)
+
+
+def test_all_points_of_order_matches_affine_grid():
+    for j in supersingular_js(11):
+        E = canonical_ss_model(j)
+        for N in (4, 5, 13):
+            assert all_points_of_order(E, N) == reference_points_of_order(E, N)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_points_over_base_field_lie_in_small_torsion(p):
+    # the premise of the basis scan's skip of x in F_p: such a point lies in
+    # E(F_{p^4}) = E[p^2 - 1] on every canonical model
+    F4 = make_field(p, 4)
+    for j in supersingular_js(p):
+        E = canonical_ss_model(j)
+        for x in range(p):
+            P = E.lift_x(F4.from_enc(x))
+            assert P is not None and ((p * p - 1) * P).inf

@@ -1,4 +1,6 @@
+import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,8 @@ from heckedyn.curves import (chain_trace, j_invariant, torsion_basis,
                              torsion_coordinates)
 from heckedyn.fields import factor
 from heckedyn.padics import PadicNumber
+from heckedyn.quadforms import (class_number, fundamental_discriminant,
+                                kronecker)
 from heckedyn.ssgraph import (SSArrow, SSGraph, SSVertex, WalkEndo,
                               _walk_steps, alpha_of_level, arrow_dual_kernel,
                               backtrack_endo, build_ssgraph, closed_walks,
@@ -358,3 +362,32 @@ def test_ramanujan_bound_level_one(p, ell):
     lams = sorted(np.linalg.eigvals(A), key=lambda z: -abs(z))
     assert abs(lams[0] - (ell + 1)) < 1e-9
     assert all(abs(z) <= 2 * ell ** 0.5 + 1e-9 for z in lams[1:]), lams
+
+
+def _hurwitz_p(n, p):
+    """Sum over f^2 | n of h_w(-n / f^2) (1 - (d0/p)) / 2, with
+    h_w = h / (w/2) and d0 the fundamental discriminant of -n / f^2: the
+    class-number term of the trace formula for the Brandt matrices."""
+    total = Fraction(0)
+    f = 1
+    while f * f <= n:
+        d = -(n // (f * f))
+        if n % (f * f) == 0 and d % 4 in (0, 1):
+            h_w = Fraction(class_number(d), {-3: 3, -4: 2}.get(d, 1))
+            d0, _ = fundamental_discriminant(d)
+            total += h_w * (1 - kronecker(d0, p)) / 2
+        f += 1
+    return total
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                               59, 61, 101, 103])
+def test_loop_count_matches_trace_formula(p, ell):
+    # the loops at N = 1 are the trace of the Brandt matrix B(ell): one term
+    # H_p(4 ell - s^2) for each trace s of an endomorphism of degree ell
+    G = build_ssgraph(p, ell, 1)
+    loops = sum(1 for ar in G.arrows if ar.src == ar.dst)
+    formula = sum((1 if s == 0 else 2) * _hurwitz_p(4 * ell - s * s, p)
+                  for s in range(math.isqrt(4 * ell - 1) + 1))
+    assert loops == formula

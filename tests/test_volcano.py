@@ -1,5 +1,6 @@
 import pytest
 
+from heckedyn import curves
 from heckedyn.errors import (BadDiscriminant, ExcludedJ, NotClosed, NotSplit,
                              SupersingularStart)
 from heckedyn.quadforms import class_number, kronecker
@@ -216,6 +217,26 @@ def test_walk_endo_empirical_cross_check():
     a, (t, n) = prime_class_order(-20, 3)
     assert a == 2 and n == 9
     assert endos == {(t, 9), (6, 9)} or endos == {(-t, 9), (6, 9)}
+
+
+def test_walk_endo_empirical_counts_each_vertex_model_once(monkeypatch):
+    # the F_{p^2} model of a vertex, with its point count and torsion
+    # bases, is built once and reused by every walk from that vertex
+    vol = build_empirical(41, 12, 3)
+    i = next(ar.index for ar in vol.arrows if ar.src == 0 and ar.dst == 1)
+    j = next(ar.index for ar in vol.arrows if ar.src == 1 and ar.dst == 0)
+    scans = []
+    count = curves.count_points
+
+    def counting(E):
+        if E._count is None:
+            scans.append(E)
+        return count(E)
+
+    monkeypatch.setattr(curves, "count_points", counting)
+    first = walk_endo_empirical(vol, [i, j])
+    assert walk_endo_empirical(vol, [i, j]) == first
+    assert len(scans) == 1
 
 
 def test_walk_endo_empirical_backtrack_is_scalar():
