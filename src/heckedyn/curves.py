@@ -26,6 +26,8 @@ from .fields import (ExtFieldElement, Poly, embed_poly, embedding, factor,
                      poly_roots, x_poly)
 
 AUX_TRACE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
+# largest degree over F_p of the field of E[m] for an auxiliary prime m
+MAX_AUX_EXT_DEGREE = 40
 
 
 class Curve:
@@ -1020,8 +1022,7 @@ def chain_eval(steps, P):
     return P
 
 
-def chain_trace(steps, E, ell, d, skip_primes=(), max_ext_degree=40,
-                candidate_traces=None):
+def chain_trace(steps, E, ell, d, skip_primes=(), candidate_traces=None):
     """Trace of the endomorphism given by a closed chain of degree ell^d.
 
     The residue mod m is the t with phi^2 - t phi + ell^d = 0 on a basis
@@ -1045,10 +1046,10 @@ def chain_trace(steps, E, ell, d, skip_primes=(), max_ext_degree=40,
         raise InvariantBreach("no trace residue mod %d satisfies the relation" % m)
 
     return trace_from_residues(E, ell, d, residue, skip_primes,
-                               max_ext_degree, candidate_traces)
+                               candidate_traces)
 
 
-def trace_from_residues(E, ell, d, residue, skip_primes=(), max_ext_degree=40,
+def trace_from_residues(E, ell, d, residue, skip_primes=(),
                         candidate_traces=None):
     """Trace of an endomorphism of E of degree ell^d from residue(m), its
     trace mod auxiliary primes m.
@@ -1072,7 +1073,7 @@ def trace_from_residues(E, ell, d, residue, skip_primes=(), max_ext_degree=40,
             r = torsion_field_degree(E, m)
         except InvariantBreach:
             continue
-        if E.field.k * r > max_ext_degree:
+        if E.field.k * r > MAX_AUX_EXT_DEGREE:
             continue
         cands.append((r, m))
     cands.sort()

@@ -50,12 +50,13 @@ def _irreducible_view(chain):
     return D, out, succ
 
 
-def _bfs_dist(out, start):
-    """Distances from start in the digraph of out-neighbour lists (None
-    where unreachable)."""
+def _bfs_dist(out, sources):
+    """Distances from the nearest of sources in the digraph of
+    out-neighbour lists (None where unreachable)."""
     dist = [None] * len(out)
-    dist[start] = 0
-    frontier = [start]
+    for s in sources:
+        dist[s] = 0
+    frontier = list(sources)
     while frontier:
         nxt = []
         for u in frontier:
@@ -69,19 +70,19 @@ def _bfs_dist(out, start):
 
 def is_strongly_connected(out):
     """Strong connectivity of the digraph given by out-neighbour lists."""
-    if None in _bfs_dist(out, 0):
+    if None in _bfs_dist(out, [0]):
         return False
     rev = [[] for _ in out]
     for i, ws in enumerate(out):
         for j in ws:
             rev[j].append(i)
-    return None not in _bfs_dist(rev, 0)
+    return None not in _bfs_dist(rev, [0])
 
 
 def out_period(out):
     """gcd of cycle lengths of a strongly connected digraph given by
     out-neighbour lists."""
-    dist = _bfs_dist(out, 0)
+    dist = _bfs_dist(out, [0])
     g = 0
     for i, ws in enumerate(out):
         for j in ws:

@@ -9,7 +9,7 @@ CyclotomicRing quotients, which are exact.
 
 from .errors import (ConvergenceDomain, NotAUnit, NotSplit,
                      PrecisionExhausted)
-from .fields import is_prime, multiplicative_order
+from .fields import is_prime, make_field, multiplicative_order
 
 DEFAULT_PRECISION = 24
 
@@ -273,10 +273,7 @@ def binom_pow(t, lam):
 def smallest_nonresidue(p):
     if p == 2:
         raise ValueError("W(F_4) model needs odd p")
-    for d in range(2, p):
-        if pow(d, (p - 1) // 2, p) == p - 1:
-            return d
-    raise ValueError("no quadratic non-residue found")
+    return make_field(p, 1).nonresidue().enc()
 
 
 class WqElement:
@@ -557,46 +554,17 @@ def sqrt_unit(u):
             if (x * x - u.val) % m != 0:
                 x = x + m // 4
         return PadicNumber(2, M, x)
-    if pow(u.val % p, (p - 1) // 2, p) != 1:
+    # the root mod p from the field layer, then Newton
+    r = make_field(p, 1).elt(u.val).sqrt()
+    if r is None or r.is_zero():
         return None
-    # Tonelli mod p, then Newton
-    x = _sqrt_mod_p(u.val % p, p)
+    x = r.coeffs[0]
     m = p
     target = p ** M
     while m < target:
         m = min(m * m, target)
         x = (x - (x * x - u.val) * pow(2 * x, -1, m)) % m
     return PadicNumber(p, M, x)
-
-
-def _sqrt_mod_p(a, p):
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return x
 
 
 def quadratic_roots(trace, norm, p, prec):

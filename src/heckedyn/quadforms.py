@@ -80,8 +80,8 @@ def _check_disc(D):
         raise BadDiscriminant("D must be 0 or 1 mod 4, got %d" % D)
 
 
-def reduced_forms(D, primitive_only=True):
-    """All reduced forms of discriminant D < 0, in (a, b, c) order."""
+def reduced_forms(D):
+    """All primitive reduced forms of discriminant D < 0, in (a, b, c) order."""
     _check_disc(D)
     import math
     out = []
@@ -94,7 +94,7 @@ def reduced_forms(D, primitive_only=True):
                 continue
             if a == c and b < 0:
                 continue
-            if primitive_only and math.gcd(math.gcd(a, b), c) != 1:
+            if math.gcd(math.gcd(a, b), c) != 1:
                 continue
             out.append(QuadForm(a, b, c))
     out.sort(key=lambda f: f.key())
@@ -156,7 +156,7 @@ class ClassGroupTable:
     def __init__(self, D):
         _check_disc(D)
         self.D = D
-        self.forms = reduced_forms(D, primitive_only=True)
+        self.forms = reduced_forms(D)
         self.index = {f.key(): i for i, f in enumerate(self.forms)}
         self.identity = self.index[reduce_form(principal_form(D)).key()]
         n = len(self.forms)
@@ -199,7 +199,7 @@ def class_group(D):
 
 
 def class_number(D):
-    return len(reduced_forms(D, primitive_only=True))
+    return len(reduced_forms(D))
 
 
 def kronecker(D, n):

@@ -113,15 +113,8 @@ def is_rigid(N, p):
 
 
 def is_solid(N, p):
-    if is_rigid(N, p):
-        return True
-    if N == 1:
-        return p % 12 == 1
-    if N == 2:
-        return p % 4 == 1
-    if N == 3:
-        return p % 3 == 1
-    return True
+    return (is_rigid(N, p) or (N == 1 and p % 12 == 1)
+            or (N == 2 and p % 4 == 1))
 
 
 def build_ssgraph(p, ell, N=1):
@@ -276,44 +269,31 @@ def _girth(out):
     return best
 
 
-def arrow_dual_kernel(G, ar):
-    """Kernel polynomial (over F_{p^2}) of the dual arrow: the image of the
-    source ell-torsion under the arrow's label, in target coordinates."""
-    E = G.vertices[ar.src].curve
-    E1 = G.vertices[ar.dst].curve
-    ell = G.ell
-    T1, T2 = torsion_basis(E, ell)
-    big = T1.field
-    u_big = embedding(E1.field, big)(ar.post_scalar)
-    gen = None
-    for T in (T1, T2, T1 + T2):
-        img = scaled_point(ar.isogeny(T), u_big, E1)
-        if not img.inf:
-            gen = img
-            break
-    if gen is None:
-        raise InvariantBreach("ell-torsion collapsed under a degree-ell map")
-    sec = embedding(E1.field, big).section
-    from .fields import Poly
-    cur = gen
-    coeffs = Poly(big, [1])
-    for _ in range((ell - 1) // 2):
-        coeffs = coeffs * Poly(big, [-cur.x, big.one()])
-        cur = cur + gen
-    return Poly(E1.field, [sec(c) for c in coeffs.coeffs])
-
-
 def self_dual_loop_count(G):
-    """Loops that coincide with their dual arrow (kernel image criterion)."""
+    """Loops that coincide with their dual arrow.
+
+    A loop's kernel on E[ell] is the kernel of its label, and its image is
+    the kernel of the dual arrow.  So a loop is self-dual iff its kernel
+    equals its image, that is iff its matrix M on E[ell] (``_arrow_matrix``;
+    on a loop the source and target bases agree) is nonzero with
+    M^2 = 0 mod ell.  M = 0 would mean the ell-torsion collapsed.
+    """
     if G.N != 1:
         return None
-    count = 0
-    for ar in G.arrows:
-        if ar.src != ar.dst:
-            continue
-        if arrow_dual_kernel(G, ar) == ar.kernel:
-            count += 1
-    return count
+    return sum(_is_self_dual(G, ar.index) for ar in G.arrows
+               if ar.src == ar.dst)
+
+
+def _is_self_dual(G, ai):
+    """The self-duality test of ``self_dual_loop_count`` on the loop ai."""
+    ell = G.ell
+    a, b, c, d = _arrow_matrix(G, ai, ell)
+    if not (a or b or c or d):
+        raise InvariantBreach("ell-torsion collapsed under a degree-ell map")
+    # M^2 = [[a^2 + bc, b tr], [c tr, d^2 + bc]] with tr = a + d
+    tr = a + d
+    square = (a * a + b * c, b * tr, c * tr, d * d + b * c)
+    return all(x % ell == 0 for x in square)
 
 
 def graph_report(G):
@@ -340,10 +320,10 @@ def graph_report(G):
         report["self_dual_loops"] = s
         if G.p % 12 == 1:
             loops = sum(1 for ar in G.arrows if ar.src == ar.dst)
-            edges = (len(G.arrows) + s) // 2 if (len(G.arrows) + s) % 2 == 0 else None
-            if edges is None:
+            doubled = len(G.arrows) + s  # twice the undirected edges
+            if doubled % 2:
                 raise InvariantBreach("dual pairing parity failure")
-            report["cycle_rank_ud"] = edges - len(G.vertices) + 1
+            report["cycle_rank_ud"] = doubled // 2 - len(G.vertices) + 1
             report["ud_loops"] = loops
     return report
 

@@ -14,6 +14,7 @@ from .curves import (Curve, chain_trace, ell_subgroups, is_supersingular,
 from .errors import (BadDiscriminant, ExcludedJ, InvariantBreach, NotClosed,
                      SupersingularStart, UsageError)
 from .fields import embedding, is_prime, make_field
+from .markov import _bfs_dist
 from .padics import PadicNumber, quadratic_roots
 from .quadforms import fundamental_discriminant, kronecker, prime_class_order
 
@@ -289,18 +290,7 @@ class EmpiricalVolcano:
         for ar in self.arrows:
             nbrs[ar.src].add(ar.dst)
             nbrs[ar.dst].add(ar.src)
-        dist = [None] * n
-        frontier = list(floor)
-        for v in floor:
-            dist[v] = 0
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in nbrs[v]:
-                    if dist[w] is None:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
+        dist = _bfs_dist(nbrs, floor)
         if any(d is None for d in dist):
             return
         depth = max(dist)

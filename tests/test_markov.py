@@ -161,6 +161,13 @@ def test_volcano_escape_depth_guard():
         volcano_escape(V, 0, 10)
 
 
+def test_bfs_dist_from_two_sources():
+    # path 0 - 1 - 2 - 3 - 4 plus an arc 4 -> 5; 6 is unreachable
+    out = [[1], [0, 2], [1, 3], [2, 4], [3, 5], [], []]
+    assert markov._bfs_dist(out, [0]) == [0, 1, 2, 3, 4, 5, None]
+    assert markov._bfs_dist(out, [0, 4]) == [0, 1, 2, 1, 0, 1, None]
+
+
 def test_tv_distance():
     a = (Fraction(1, 2), Fraction(1, 2))
     b = (Fraction(1), Fraction(0))

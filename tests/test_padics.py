@@ -4,6 +4,7 @@ import pytest
 
 from heckedyn.errors import (ConvergenceDomain, NotAUnit, NotSplit,
                              PrecisionExhausted)
+from heckedyn.fields import is_prime
 from heckedyn.padics import (CyclotomicRing, PadicNumber, binom_pow,
                              cyclo_binom_fixed, exp, log1p, orbit_closure,
                              quadratic_roots, smallest_nonresidue, sqrt_unit,
@@ -249,6 +250,54 @@ def test_sqrt_unit():
             assert s is not None and (s * s).val == u * u % p ** 6
 
 
+def _sqrt_mod_p(a, p):
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    # Tonelli-Shanks
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    x = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    m = s
+    while t != 1:
+        i, tt = 0, t
+        while tt != 1:
+            tt = tt * tt % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        x = x * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return x
+
+
+def _reference_nonresidue(p):
+    for d in range(2, p):
+        if pow(d, (p - 1) // 2, p) == p - 1:
+            return d
+    raise ValueError("no quadratic non-residue found")
+
+
+def test_sqrt_unit_root_mod_p_matches_integer_tonelli_shanks():
+    # every residue at p < 600, which includes p = 1 mod 16 (257, 337, ...)
+    for p in range(3, 600, 2):
+        if not is_prime(p):
+            continue
+        for a in sorted({x * x % p for x in range(1, p)}):
+            assert sqrt_unit(PadicNumber(p, 2, a)).val % p == _sqrt_mod_p(a, p)
+        assert all(sqrt_unit(PadicNumber(p, 2, a)) is None
+                   for a in range(1, p) if pow(a, (p - 1) // 2, p) != 1)
+
+
 def test_wq_norm_surjective_onto_units():
     # norm map W(F_q)^x -> Z_p^x hits every unit residue mod p^2
     for p in (3, 5, 7, 11, 13):
@@ -301,3 +350,8 @@ def test_smallest_nonresidue():
     assert smallest_nonresidue(5) == 2
     assert smallest_nonresidue(7) == 3
     assert smallest_nonresidue(11) == 2
+    for p in range(3, 5000, 2):
+        if is_prime(p):
+            assert smallest_nonresidue(p) == _reference_nonresidue(p)
+    with pytest.raises(ValueError):
+        smallest_nonresidue(2)

@@ -6,14 +6,14 @@ import pytest
 
 from heckedyn.errors import (EvenEll, InvariantBreach, NotClosed,
                              ScaleExceeded, UsageError)
-from heckedyn.curves import (chain_trace, j_invariant, torsion_basis,
-                             torsion_coordinates)
-from heckedyn.fields import factor
+from heckedyn.curves import (chain_trace, j_invariant, scaled_point,
+                             torsion_basis, torsion_coordinates)
+from heckedyn.fields import embedding, factor
 from heckedyn.padics import PadicNumber
 from heckedyn.quadforms import (class_number, fundamental_discriminant,
                                 kronecker)
 from heckedyn.ssgraph import (SSArrow, SSGraph, SSVertex, WalkEndo,
-                              _walk_steps, alpha_of_level, arrow_dual_kernel,
+                              _is_self_dual, _walk_steps, alpha_of_level,
                               backtrack_endo, build_ssgraph, closed_walks,
                               graph_report,
                               is_rigid, is_solid, monoid_certificates,
@@ -172,6 +172,44 @@ def test_graph_report_13_5_1(g_13_5_1):
     assert rep["girth"] == 1
     assert rep["self_dual_loops"] == 2
     assert rep["cycle_rank_ud"] == (6 + 2) // 2 - 1 + 1
+
+
+def arrow_dual_kernel(G, ar):
+    """Kernel polynomial (over F_{p^2}) of the dual arrow: the image of the
+    source ell-torsion under the arrow's label, in target coordinates."""
+    E = G.vertices[ar.src].curve
+    E1 = G.vertices[ar.dst].curve
+    ell = G.ell
+    T1, T2 = torsion_basis(E, ell)
+    big = T1.field
+    u_big = embedding(E1.field, big)(ar.post_scalar)
+    gen = None
+    for T in (T1, T2, T1 + T2):
+        img = scaled_point(ar.isogeny(T), u_big, E1)
+        if not img.inf:
+            gen = img
+            break
+    if gen is None:
+        raise InvariantBreach("ell-torsion collapsed under a degree-ell map")
+    sec = embedding(E1.field, big).section
+    from heckedyn.fields import Poly
+    cur = gen
+    coeffs = Poly(big, [1])
+    for _ in range((ell - 1) // 2):
+        coeffs = coeffs * Poly(big, [-cur.x, big.one()])
+        cur = cur + gen
+    return Poly(E1.field, [sec(c) for c in coeffs.coeffs])
+
+
+@pytest.mark.parametrize("p,ell", [(p, ell) for p in (11, 13, 37, 61, 101, 131)
+                                   for ell in (3, 5, 7)] + [(23, 11)])
+def test_self_dual_loops_match_dual_kernel_reference(p, ell):
+    # a loop is self-dual iff the kernel of its dual arrow is its own
+    G = build_ssgraph(p, ell, 1)
+    loops = [ar for ar in G.arrows if ar.src == ar.dst]
+    verdicts = [_is_self_dual(G, ar.index) for ar in loops]
+    assert verdicts == [arrow_dual_kernel(G, ar) == ar.kernel for ar in loops]
+    assert graph_report(G)["self_dual_loops"] == sum(verdicts)
 
 
 def test_dual_kernel_is_involutive(g_13_5_1):
