@@ -12,8 +12,10 @@ multiplication, never by root finding in big fields.  On canonical models
 the cofactor is that of the group exponent p^r - 1, and the basis scan
 skips x in F_p whenever E[ell^e] does not lie over F_{p^4}.  Scalar
 multiplication runs in Jacobian coordinates with one field inversion at
-the end, and the torsion grid of ``all_points_of_order`` is made affine
-with one batch inversion; the results are affine points like every other.
+the end.  ``torsion_grid`` indexes E[N] by (i, j), P = i P1 + j P2, and is
+made affine with one batch inversion.  ``action_matrix`` reads a map on
+E[m] as a 2x2 matrix mod m against the torsion bases of its source and
+target; a chain's trace mod m is the trace of its matrix.
 """
 
 import math
@@ -323,14 +325,13 @@ def is_supersingular(E):
 
 
 def supersingular_j_in_base(p):
-    """All supersingular j in F_p, in encoding order (BFS seeds)."""
+    """The supersingular j in F_p, yielded lazily in encoding order (a BFS
+    seed needs only the first)."""
     F = make_field(p, 1)
-    out = []
     for e in range(p):
         j = F.from_enc(e)
         if is_supersingular(model_from_j(F, j)):
-            out.append(j)
-    return out
+            yield j
 
 
 def _is_canonical(E):
@@ -884,17 +885,17 @@ def torsion_basis(E, N):
     return P1, P2
 
 
-def all_points_of_order(E, N):
-    """Every point of exact order N, sorted by (x, y) encoding.  The point
-    i P1 + j P2 has order N / gcd(N, i, j) on a basis of E[N]; the grid is
-    walked in Jacobian coordinates and made affine with one inversion."""
+def torsion_grid(E, N):
+    """{(i, j): i P1 + j P2} over all of E[N], on the basis (P1, P2) =
+    torsion_basis(E, N); {(0, 0): O} at N = 1.  The grid is walked in
+    Jacobian coordinates and made affine with one inversion."""
     if N == 1:
-        return [E.infinity()]
+        return {(0, 0): E.infinity()}
     P1, P2 = torsion_basis(E, N)
     F = P1.field
     a = E.coeffs_in(F)[0].coeffs
     x1, y1, x2, y2 = P1.x.coeffs, P1.y.coeffs, P2.x.coeffs, P2.y.coeffs
-    keep = []
+    coords, keep = [], []
     row = (F.one().coeffs, F.one().coeffs, F.zero().coeffs)
     for i in range(N):
         if i:
@@ -903,11 +904,19 @@ def all_points_of_order(E, N):
         for j in range(N):
             if j:
                 cur = _jacobian_add(F, a, *cur, x2, y2)
-            if math.gcd(N, i, j) == 1:
+            if i or j:
+                coords.append((i, j))
                 keep.append(cur)
-    out = _affine(E, F, keep)
-    out.sort(key=lambda P: P.key())
-    return out
+    grid = {(0, 0): E.infinity(F)}
+    grid.update(zip(coords, _affine(E, F, keep)))
+    return grid
+
+
+def all_points_of_order(E, N):
+    """Every point of exact order N, sorted by (x, y) encoding: the grid
+    points (i, j) with gcd(N, i, j) = 1."""
+    return sorted((P for (i, j), P in torsion_grid(E, N).items()
+                   if math.gcd(N, i, j) == 1), key=CurvePoint.key)
 
 
 def torsion_coordinates(R, m):
@@ -931,6 +940,19 @@ def torsion_coordinates(R, m):
             return a, b
         S = S - Q1
     raise InvariantBreach("point is not in E[%d]" % m)
+
+
+def action_matrix(f, E, m):
+    """The map f on E[m] as (a, b, c, d) = [[a, b], [c, d]] mod m, read
+    against torsion_basis(E, m) and the basis of the curve that f's images
+    lie on: column j holds the coordinates of f(Qj).  (0, 0, 0, 0) at
+    m = 1, where f is not evaluated."""
+    if m == 1:
+        return (0, 0, 0, 0)
+    Q1, Q2 = torsion_basis(E, m)
+    a, c = torsion_coordinates(f(Q1), m)
+    b, d = torsion_coordinates(f(Q2), m)
+    return a, b, c, d
 
 
 def torsion_point(E, N):
@@ -1025,25 +1047,12 @@ def chain_eval(steps, P):
 def chain_trace(steps, E, ell, d, skip_primes=(), candidate_traces=None):
     """Trace of the endomorphism given by a closed chain of degree ell^d.
 
-    The residue mod m is the t with phi^2 - t phi + ell^d = 0 on a basis
-    of E[m]; ``trace_from_residues`` picks the primes and lifts.
+    The residue mod m is the trace of the chain's matrix on E[m] (the chain
+    must end on E itself); ``trace_from_residues`` picks the primes and lifts.
     """
-    norm = ell ** d
-
     def residue(m):
-        Q1, Q2 = torsion_basis(E, m)
-        w1, w2 = chain_eval(steps, Q1), chain_eval(steps, Q2)
-        ww1, ww2 = chain_eval(steps, w1), chain_eval(steps, w2)
-        lhs1 = ww1 + (norm % m) * Q1
-        lhs2 = ww2 + (norm % m) * Q2
-        acc1 = E.infinity(Q1.field)
-        acc2 = E.infinity(Q2.field)
-        for t in range(m):
-            if acc1 == lhs1 and acc2 == lhs2:
-                return t
-            acc1 = acc1 + w1
-            acc2 = acc2 + w2
-        raise InvariantBreach("no trace residue mod %d satisfies the relation" % m)
+        a, _, _, dd = action_matrix(lambda P: chain_eval(steps, P), E, m)
+        return (a + dd) % m
 
     return trace_from_residues(E, ell, d, residue, skip_primes,
                                candidate_traces)

@@ -5,16 +5,19 @@ Frobenius acting as the scalar p) and P a chosen representative of an
 automorphism orbit of points of exact order N.  Arrows are kernel-labeled:
 one per cyclic subgroup of order ell, targeted at the unique representative
 of the quotient pair, with the connecting isomorphism stored so that walk
-composition fixes marked points exactly.
+composition fixes marked points exactly.  Level structure is integer
+linear algebra: P is read as coordinates (i, j) on the torsion basis, and
+every automorphism and every arrow acts on them as a 2x2 matrix mod N, so
+orbits and arrow targets are matrix products (at N = 1 all are zero).
 """
 
 import math
 
-from .curves import (all_points_of_order, automorphism_scalars,
-                     canonical_ss_model, chain_eval, chain_trace,
-                     dual_isogeny, ell_subgroups, iso_scalars, j_invariant,
-                     scaled_point, supersingular_j_in_base, torsion_basis,
-                     torsion_coordinates, trace_from_residues, velu)
+from .curves import (action_matrix, automorphism_scalars, canonical_ss_model,
+                     chain_eval, chain_trace, dual_isogeny, ell_subgroups,
+                     iso_scalars, j_invariant, scaled_point,
+                     supersingular_j_in_base, torsion_grid,
+                     trace_from_residues, velu)
 from .errors import (BudgetExhausted, EvenEll, InvariantBreach, NotAUnit,
                      NotClosed, ScaleExceeded, SharedCharacteristic,
                      UsageError)
@@ -139,12 +142,13 @@ def build_ssgraph(p, ell, N=1):
                             % (est_curves, N))
 
     Fp2 = make_field(p, 2)
-    # discover every supersingular curve by closing under ell-isogenies
-    seeds = [embedding(j.field, Fp2)(j) for j in supersingular_j_in_base(p)]
-    if not seeds:
+    # discover every supersingular curve by closing under ell-isogenies; the
+    # graph is connected, so one seed reaches all of them
+    seed = next(supersingular_j_in_base(p), None)
+    if seed is None:
         raise InvariantBreach("no supersingular j in the base field")
     seen = {}
-    queue = list(dict.fromkeys(j.enc() for j in seeds))
+    queue = [embedding(seed.field, Fp2)(seed).enc()]
     while queue:
         enc = queue.pop(0)
         if enc in seen:
@@ -157,36 +161,28 @@ def build_ssgraph(p, ell, N=1):
                 queue.append(j2)
     curves = [seen[enc] for enc in sorted(seen)]
 
-    # vertex set: one per Aut-orbit of exact order-N points
+    # vertex set: one per Aut-orbit of exact order-N points, all read as
+    # coordinates (i, j) on the torsion basis, so orbits are matrix products
     vertices = []
-    point_index = {}
+    coords = []         # vertex id -> (i, j) of its marked point
+    vertex_at = {}      # (curve index, (i, j)) -> vertex id of its orbit
+    aut_mats = []       # curve index -> [(w, matrix of w on E[N])]
     for ci, E in enumerate(curves):
-        auts = automorphism_scalars(E)
-        if N == 1:
-            v = SSVertex(len(vertices), E, E.infinity(), len(auts), ci)
-            vertices.append(v)
-            point_index[(ci, (-1, -1))] = v.id
-            continue
-        pts = all_points_of_order(E, N)
-        big = pts[0].field
-        emb = embedding(Fp2, big)
-        auts_big = [emb(u) for u in auts]
-        assigned = {}
-        for P in pts:
-            if P.key() in assigned:
+        grid = torsion_grid(E, N)
+        auts = [(w, action_matrix(lambda P, w=w: scaled_point(P, w, E), E, N))
+                for w in automorphism_scalars(E)]
+        aut_mats.append(auts)
+        order_n = [c for c in grid if math.gcd(N, *c) == 1]
+        # in key order, the first unassigned point is least in its orbit
+        for c in sorted(order_n, key=lambda c: grid[c].key()):
+            if (ci, c) in vertex_at:
                 continue
-            orbit = []
-            for u in auts_big:
-                img = scaled_point(P, u, E)
-                if img.key() not in assigned:
-                    orbit.append(img)
-                    assigned[img.key()] = True
-            rep = min(orbit, key=lambda Q: Q.key())
-            stab = len(auts) // len({Q.key() for Q in orbit})
-            v = SSVertex(len(vertices), E, rep, stab, ci)
+            orbit = {_apply(W, c, N) for _, W in auts}
+            v = SSVertex(len(vertices), E, grid[c], len(auts) // len(orbit), ci)
             vertices.append(v)
-            for Q in orbit:
-                point_index[(ci, Q.key())] = v.id
+            coords.append(c)
+            for o in orbit:
+                vertex_at[(ci, o)] = v.id
 
     curve_index = {E.key(): i for i, E in enumerate(curves)}
 
@@ -201,37 +197,26 @@ def build_ssgraph(p, ell, N=1):
             if got is None:
                 phi = velu(E, h)
                 E1 = canonical_ss_model(j_invariant(phi.target))
-                ci2 = curve_index[E1.key()]
                 us = iso_scalars(phi.target, E1)
                 if not us:
                     raise InvariantBreach("quotient not isomorphic to a representative")
                 u0 = us[0]
-                got = (phi, E1, ci2, u0)
+                M = action_matrix(lambda P: scaled_point(phi(P), u0, E1), E, N)
+                got = (phi, curve_index[E1.key()], u0, M)
                 iso_cache[cache_key] = got
-            phi, E1, ci2, u0 = got
-            if N == 1:
-                dst = point_index[(ci2, (-1, -1))]
-                post = u0
-                orbit = vertices[dst].aut_order
+            phi, ci2, u0, M = got
+            # adjust by an automorphism w of E1 so the image is the stored
+            # representative; the composite u0 w is then a genuine label
+            img = _apply(M, coords[v.id], N)
+            for w, W in aut_mats[ci2]:
+                c = _apply(W, img, N)
+                dst = vertex_at.get((ci2, c))
+                if dst is not None and coords[dst] == c:
+                    break
             else:
-                P1 = scaled_point(phi(v.point), u0, E1)
-                # adjust by an automorphism of E1 so the image is the stored
-                # representative; the composite is then a genuine label
-                big = P1.field
-                dst = None
-                post = None
-                for w in automorphism_scalars(E1):
-                    w_big = embedding(Fp2, big)(w)
-                    Q = scaled_point(P1, w_big, E1)
-                    vid = point_index.get((ci2, Q.key()))
-                    if vid is not None and vertices[vid].point.key() == Q.key():
-                        dst = vid
-                        post = u0 * w
-                        break
-                if dst is None:
-                    raise InvariantBreach("image point matches no representative")
-                orbit = vertices[dst].aut_order
-            arrows.append(SSArrow(len(arrows), v.id, dst, h, phi, post, orbit))
+                raise InvariantBreach("image point matches no representative")
+            arrows.append(SSArrow(len(arrows), v.id, dst, h, phi, u0 * w,
+                                  vertices[dst].aut_order))
 
     G = SSGraph(p, ell, N, vertices, arrows, curves)
     for v in vertices:
@@ -239,6 +224,13 @@ def build_ssgraph(p, ell, N=1):
             raise InvariantBreach("out-degree %d != ell+1 at vertex %d"
                                   % (G.out_degree(v.id), v.id))
     return G
+
+
+def _apply(M, ij, N):
+    """The matrix M = (a, b, c, d) on the coordinates ij = (i, j) mod N."""
+    a, b, c, d = M
+    i, j = ij
+    return ((a * i + b * j) % N, (c * i + d * j) % N)
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +341,15 @@ def validate_walk(G, walk):
 
 
 def _arrow_matrix(G, ai, m):
-    """The arrow ai on m-torsion as (a, b, c, d) = [[a, b], [c, d]] mod m,
-    against the torsion_basis of the source and target curves; column j
-    holds the coordinates of the image of Qj.  Cached on G.
-
-    The canonical models all have Frobenius_{p^2} = [p], so E[m] of every
-    curve lies over the same field and the bases can be compared.
-    """
+    """The ``action_matrix`` of the arrow ai on E[m], cached on G.  The
+    canonical models all have Frobenius_{p^2} = [p], so E[m] of every curve
+    lies over the same field and the bases can be compared."""
     M = G.arrow_matrices.get((ai, m))
     if M is None:
-        ar = G.arrows[ai]
         steps = _walk_steps(G, [ai])
-        Q1, Q2 = torsion_basis(G.vertices[ar.src].curve, m)
-        a, c = torsion_coordinates(chain_eval(steps, Q1), m)
-        b, d = torsion_coordinates(chain_eval(steps, Q2), m)
-        M = G.arrow_matrices[(ai, m)] = (a, b, c, d)
+        E = G.vertices[G.arrows[ai].src].curve
+        M = G.arrow_matrices[(ai, m)] = action_matrix(
+            lambda P: chain_eval(steps, P), E, m)
     return M
 
 

@@ -342,6 +342,8 @@ def walk_endo_empirical(vol, walk):
         ar = vol.arrows[ai]
         steps.append(ar.isogeny)
         steps.append((vol.curves[ar.dst], ar.post_scalar))
+    # the last step lands on E2, so images are read on E2's torsion basis
+    steps[-1] = (E2, steps[-1][1])
     d = len(walk)
     norm = vol.ell ** d
     # the endomorphism lies in the CM field: t^2 - 4 norm = c^2 * field_disc

@@ -7,13 +7,15 @@ from heckedyn.errors import (BadTorsionOrder, EqualCharacteristic, NotAKernel,
                              NotSupersingular, UnsupportedCharacteristic)
 from heckedyn import curves
 from heckedyn.curves import (Curve, _mult_by_k_fraction,
-                             _poly_invert_mod, all_points_of_order,
+                             _poly_invert_mod, action_matrix,
+                             all_points_of_order,
                              automorphism_scalars, canonical_ss_model,
                              count_points, division_poly, dual_isogeny,
                              ell_subgroups, is_supersingular, iso_scalars,
                              j_invariant, model_from_j, scaled_point,
                              supersingular_j_in_base, torsion_basis,
-                             torsion_point, trace_of_frobenius, velu)
+                             torsion_grid, torsion_point,
+                             trace_of_frobenius, velu)
 from heckedyn.fields import Poly, embedding, factor, make_field, poly_factor
 from heckedyn.ssgraph import build_ssgraph
 
@@ -426,7 +428,7 @@ def reference_kernel_polys(E, ell):
 
 @pytest.mark.parametrize("p, ell", [(13, 7), (29, 7), (23, 5)])
 def test_ell_subgroups_match_all_k_closure(p, ell):
-    E = canonical_ss_model(supersingular_j_in_base(p)[0])
+    E = canonical_ss_model(next(supersingular_j_in_base(p)))
     got = [h.key() for h in ell_subgroups(E, ell)]
     assert len(got) == ell + 1
     assert got == reference_kernel_polys(E, ell)
@@ -444,7 +446,7 @@ def test_ell_subgroups_match_all_k_closure_ordinary():
 def test_ell_subgroups_partition_psi_on_canonical_models(p, ell):
     # all ell + 1 subgroups are rational, and their x-sets partition the
     # nonzero ell-torsion: the kernels are pairwise coprime with product psi
-    E = canonical_ss_model(supersingular_j_in_base(p)[0])
+    E = canonical_ss_model(next(supersingular_j_in_base(p)))
     kernels = ell_subgroups(E, ell)
     assert len(kernels) == ell + 1
     prod = Poly(E.field, [1])
@@ -573,6 +575,32 @@ def test_all_points_of_order_matches_affine_grid():
         E = canonical_ss_model(j)
         for N in (4, 5, 13):
             assert all_points_of_order(E, N) == reference_points_of_order(E, N)
+
+
+def test_torsion_grid_coordinates_and_action_matrix():
+    def refuse(P):
+        raise AssertionError("a map evaluated at m = 1")
+
+    for j in supersingular_js(11):
+        E = canonical_ss_model(j)
+        assert torsion_grid(E, 1) == {(0, 0): E.infinity()}
+        assert action_matrix(refuse, E, 1) == (0, 0, 0, 0)
+        for N in (4, 5):
+            P1, P2 = torsion_basis(E, N)
+            grid = torsion_grid(E, N)
+            assert sorted(grid) == [(i, k) for i in range(N) for k in range(N)]
+            assert all(P == i * P1 + k * P2 for (i, k), P in grid.items())
+            # [3] is the scalar matrix; (x, y) -> (x, -y) is [-1]
+            assert action_matrix(lambda P: 3 * P, E, N) == (3, 0, 0, 3)
+            assert action_matrix(lambda P: -P, E, N) == (N - 1, 0, 0, N - 1)
+            # [u] for a root of unity u of order k has det 1 and the trace
+            # of a primitive k-th root in Z[i] or Z[zeta_3]
+            for u in automorphism_scalars(E):
+                k = next(k for k in (1, 2, 3, 4, 6) if (u ** k).enc() == 1)
+                a, b, c, d = action_matrix(
+                    lambda P: scaled_point(P, u, E), E, N)
+                assert (a * d - b * c) % N == 1
+                assert (a + d - {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}[k]) % N == 0
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])

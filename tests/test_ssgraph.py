@@ -6,8 +6,11 @@ import pytest
 
 from heckedyn.errors import (EvenEll, InvariantBreach, NotClosed,
                              ScaleExceeded, UsageError)
-from heckedyn.curves import (chain_trace, j_invariant, scaled_point,
-                             torsion_basis, torsion_coordinates)
+from heckedyn.curves import (Isogeny, all_points_of_order,
+                             automorphism_scalars, canonical_ss_model,
+                             chain_eval, ell_subgroups, iso_scalars,
+                             j_invariant, scaled_point, torsion_basis,
+                             torsion_coordinates, trace_from_residues, velu)
 from heckedyn.fields import embedding, factor
 from heckedyn.padics import PadicNumber
 from heckedyn.quadforms import (class_number, fundamental_discriminant,
@@ -322,12 +325,39 @@ def test_odd_closed_walk_budget_exhausted():
         odd_closed_walk(_hand_graph(2, [(0, 1), (1, 0)]), 0, 4)
 
 
-# -- walk traces from arrow matrices against chain_trace ---------------------
+# -- walk traces from matrix traces against the relation search -------------
+
+def reference_chain_trace(steps, E, ell, d, skip_primes=(),
+                          candidate_traces=None):
+    """The relation search that ``curves.chain_trace`` used before its
+    residues were matrix traces: t with phi^2 - t phi + ell^d = 0 on a
+    basis of E[m]."""
+    norm = ell ** d
+
+    def residue(m):
+        Q1, Q2 = torsion_basis(E, m)
+        w1, w2 = chain_eval(steps, Q1), chain_eval(steps, Q2)
+        ww1, ww2 = chain_eval(steps, w1), chain_eval(steps, w2)
+        lhs1 = ww1 + (norm % m) * Q1
+        lhs2 = ww2 + (norm % m) * Q2
+        acc1 = E.infinity(Q1.field)
+        acc2 = E.infinity(Q2.field)
+        for t in range(m):
+            if acc1 == lhs1 and acc2 == lhs2:
+                return t
+            acc1 = acc1 + w1
+            acc2 = acc2 + w2
+        raise InvariantBreach("no trace residue mod %d satisfies the relation" % m)
+
+    return trace_from_residues(E, ell, d, residue, skip_primes,
+                               candidate_traces)
+
 
 def _reference_trace(G, w):
     E = G.vertices[G.arrows[w[0]].src].curve
     skip = tuple(q for q, _ in factor(G.N))
-    return chain_trace(_walk_steps(G, w), E, G.ell, len(w), skip_primes=skip)
+    return reference_chain_trace(_walk_steps(G, w), E, G.ell, len(w),
+                                 skip_primes=skip)
 
 
 @pytest.mark.parametrize("case", ["11_3_1", "11_5_1", "13_5_1", "11_3_5"])
@@ -354,6 +384,34 @@ def test_matrix_traces_equal_chain_trace(case, g_11_3_1, g_11_5_1, g_13_5_1):
         assert e.norm == G.ell ** len(w)
     if G.N > 1:
         assert all(m != 5 for _, m in G.arrow_matrices)
+
+
+@pytest.mark.parametrize("p,j0,ell", [(41, 12, 3), (11, 2, 2)])
+def test_volcano_traces_equal_relation_search(p, j0, ell):
+    # every closed walk of length <= 3 in the empirical volcano; the
+    # reference chain ends on the F_p curve, which the search never reads
+    from heckedyn.volcano import build_empirical, walk_endo_empirical
+    vol = build_empirical(p, j0, ell)
+    walks = []
+    stack = [[a.index] for a in vol.arrows]
+    while stack:
+        w = stack.pop()
+        end = vol.arrows[w[-1]].dst
+        if end == vol.arrows[w[0]].src:
+            walks.append(w)
+        if len(w) < 3:
+            stack += [w + [a.index] for a in vol.arrows if a.src == end]
+    assert len(walks) >= 8
+    for w in walks:
+        t, n = walk_endo_empirical(vol, w)
+        steps = []
+        for ai in w:
+            ar = vol.arrows[ai]
+            steps += [ar.isogeny, (vol.curves[ar.dst], ar.post_scalar)]
+        # the F_{p^2} model of the base vertex that the walk traced on
+        E2 = vol.f2_models[vol.arrows[w[0]].src]
+        assert t == reference_chain_trace(steps, E2, ell, len(w)), w
+        assert n == ell ** len(w)
 
 
 def test_walk_char_poly_runs_no_chain_trace(g_11_5_1, monkeypatch):
@@ -429,3 +487,117 @@ def test_loop_count_matches_trace_formula(p, ell):
     formula = sum((1 if s == 0 else 2) * _hurwitz_p(4 * ell - s * s, p)
                   for s in range(math.isqrt(4 * ell - 1) + 1))
     assert loops == formula
+
+
+# -- level structure from matrices against the point-matching builder -------
+
+def reference_level_graph(curves, ell, N):
+    """The vertex and arrow construction of ``build_ssgraph`` before level
+    structure was read as matrices: every orbit and every arrow target is
+    found by matching points in F_{p^(2r)}."""
+    Fp2 = curves[0].field
+    # vertex set: one per Aut-orbit of exact order-N points
+    vertices = []
+    point_index = {}
+    for ci, E in enumerate(curves):
+        auts = automorphism_scalars(E)
+        if N == 1:
+            v = SSVertex(len(vertices), E, E.infinity(), len(auts), ci)
+            vertices.append(v)
+            point_index[(ci, (-1, -1))] = v.id
+            continue
+        pts = all_points_of_order(E, N)
+        big = pts[0].field
+        emb = embedding(Fp2, big)
+        auts_big = [emb(u) for u in auts]
+        assigned = {}
+        for P in pts:
+            if P.key() in assigned:
+                continue
+            orbit = []
+            for u in auts_big:
+                img = scaled_point(P, u, E)
+                if img.key() not in assigned:
+                    orbit.append(img)
+                    assigned[img.key()] = True
+            rep = min(orbit, key=lambda Q: Q.key())
+            stab = len(auts) // len({Q.key() for Q in orbit})
+            v = SSVertex(len(vertices), E, rep, stab, ci)
+            vertices.append(v)
+            for Q in orbit:
+                point_index[(ci, Q.key())] = v.id
+
+    curve_index = {E.key(): i for i, E in enumerate(curves)}
+
+    # arrows: one per cyclic subgroup of each source vertex
+    arrows = []
+    iso_cache = {}
+    for v in vertices:
+        E = v.curve
+        for h in ell_subgroups(E, ell):
+            cache_key = (v.curve_index, h.key())
+            got = iso_cache.get(cache_key)
+            if got is None:
+                phi = velu(E, h)
+                E1 = canonical_ss_model(j_invariant(phi.target))
+                ci2 = curve_index[E1.key()]
+                us = iso_scalars(phi.target, E1)
+                if not us:
+                    raise InvariantBreach("quotient not isomorphic to a representative")
+                u0 = us[0]
+                got = (phi, E1, ci2, u0)
+                iso_cache[cache_key] = got
+            phi, E1, ci2, u0 = got
+            if N == 1:
+                dst = point_index[(ci2, (-1, -1))]
+                post = u0
+                orbit = vertices[dst].aut_order
+            else:
+                P1 = scaled_point(phi(v.point), u0, E1)
+                # adjust by an automorphism of E1 so the image is the stored
+                # representative; the composite is then a genuine label
+                big = P1.field
+                dst = None
+                post = None
+                for w in automorphism_scalars(E1):
+                    w_big = embedding(Fp2, big)(w)
+                    Q = scaled_point(P1, w_big, E1)
+                    vid = point_index.get((ci2, Q.key()))
+                    if vid is not None and vertices[vid].point.key() == Q.key():
+                        dst = vid
+                        post = u0 * w
+                        break
+                if dst is None:
+                    raise InvariantBreach("image point matches no representative")
+                orbit = vertices[dst].aut_order
+            arrows.append(SSArrow(len(arrows), v.id, dst, h, phi, post, orbit))
+    return vertices, arrows
+
+
+@pytest.mark.parametrize("p,ell,N", [(11, 3, 1), (11, 5, 2), (11, 3, 4),
+                                     (11, 3, 5), (13, 3, 5), (13, 5, 4),
+                                     (11, 3, 13)])
+def test_level_structure_matches_point_matching(p, ell, N):
+    G = build_ssgraph(p, ell, N)
+    vertices, arrows = reference_level_graph(G.curves, ell, N)
+    assert ([(v.point.key(), v.aut_order, v.curve_index) for v in G.vertices]
+            == [(v.point.key(), v.aut_order, v.curve_index) for v in vertices])
+    assert ([(ar.src, ar.dst, ar.post_scalar.enc()) for ar in G.arrows]
+            == [(ar.src, ar.dst, ar.post_scalar.enc()) for ar in arrows])
+
+
+@pytest.mark.parametrize("p,ell,N", [(11, 3, 13), (11, 5, 2), (11, 5, 1),
+                                     (13, 3, 1)])
+def test_isogeny_evaluations_per_build(p, ell, N, monkeypatch):
+    # two evaluations per (curve, kernel) read the matrix of the arrow on
+    # E[N]; at N = 1 the matrix is zero and no point is evaluated
+    calls = []
+    call = Isogeny.__call__
+
+    def counting(self, P):
+        calls.append(P)
+        return call(self, P)
+
+    monkeypatch.setattr(Isogeny, "__call__", counting)
+    G = build_ssgraph(p, ell, N)
+    assert len(calls) == (2 * (ell + 1) * len(G.curves) if N > 1 else 0)
