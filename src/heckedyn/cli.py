@@ -23,17 +23,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _precision(args):
-    """-M when given, 0 included (every command rejects it), else
-    $HECKEDYN_PRECISION or the package default."""
+    """-M when given, else $HECKEDYN_PRECISION when set and non-empty, else
+    the package default.  Either value is used as given, 0 included (every
+    command rejects it); a variable that is not an integer is a usage error."""
     if args.M is not None:
         return args.M
     env = os.environ.get("HECKEDYN_PRECISION")
-    if env:
-        try:
-            return max(2, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_PRECISION
+    if not env:
+        return DEFAULT_PRECISION
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError("HECKEDYN_PRECISION must be an integer, got %r"
+                         % env) from None
 
 
 def build_parser():

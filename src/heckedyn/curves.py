@@ -12,8 +12,10 @@ multiplication, never by root finding in big fields.  On canonical models
 the cofactor is that of the group exponent p^r - 1, and the basis scan
 skips x in F_p whenever E[ell^e] does not lie over F_{p^4}.  Scalar
 multiplication runs in Jacobian coordinates with one field inversion at
-the end.  ``torsion_grid`` indexes E[N] by (i, j), P = i P1 + j P2, and is
-made affine with one batch inversion.  ``action_matrix`` reads a map on
+the end.  ``torsion_grid`` is the one index of E[N]: it holds
+P = i P1 + j P2 at (i, j), is made affine with one batch inversion and is
+cached on the curve together with its inverse ``torsion_index``, so
+``torsion_coordinates`` is one lookup.  ``action_matrix`` reads a map on
 E[m] as a 2x2 matrix mod m against the torsion bases of its source and
 target; a chain's trace mod m is the trace of its matrix.
 """
@@ -888,9 +890,13 @@ def torsion_basis(E, N):
 def torsion_grid(E, N):
     """{(i, j): i P1 + j P2} over all of E[N], on the basis (P1, P2) =
     torsion_basis(E, N); {(0, 0): O} at N = 1.  The grid is walked in
-    Jacobian coordinates and made affine with one inversion."""
+    Jacobian coordinates, made affine with one inversion and cached on E;
+    callers must not mutate it."""
     if N == 1:
         return {(0, 0): E.infinity()}
+    got = E._torsion_cache.get(("grid", N))
+    if got is not None:
+        return got
     P1, P2 = torsion_basis(E, N)
     F = P1.field
     a = E.coeffs_in(F)[0].coeffs
@@ -907,9 +913,19 @@ def torsion_grid(E, N):
             if i or j:
                 coords.append((i, j))
                 keep.append(cur)
-    grid = {(0, 0): E.infinity(F)}
+    grid = E._torsion_cache[("grid", N)] = {(0, 0): E.infinity(F)}
     grid.update(zip(coords, _affine(E, F, keep)))
     return grid
+
+
+def torsion_index(E, N):
+    """{P.key(): (i, j)}, the inverse of torsion_grid(E, N), cached on E;
+    callers must not mutate it."""
+    got = E._torsion_cache.get(("index", N))
+    if got is None:
+        got = {P.key(): c for c, P in torsion_grid(E, N).items()}
+        E._torsion_cache[("index", N)] = got
+    return got
 
 
 def all_points_of_order(E, N):
@@ -921,25 +937,12 @@ def all_points_of_order(E, N):
 
 def torsion_coordinates(R, m):
     """(a, b) with R = a Q1 + b Q2 on the basis (Q1, Q2) = torsion_basis(E, m)
-    of R's curve: baby steps in <Q2>, a table of m points cached per curve,
-    and giant steps R - a Q1."""
-    E = R.curve
-    Q1, Q2 = torsion_basis(E, m)
-    table = E._torsion_cache.get(("baby", m))
-    if table is None:
-        table = {}
-        S = E.infinity(Q2.field)
-        for b in range(m):
-            table[S.key()] = b
-            S = S + Q2
-        E._torsion_cache[("baby", m)] = table
-    S = R
-    for a in range(m):
-        b = table.get(S.key())
-        if b is not None:
-            return a, b
-        S = S - Q1
-    raise InvariantBreach("point is not in E[%d]" % m)
+    of R's curve E: one lookup of R in torsion_index(E, m), whose points
+    live over the torsion field of E[m]."""
+    got = torsion_index(R.curve, m).get(R.key())
+    if got is None:
+        raise InvariantBreach("point is not in E[%d]" % m)
+    return got
 
 
 def action_matrix(f, E, m):

@@ -16,13 +16,12 @@ import math
 from .curves import (action_matrix, automorphism_scalars, canonical_ss_model,
                      chain_eval, chain_trace, dual_isogeny, ell_subgroups,
                      iso_scalars, j_invariant, scaled_point,
-                     supersingular_j_in_base, torsion_grid,
+                     supersingular_j_in_base, torsion_grid, torsion_index,
                      trace_from_residues, velu)
 from .errors import (BudgetExhausted, EvenEll, InvariantBreach, NotAUnit,
                      NotClosed, ScaleExceeded, SharedCharacteristic,
                      UsageError)
-from .fields import (embedding, factor, is_prime, make_field,
-                     squarefree_split)
+from .fields import factor, is_prime, squarefree_split
 from .fields import multiplicative_order as alpha_of_level  # noqa: F401
 from .markov import is_strongly_connected, out_period
 
@@ -141,25 +140,32 @@ def build_ssgraph(p, ell, N=1):
         raise ScaleExceeded("instance too large: ~%d curves at level %d"
                             % (est_curves, N))
 
-    Fp2 = make_field(p, 2)
     # discover every supersingular curve by closing under ell-isogenies; the
-    # graph is connected, so one seed reaches all of them
+    # graph is connected, so one seed reaches all of them.  Once per (curve,
+    # kernel) it makes the isogeny phi, the canonical model E1 of the
+    # quotient, the first isomorphism u0 onto E1 and the matrix of u0 phi
     seed = next(supersingular_j_in_base(p), None)
     if seed is None:
         raise InvariantBreach("no supersingular j in the base field")
-    seen = {}
-    queue = [embedding(seed.field, Fp2)(seed).enc()]
+    seen = {}           # curve -> [(h, phi, E1, u0, matrix on E[N])]
+    queue = [canonical_ss_model(seed)]
     while queue:
-        enc = queue.pop(0)
-        if enc in seen:
+        E = queue.pop(0)
+        if E in seen:
             continue
-        E = canonical_ss_model(Fp2.from_enc(enc))
-        seen[enc] = E
+        isos = seen[E] = []
         for h in ell_subgroups(E, ell):
-            j2 = j_invariant(velu(E, h).target).enc()
-            if j2 not in seen:
-                queue.append(j2)
-    curves = [seen[enc] for enc in sorted(seen)]
+            phi = velu(E, h)
+            E1 = canonical_ss_model(j_invariant(phi.target))
+            us = iso_scalars(phi.target, E1)
+            if not us:
+                raise InvariantBreach("quotient not isomorphic to a representative")
+            M = action_matrix(lambda P: scaled_point(phi(P), us[0], E1), E, N)
+            isos.append((h, phi, E1, us[0], M))
+            if E1 not in seen:
+                queue.append(E1)
+    curves = sorted(seen, key=lambda E: j_invariant(E).enc())
+    curve_index = {E: i for i, E in enumerate(curves)}
 
     # vertex set: one per Aut-orbit of exact order-N points, all read as
     # coordinates (i, j) on the torsion basis, so orbits are matrix products
@@ -172,10 +178,9 @@ def build_ssgraph(p, ell, N=1):
         auts = [(w, action_matrix(lambda P, w=w: scaled_point(P, w, E), E, N))
                 for w in automorphism_scalars(E)]
         aut_mats.append(auts)
-        order_n = [c for c in grid if math.gcd(N, *c) == 1]
         # in key order, the first unassigned point is least in its orbit
-        for c in sorted(order_n, key=lambda c: grid[c].key()):
-            if (ci, c) in vertex_at:
+        for _, c in sorted(torsion_index(E, N).items()):
+            if math.gcd(N, *c) != 1 or (ci, c) in vertex_at:
                 continue
             orbit = {_apply(W, c, N) for _, W in auts}
             v = SSVertex(len(vertices), E, grid[c], len(auts) // len(orbit), ci)
@@ -184,27 +189,11 @@ def build_ssgraph(p, ell, N=1):
             for o in orbit:
                 vertex_at[(ci, o)] = v.id
 
-    curve_index = {E.key(): i for i, E in enumerate(curves)}
-
     # arrows: one per cyclic subgroup of each source vertex
     arrows = []
-    iso_cache = {}
     for v in vertices:
-        E = v.curve
-        for h in ell_subgroups(E, ell):
-            cache_key = (v.curve_index, h.key())
-            got = iso_cache.get(cache_key)
-            if got is None:
-                phi = velu(E, h)
-                E1 = canonical_ss_model(j_invariant(phi.target))
-                us = iso_scalars(phi.target, E1)
-                if not us:
-                    raise InvariantBreach("quotient not isomorphic to a representative")
-                u0 = us[0]
-                M = action_matrix(lambda P: scaled_point(phi(P), u0, E1), E, N)
-                got = (phi, curve_index[E1.key()], u0, M)
-                iso_cache[cache_key] = got
-            phi, ci2, u0, M = got
+        for h, phi, E1, u0, M in seen[v.curve]:
+            ci2 = curve_index[E1]
             # adjust by an automorphism w of E1 so the image is the stored
             # representative; the composite u0 w is then a genuine label
             img = _apply(M, coords[v.id], N)

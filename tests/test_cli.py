@@ -288,3 +288,29 @@ def test_dyn_precision_zero_exits_1(tmp_path, capsys, argv, msg):
     code, out, err = run(["dyn"] + argv + ["-M", "0"] + extra, capsys)
     assert code == 1 and msg in err
     assert not os.path.exists(out_path)
+
+
+@pytest.mark.parametrize("value, msg", [("abc", "HECKEDYN_PRECISION"),
+                                        ("0", "precision")])
+def test_precision_variable_rejects_bad_values(monkeypatch, capsys, value,
+                                                msg):
+    # a value that is not an integer names the variable; 0 is used as
+    # given and rejected like -M 0, not raised to a working precision
+    monkeypatch.setenv("HECKEDYN_PRECISION", value)
+    code, out, err = run(["dyn", "closure", "-p", "5", "--lam", "2"], capsys)
+    assert code == 1 and msg in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["dyn", "closure", "-p", "5", "--lam", "2"],
+    ["dyn", "orbit", "-p", "5", "--lam", "2", "--t", "5", "-n", "10"],
+])
+def test_precision_variable_matches_flag(monkeypatch, capsys, argv):
+    monkeypatch.delenv("HECKEDYN_PRECISION", raising=False)
+    flag = run(argv + ["-M", "6"], capsys)
+    monkeypatch.setenv("HECKEDYN_PRECISION", "6")
+    env = run(argv, capsys)
+    assert flag[0] == 0 and env == flag
+    if argv[1] == "orbit":
+        monkeypatch.delenv("HECKEDYN_PRECISION")
+        assert run(argv, capsys) != flag

@@ -445,6 +445,70 @@ def test_torsion_coordinates_round_trip(g_11_5_1):
             assert torsion_coordinates(a * Q1 + b * Q2, m) == (a, b)
 
 
+def reference_torsion_coordinates(R, m):
+    """(a, b) with R = a Q1 + b Q2 on the basis (Q1, Q2) = torsion_basis(E, m)
+    of R's curve: baby steps in <Q2>, a table of m points cached per curve,
+    and giant steps R - a Q1."""
+    E = R.curve
+    Q1, Q2 = torsion_basis(E, m)
+    table = E._torsion_cache.get(("baby", m))
+    if table is None:
+        table = {}
+        S = E.infinity(Q2.field)
+        for b in range(m):
+            table[S.key()] = b
+            S = S + Q2
+        E._torsion_cache[("baby", m)] = table
+    S = R
+    for a in range(m):
+        b = table.get(S.key())
+        if b is not None:
+            return a, b
+        S = S - Q1
+    raise InvariantBreach("point is not in E[%d]" % m)
+
+
+def _volcano_base_f2_model():
+    # the F_{p^2} model that walk_endo_empirical builds for vertex 0 of the
+    # (41, 12, 3) volcano
+    from heckedyn.curves import Curve
+    from heckedyn.fields import make_field
+    from heckedyn.volcano import build_empirical
+    E = build_empirical(41, 12, 3).curves[0]
+    F2 = make_field(41, 2)
+    emb = embedding(E.field, F2)
+    return Curve(F2, emb(E.a), emb(E.b))
+
+
+def test_torsion_coordinates_match_baby_step_giant_step():
+    cases = [(E, m) for E in sorted({*build_ssgraph(11, 5, 1).curves,
+                                      *build_ssgraph(11, 3, 13).curves},
+                                     key=lambda E: E.key())
+             for m in (3, 5, 7, 13, 19)]
+    cases.append((_volcano_base_f2_model(), 7))
+    for E, m in cases:
+        Q1, Q2 = torsion_basis(E, m)
+        grid = {}
+        for a in range(m):
+            for b in range(m):
+                grid[(a, b)] = a * Q1 + b * Q2
+        for ab, R in grid.items():
+            assert torsion_coordinates(R, m) == ab
+            assert reference_torsion_coordinates(R, m) == ab
+
+
+def test_torsion_coordinates_reject_points_outside_e_m():
+    # E[7] and E[19] of a canonical model at p = 11 both lie over F_{11^6},
+    # and they meet only in O
+    E = build_ssgraph(11, 5, 1).curves[0]
+    P = all_points_of_order(E, 19)[0]
+    assert P.field is torsion_basis(E, 7)[0].field
+    assert P.field.k == 6
+    for coordinates in (torsion_coordinates, reference_torsion_coordinates):
+        with pytest.raises(InvariantBreach, match="not in E\\[7\\]"):
+            coordinates(P, 7)
+
+
 @pytest.mark.parametrize("p,ell", [(37, 3), (61, 5), (101, 3), (47, 7)])
 def test_ramanujan_bound_level_one(p, ell):
     # the arrow-count matrix at N = 1 is the Brandt matrix B(ell): one
@@ -601,3 +665,20 @@ def test_isogeny_evaluations_per_build(p, ell, N, monkeypatch):
     monkeypatch.setattr(Isogeny, "__call__", counting)
     G = build_ssgraph(p, ell, N)
     assert len(calls) == (2 * (ell + 1) * len(G.curves) if N > 1 else 0)
+
+
+@pytest.mark.parametrize("p,ell,N", [(11, 3, 1), (47, 3, 1), (13, 7, 1),
+                                     (11, 3, 13)])
+def test_one_isogeny_per_curve_and_kernel(p, ell, N, monkeypatch):
+    import heckedyn.ssgraph as ssgraph_module
+    calls = []
+    make = ssgraph_module.velu
+
+    def counting(E, kernel):
+        calls.append((E.key(), kernel.key()))
+        return make(E, kernel)
+
+    monkeypatch.setattr(ssgraph_module, "velu", counting)
+    G = build_ssgraph(p, ell, N)
+    assert len(calls) == (ell + 1) * len(G.curves)
+    assert len(set(calls)) == len(calls)
