@@ -4,7 +4,8 @@ Short Weierstrass models only; the package excludes characteristics 2 and 3
 throughout the curve layer.  Supersingularity is read off the Hasse
 invariant, and a canonical supersingular model is picked by the order of one
 point, so the supersingular side never counts points; exhaustive counting
-serves only traces of Frobenius on the ordinary side.
+serves only traces of Frobenius on the ordinary side.  A canonical model is
+tested once per class mod 4th / 6th powers (``FieldDesc.first_in_class``).
 The rational ell-subgroups are read off the cycles in which one [g],
 g a generator of (Z/ell)^x / {+-1}, permutes the factors of psi_ell.
 Torsion points over larger extensions are produced by cofactor
@@ -351,16 +352,11 @@ def _is_canonical(E):
     raise InvariantBreach("no point of order > 3 on %r" % (E,))
 
 
-def _power_class(F, n, e):
-    """The class of F.from_enc(n) mod e-th powers, as the encoding of its
-    ((q-1)/e)-th power."""
-    return (F.from_enc(n) ** ((F.order - 1) // e)).enc()
-
-
 def canonical_ss_model(j):
     """The canonical supersingular model over F_{p^2}: the lex-smallest
     coefficient vector with #E(F_{p^2}) = (p-1)^2, i.e. squared Frobenius
-    acting as the scalar p."""
+    acting as the scalar p.  The isomorphic models (a u^4, b u^6) share
+    the verdict, so each class is tested once, on its first element."""
     p = j.field.p
     Fp2 = make_field(p, 2)
     if j.field.k == 1:
@@ -374,9 +370,12 @@ def canonical_ss_model(j):
     if not is_supersingular(model_from_j(Fp2, j)):
         raise NotSupersingular("j = %d is not supersingular at p = %d" % (j.enc(), p))
     if j.is_zero() or j == 1728:
-        # all models are (0, b) resp. (a, 0); scan in encoding order
-        for n in range(1, Fp2.order):
-            z = Fp2.from_enc(n)
+        # the models are (0, z) resp. (z, 0), one per class of z mod 6th
+        # resp. 4th powers; try the classes by their first elements
+        e = 6 if j.is_zero() else 4
+        firsts = [Fp2.first_in_class(e, c)
+                  for c in _binomial_roots(Fp2, e, Fp2.one())]
+        for z in sorted(firsts, key=ExtFieldElement.enc):
             best = Curve(Fp2, Fp2.zero(), z) if j.is_zero() else Curve(Fp2, z, Fp2.zero())
             if _is_canonical(best):
                 break
@@ -394,15 +393,12 @@ def canonical_ss_model(j):
         # the class of a mod 4th powers, which fixes u up to a 4th root of
         # unity, so b' is one of the two square roots of b^2 (a'/a)^3
         a, b = base.a, base.b
-        char = _power_class(Fp2, a.enc(), 4)
-        z = Fp2.from_enc(next(n for n in range(1, Fp2.order)
-                              if _power_class(Fp2, n, 4) == char))
+        z = Fp2.first_in_class(4, a ** ((Fp2.order - 1) // 4))
         r = (b * b * z * z * z / (a * a * a)).sqrt()
         if r is None:
             raise InvariantBreach("b'^2 is not a square for j = %d" % j.enc())
         best = Curve(Fp2, z, min(r, -r, key=lambda t: t.enc()))
     best.canonical_ss = True
-    best._count = (p - 1) ** 2
     _CANONICAL_CACHE[key] = best
     return best
 
@@ -714,10 +710,7 @@ def _binomial_roots(F, e, r):
 
 def automorphism_scalars(E):
     """The scalars u with (x,y) -> (u^2 x, u^3 y) an automorphism of E."""
-    F = E.field
-    if not E.a.is_zero() and not E.b.is_zero():
-        return [F.one(), -F.one()]
-    return _binomial_roots(F, 6 if E.a.is_zero() else 4, F.one())
+    return iso_scalars(E, E)
 
 
 def iso_scalars(E1, E2):
@@ -735,17 +728,9 @@ def iso_scalars(E1, E2):
         return _binomial_roots(F, 4, E2.a / E1.a)
     if E2.a.is_zero() or E2.b.is_zero():
         return []
-    ratio = (E2.b * E1.a) / (E1.b * E2.a)  # u^2
-    u = ratio.sqrt()
-    if u is None:
-        return []
-    out = []
-    for cand in {u, -u}:
-        c2 = cand * cand
-        if E1.a * c2 * c2 == E2.a and E1.b * c2 * c2 * c2 == E2.b:
-            out.append(cand)
-    out.sort(key=lambda t: t.enc())
-    return out
+    r = (E2.b * E1.a) / (E1.b * E2.a)  # u^2; b1 r^3 = b2 once a1 r^2 = a2
+    u = r.sqrt() if E1.a * r * r == E2.a else None
+    return [] if u is None else sorted((u, -u), key=lambda t: t.enc())
 
 
 # ---------------------------------------------------------------------------
@@ -753,14 +738,12 @@ def iso_scalars(E1, E2):
 
 def _companion_order(t, q, m):
     """Order of the companion matrix of x^2 - t x + q modulo m."""
-    a, b, c, d = 0, (-q) % m, 1 % m, t % m
-    e = (a, b, c, d)
+    e = (0, (-q) % m, 1 % m, t % m)
     ident = (1 % m, 0, 0, 1 % m)
     cur = e
     r = 1
     while cur != ident:
-        cur = ((cur[0] * a + cur[1] * c) % m, (cur[0] * b + cur[1] * d) % m,
-               (cur[2] * a + cur[3] * c) % m, (cur[2] * b + cur[3] * d) % m)
+        cur = mat_mul(cur, e, m)
         r += 1
         if r > m ** 4:
             raise InvariantBreach("companion matrix order overflow")
@@ -956,6 +939,14 @@ def action_matrix(f, E, m):
     a, c = torsion_coordinates(f(Q1), m)
     b, d = torsion_coordinates(f(Q2), m)
     return a, b, c, d
+
+
+def mat_mul(M, K, m):
+    """M K for 2x2 matrices (a, b, c, d) = [[a, b], [c, d]] mod m."""
+    a, b, c, d = M
+    e, f, g, h = K
+    return ((a * e + b * g) % m, (a * f + b * h) % m,
+            (c * e + d * g) % m, (c * f + d * h) % m)
 
 
 def torsion_point(E, N):

@@ -132,6 +132,8 @@ class FieldDesc:
     shared, so identity comparison is safe.  The arithmetic is that of
     F_p[x]/(modulus) for any monic modulus, with ZeroDivisionError on a
     non-unit; the modulus search relies on this to test its candidates.
+    ``first_in_class`` (the first element of a class mod e-th powers) is
+    the one class scan; it skips F_p when F_p^x cannot meet the class.
     """
 
     __slots__ = ("p", "k", "modulus", "order", "_red", "_square_set",
@@ -355,14 +357,23 @@ class FieldDesc:
             self._square_set = s
         return self._square_set
 
+    def first_in_class(self, e, c):
+        """The first nonzero z in encoding order with z^((q-1)/e) = c, for
+        e | q - 1.  F_p^x meets exactly the classes with c^(e/g) = 1,
+        g = gcd((q-1)/(p-1), e); for any other c the scan starts at p."""
+        q = self.order
+        g = math.gcd((q - 1) // (self.p - 1), e)
+        f = (q - 1) // e
+        for n in range(1 if c ** (e // g) == 1 else self.p, q):
+            z = self.from_enc(n)
+            if z ** f == c:
+                return z
+        raise ValueError("%r has no class %r mod %d-th powers" % (self, c, e))
+
     def nonresidue(self):
         """The first non-square in encoding order (odd q), found once."""
         if self._nonresidue is None:
-            e = (self.order - 1) // 2
-            n = 2
-            while (self.from_enc(n) ** e).enc() == 1:
-                n += 1
-            self._nonresidue = self.from_enc(n)
+            self._nonresidue = self.first_in_class(2, self.elt(-1))
         return self._nonresidue
 
     def __repr__(self):

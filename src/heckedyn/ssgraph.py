@@ -15,7 +15,7 @@ import math
 
 from .curves import (action_matrix, automorphism_scalars, canonical_ss_model,
                      chain_eval, chain_trace, dual_isogeny, ell_subgroups,
-                     iso_scalars, j_invariant, scaled_point,
+                     iso_scalars, j_invariant, mat_mul, scaled_point,
                      supersingular_j_in_base, torsion_grid, torsion_index,
                      trace_from_residues, velu)
 from .errors import (BudgetExhausted, EvenEll, InvariantBreach, NotAUnit,
@@ -268,13 +268,10 @@ def self_dual_loop_count(G):
 def _is_self_dual(G, ai):
     """The self-duality test of ``self_dual_loop_count`` on the loop ai."""
     ell = G.ell
-    a, b, c, d = _arrow_matrix(G, ai, ell)
-    if not (a or b or c or d):
+    M = _arrow_matrix(G, ai, ell)
+    if not any(M):
         raise InvariantBreach("ell-torsion collapsed under a degree-ell map")
-    # M^2 = [[a^2 + bc, b tr], [c tr, d^2 + bc]] with tr = a + d
-    tr = a + d
-    square = (a * a + b * c, b * tr, c * tr, d * d + b * c)
-    return all(x % ell == 0 for x in square)
+    return not any(mat_mul(M, M, ell))
 
 
 def graph_report(G):
@@ -345,11 +342,10 @@ def _arrow_matrix(G, ai, m):
 def _walk_residue(G, walk, m):
     """tr of the walk on E[m]: the product of its arrow matrices, the last
     arrow leftmost, checked against det = ell^d mod m."""
-    a, b, c, d = 1, 0, 0, 1
+    M = (1, 0, 0, 1)
     for ai in walk:
-        e, f, g, h = _arrow_matrix(G, ai, m)
-        a, b, c, d = ((e * a + f * c) % m, (e * b + f * d) % m,
-                      (g * a + h * c) % m, (g * b + h * d) % m)
+        M = mat_mul(_arrow_matrix(G, ai, m), M, m)
+    a, b, c, d = M
     if (a * d - b * c - G.ell ** len(walk)) % m:
         raise InvariantBreach("walk determinant mod %d is not ell^%d"
                               % (m, len(walk)))

@@ -16,7 +16,8 @@ from heckedyn.curves import (Curve, _mult_by_k_fraction,
                              supersingular_j_in_base, torsion_basis,
                              torsion_grid, torsion_point,
                              trace_of_frobenius, velu)
-from heckedyn.fields import Poly, embedding, factor, make_field, poly_factor
+from heckedyn.fields import (Poly, embedding, factor, is_prime, make_field,
+                             poly_factor)
 from heckedyn.ssgraph import build_ssgraph
 
 F11 = make_field(11, 1)
@@ -351,6 +352,82 @@ def test_canonical_model_matches_brute_force(p):
     for j in js:
         E = canonical_ss_model(j)
         assert (E.a.enc(), E.b.enc()) == reference_canonical_ss_model(j)
+
+
+def _power_class(F, n, e):
+    """The class of F.from_enc(n) mod e-th powers, as the encoding of its
+    ((q-1)/e)-th power."""
+    return (F.from_enc(n) ** ((F.order - 1) // e)).enc()
+
+
+def reference_scan_ss_model(j):
+    """The canonical model by the per-element scans: every z in encoding
+    order at j = 0 / 1728, and the full coset search for a' otherwise."""
+    Fp2 = j.field
+    if j.is_zero() or j == 1728:
+        # all models are (0, b) resp. (a, 0); scan in encoding order
+        for n in range(1, Fp2.order):
+            z = Fp2.from_enc(n)
+            best = Curve(Fp2, Fp2.zero(), z) if j.is_zero() else Curve(Fp2, z, Fp2.zero())
+            if curves._is_canonical(best):
+                break
+        else:
+            raise AssertionError("no canonical model found for j = %d" % j.enc())
+    else:
+        base = model_from_j(Fp2, j)
+        if not curves._is_canonical(base):
+            # quadratic twist by the first non-residue
+            d = Fp2.nonresidue()
+            base = Curve(Fp2, base.a * d * d, base.b * d * d * d)
+            if not curves._is_canonical(base):
+                raise AssertionError("no canonical model in either twist class")
+        # the models are (a u^4, b u^6): the least a' is the first element of
+        # the class of a mod 4th powers, which fixes u up to a 4th root of
+        # unity, so b' is one of the two square roots of b^2 (a'/a)^3
+        a, b = base.a, base.b
+        char = _power_class(Fp2, a.enc(), 4)
+        z = Fp2.from_enc(next(n for n in range(1, Fp2.order)
+                              if _power_class(Fp2, n, 4) == char))
+        r = (b * b * z * z * z / (a * a * a)).sqrt()
+        if r is None:
+            raise AssertionError("b'^2 is not a square for j = %d" % j.enc())
+        best = Curve(Fp2, z, min(r, -r, key=lambda t: t.enc()))
+    return (best.a.enc(), best.b.enc())
+
+
+def test_canonical_model_matches_per_element_scans():
+    # every supersingular j over F_{p^2}, p < 110: from p = 11 on the
+    # 3-isogeny graph is connected, so its curves are all of them
+    for p in filter(is_prime, range(5, 110)):
+        js = (supersingular_js(p) if p < 11 else
+              [j_invariant(E) for E in build_ssgraph(p, 3, 1).curves])
+        assert len(js) == ss_count(p)
+        for j in js:
+            E = canonical_ss_model(j)
+            assert (E.a.enc(), E.b.enc()) == reference_scan_ss_model(j)
+
+
+@pytest.mark.parametrize("p", [11, 17, 19, 23, 31, 47, 83, 107, 1019])
+def test_at_most_one_canonical_test_per_class(p, monkeypatch):
+    # j = 0 needs one test per class mod 6th powers, j = 1728 per class mod
+    # 4th powers; the per-element scan made about p tests at p = 47
+    calls = []
+    is_canonical = curves._is_canonical
+
+    def counting(E):
+        calls.append(E)
+        return is_canonical(E)
+
+    monkeypatch.setattr(curves, "_is_canonical", counting)
+    monkeypatch.setattr(curves, "_CANONICAL_CACHE", {})
+    F = make_field(p, 2)
+    for jenc, e in ((0, 6), (1728 % p, 4)):
+        if not is_supersingular(model_from_j(F, F.from_enc(jenc))):
+            continue
+        del calls[:]
+        E = canonical_ss_model(F.from_enc(jenc))
+        assert 1 <= len(calls) <= e
+        assert is_canonical(E)
 
 
 @pytest.mark.parametrize("p", [11, 13, 17, 19])

@@ -369,3 +369,49 @@ def test_nonresidue_is_first_non_square():
         squares = {(z * z).enc() for z in F.elements()}
         first = min(n for n in range(1, F.order) if n not in squares)
         assert F.nonresidue().enc() == first
+
+
+def _discrete_logs(F):
+    """(generator, {enc: log}) by brute force: the first element of order
+    q - 1 and the walk over its powers."""
+    q = F.order
+    primes = [r for r, _ in factor(q - 1)]
+    gen = next(z for z in map(F.from_enc, range(1, q))
+               if all(z ** ((q - 1) // r) != F.one() for r in primes))
+    logs = {}
+    z = F.one()
+    for i in range(q - 1):
+        logs[z.enc()] = i
+        z = z * gen
+    return gen, logs
+
+
+# p = 5, 7, 11, 13 cover p = 1 / 3 mod 4 and p = 1 / 2 mod 3
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_first_in_class_matches_brute_force(p, k):
+    F = make_field(p, k)
+    q = F.order
+    gen, logs = _discrete_logs(F)
+    for e in (2, 3, 4, 6):
+        if (q - 1) % e:
+            continue
+        for r in range(e):
+            # the class of gen^r is the z with log z = r mod e
+            c = gen ** ((q - 1) // e * r)
+            first = min(n for n in range(1, q) if logs[n] % e == r)
+            assert F.first_in_class(e, c).enc() == first
+    with pytest.raises(ValueError):   # 2 is no square root of unity
+        F.first_in_class(2, F.elt(2))
+
+
+def test_first_in_class_skips_f_p_outside_its_image(monkeypatch):
+    # F_p is all square in F_{p^2}: the non-residue scan starts at encoding p
+    F = make_field(1009, 2)
+    seen = []
+    from_enc = FieldDesc.from_enc
+    monkeypatch.setattr(FieldDesc, "from_enc",
+                        lambda self, n: seen.append(n) or from_enc(self, n))
+    z = F.first_in_class(2, F.elt(-1))
+    assert seen[0] == 1009 and seen[-1] == z.enc()
+    assert len(seen) == z.enc() - 1008
