@@ -1038,31 +1038,31 @@ def chain_eval(steps, P):
     return P
 
 
-def chain_trace(steps, E, ell, d, skip_primes=(), candidate_traces=None):
+def chain_trace(steps, E, ell, d, candidate_traces=None):
     """Trace of the endomorphism given by a closed chain of degree ell^d.
 
     The residue mod m is the trace of the chain's matrix on E[m] (the chain
-    must end on E itself); ``trace_from_residues`` picks the primes and lifts.
+    must end on E itself); ``trace_from_residues`` picks the primes, every
+    auxiliary prime but ell and p, and lifts.
     """
     def residue(m):
         a, _, _, dd = action_matrix(lambda P: chain_eval(steps, P), E, m)
         return (a + dd) % m
 
-    return trace_from_residues(E, ell, d, residue, skip_primes,
-                               candidate_traces)
+    return trace_from_residues(E, ell, d, residue, candidate_traces)
 
 
-def trace_from_residues(E, ell, d, residue, skip_primes=(),
-                        candidate_traces=None):
+def trace_from_residues(E, ell, d, residue, candidate_traces=None):
     """Trace of an endomorphism of E of degree ell^d from residue(m), its
     trace mod auxiliary primes m.
 
-    The primes are taken by increasing degree r of the field of E[m], until
-    CRT with a centered lift against the Weil bound 4 ell^(d/2) is
-    unambiguous.  When the caller knows a finite candidate set (the
-    endomorphism lies in a known quadratic field), residues are only
-    collected until one candidate survives, which keeps the auxiliary
-    torsion fields small.
+    The primes are every auxiliary prime other than ell and p, taken by
+    increasing degree r of the field of E[m], until CRT with a centered
+    lift against the Weil bound 4 ell^(d/2) is unambiguous.  That lift is
+    unique, so any set of primes gives the same integer.  When the caller
+    knows a finite candidate set (the endomorphism lies in a known
+    quadratic field), residues are only collected until one candidate
+    survives, which keeps the auxiliary torsion fields small.
     """
     norm = ell ** d
     if d == 0:
@@ -1070,7 +1070,7 @@ def trace_from_residues(E, ell, d, residue, skip_primes=(),
     p = E.field.p
     cands = []
     for m in AUX_TRACE_PRIMES:
-        if m == ell or m == p or m in skip_primes:
+        if m == ell or m == p:
             continue
         try:
             r = torsion_field_degree(E, m)

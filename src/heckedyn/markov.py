@@ -12,8 +12,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .errors import (Bipartite, DepthTooSmall, NotOutRegular, Reducible,
-                     UsageError)
+from .errors import (Bipartite, DepthTooSmall, NotClosed, NotOutRegular,
+                     Reducible, UsageError)
 
 
 def normalize(G):
@@ -88,6 +88,19 @@ def out_period(out):
         for j in ws:
             g = math.gcd(g, dist[i] + 1 - dist[j])
     return abs(g)
+
+
+def closed_walk_start(arrows, walk):
+    """The vertex where a nonempty walk of indices into arrows (each with
+    .src and .dst) starts and ends; NotClosed unless every arrow continues
+    the one before it and the last returns to the start."""
+    for a, b in zip(walk, walk[1:]):
+        if arrows[a].dst != arrows[b].src:
+            raise NotClosed("arrow %d does not continue arrow %d" % (b, a))
+    v0 = arrows[walk[0]].src
+    if arrows[walk[-1]].dst != v0:
+        raise NotClosed("walk does not return to its starting vertex")
+    return v0
 
 
 def is_irreducible(chain):

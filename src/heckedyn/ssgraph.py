@@ -16,14 +16,13 @@ import math
 from .curves import (action_matrix, automorphism_scalars, canonical_ss_model,
                      chain_eval, chain_trace, dual_isogeny, ell_subgroups,
                      iso_scalars, j_invariant, mat_mul, scaled_point,
-                     supersingular_j_in_base, torsion_grid, torsion_index,
-                     trace_from_residues, velu)
+                     supersingular_j_in_base, torsion_coordinates,
+                     torsion_grid, torsion_index, trace_from_residues, velu)
 from .errors import (BudgetExhausted, EvenEll, InvariantBreach, NotAUnit,
-                     NotClosed, ScaleExceeded, SharedCharacteristic,
-                     UsageError)
-from .fields import factor, is_prime, squarefree_split
+                     ScaleExceeded, SharedCharacteristic, UsageError)
+from .fields import is_prime, squarefree_split
 from .fields import multiplicative_order as alpha_of_level  # noqa: F401
-from .markov import is_strongly_connected, out_period
+from .markov import closed_walk_start, is_strongly_connected, out_period
 
 
 class SSVertex:
@@ -318,14 +317,6 @@ def _walk_steps(G, walk):
     return steps
 
 
-def validate_walk(G, walk):
-    if not walk:
-        return
-    for i in range(len(walk) - 1):
-        if G.arrows[walk[i]].dst != G.arrows[walk[i + 1]].src:
-            raise NotClosed("arrow %d does not continue arrow %d" % (walk[i + 1], walk[i]))
-
-
 def _arrow_matrix(G, ai, m):
     """The ``action_matrix`` of the arrow ai on E[m], cached on G.  The
     canonical models all have Frobenius_{p^2} = [p], so E[m] of every curve
@@ -339,9 +330,9 @@ def _arrow_matrix(G, ai, m):
     return M
 
 
-def _walk_residue(G, walk, m):
-    """tr of the walk on E[m]: the product of its arrow matrices, the last
-    arrow leftmost, checked against det = ell^d mod m."""
+def _walk_matrix(G, walk, m):
+    """The walk on E[m]: the product of its arrow matrices, the last arrow
+    leftmost, checked against det = ell^d mod m."""
     M = (1, 0, 0, 1)
     for ai in walk:
         M = mat_mul(_arrow_matrix(G, ai, m), M, m)
@@ -349,36 +340,31 @@ def _walk_residue(G, walk, m):
     if (a * d - b * c - G.ell ** len(walk)) % m:
         raise InvariantBreach("walk determinant mod %d is not ell^%d"
                               % (m, len(walk)))
-    return (a + d) % m
+    return M
 
 
-def walk_char_poly(G, walk, base=None):
+def walk_char_poly(G, walk):
     """WalkEndo of a closed labeled walk (list of arrow indices).
 
-    The trace comes from per-arrow torsion matrices: each arrow acts on
-    E[m] as a 2x2 matrix mod m, cached on G, and the walk's trace mod m is
-    the trace of their product, lifted by CRT as in ``chain_trace``.  The
-    marked-point closure is verified exactly.
+    One walk matrix serves the trace and the level structure.  Each arrow
+    acts on E[m] as a 2x2 matrix mod m, cached on G, and the walk acts as
+    their product.  Its trace a + d mod auxiliary primes m is lifted by CRT
+    as in ``chain_trace``.  The walk fixes the marked point P = i P1 + j P2
+    exactly when its matrix mod N fixes (i, j); at N = 1 both are zero.
     """
     if not walk:
         return WalkEndo(2, 1)
-    validate_walk(G, walk)
-    v0 = G.arrows[walk[0]].src
-    if G.arrows[walk[-1]].dst != v0:
-        raise NotClosed("walk does not return to its starting vertex")
-    if base is not None and base != v0:
-        raise NotClosed("walk does not start at the requested base")
-    E = G.vertices[v0].curve
-    d = len(walk)
-    skip = tuple(q for q, _ in factor(G.N))
-    t = trace_from_residues(E, G.ell, d, lambda m: _walk_residue(G, walk, m),
-                            skip_primes=skip)
-    if G.N > 1:
-        P = G.vertices[v0].point
-        img = chain_eval(_walk_steps(G, walk), P)
-        if img != P:
-            raise InvariantBreach("composed walk does not fix the marked point")
-    return WalkEndo(t, G.ell ** d)
+    v0 = closed_walk_start(G.arrows, walk)
+
+    def residue(m):
+        a, _, _, d = _walk_matrix(G, walk, m)
+        return (a + d) % m
+
+    t = trace_from_residues(G.vertices[v0].curve, G.ell, len(walk), residue)
+    c = torsion_coordinates(G.vertices[v0].point, G.N)
+    if _apply(_walk_matrix(G, walk, G.N), c, G.N) != c:
+        raise InvariantBreach("composed walk does not fix the marked point")
+    return WalkEndo(t, G.ell ** len(walk))
 
 
 def backtrack_endo(G, arrow_index):

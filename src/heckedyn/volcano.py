@@ -14,7 +14,7 @@ from .curves import (Curve, chain_trace, ell_subgroups, is_supersingular,
 from .errors import (BadDiscriminant, ExcludedJ, InvariantBreach, NotClosed,
                      SupersingularStart, UsageError)
 from .fields import embedding, is_prime, make_field
-from .markov import _bfs_dist
+from .markov import _bfs_dist, closed_walk_start
 from .padics import PadicNumber, quadratic_roots
 from .quadforms import fundamental_discriminant, kronecker, prime_class_order
 
@@ -179,6 +179,8 @@ class EmpiricalVolcano:
     """
 
     def __init__(self, p, j0, ell, depth=None):
+        if depth is not None and depth < 0:
+            raise UsageError("depth must be >= 0")
         if not is_prime(p) or p < 5:
             raise UsageError("p must be a prime >= 5")
         if not is_prime(ell) or ell == p:
@@ -323,12 +325,7 @@ def walk_endo_empirical(vol, walk):
     indices in an empirical volcano, recovered from torsion action."""
     if not walk:
         return (2, 1)
-    for i in range(len(walk) - 1):
-        if vol.arrows[walk[i]].dst != vol.arrows[walk[i + 1]].src:
-            raise NotClosed("arrows do not chain")
-    v0 = vol.arrows[walk[0]].src
-    if vol.arrows[walk[-1]].dst != v0:
-        raise NotClosed("walk is not closed")
+    v0 = closed_walk_start(vol.arrows, walk)
     # base everything on the F_{p^2} model so twist scalars embed; one
     # model per vertex keeps its point count and torsion bases
     E2 = vol.f2_models.get(v0)

@@ -139,6 +139,20 @@ def test_volcano_excluded_disc(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("where", [["--disc", "-15"],
+                                   ["-p", "41", "--j", "12"]])
+def test_volcano_rejects_negative_depth(where, capsys, monkeypatch):
+    import heckedyn.volcano
+
+    def refuse(*args):
+        raise AssertionError("curve work before the depth check")
+    monkeypatch.setattr(heckedyn.volcano, "model_from_j", refuse)
+    code, out, err = run(["volcano"] + where + ["-l", "3", "--depth", "-1"],
+                         capsys)
+    assert code == 1
+    assert "depth must be >= 0" in err and out == ""
+
+
 def test_volcano_empirical(capsys):
     code, out, err = run(["volcano", "-p", "11", "--j", "5", "-l", "2",
                           "--depth", "1"], capsys)

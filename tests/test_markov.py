@@ -8,11 +8,12 @@ import pytest
 
 from heckedyn import markov
 from heckedyn.cli import main
-from heckedyn.errors import (Bipartite, DepthTooSmall, NotOutRegular,
-                             Reducible, UsageError)
+from heckedyn.errors import (Bipartite, DepthTooSmall, NotClosed,
+                             NotOutRegular, Reducible, UsageError)
 from heckedyn.graphio import Arrow, load_ssgraph
-from heckedyn.markov import (is_irreducible, mixing_report, normalize, period,
-                             stationary, tv_distance, volcano_escape)
+from heckedyn.markov import (closed_walk_start, is_irreducible, mixing_report,
+                             normalize, period, stationary, tv_distance,
+                             volcano_escape)
 from heckedyn.ssgraph import build_ssgraph
 from heckedyn.volcano import build_synthetic
 
@@ -34,6 +35,17 @@ def _dense(chain):
         for j, w in arrows:
             T[i][j] += Fraction(w, D)
     return T
+
+
+def test_closed_walk_start():
+    # arrows 0 -> 1, 1 -> 0, 1 -> 2, 2 -> 2
+    arrows = _graph(3, 3, [(0, 1), (1, 0), (1, 2), (2, 2)]).arrows
+    assert closed_walk_start(arrows, [0, 1]) == 0
+    assert closed_walk_start(arrows, [3, 3]) == 2
+    with pytest.raises(NotClosed, match="does not continue"):
+        closed_walk_start(arrows, [0, 3, 1])
+    with pytest.raises(NotClosed, match="does not return"):
+        closed_walk_start(arrows, [0, 2])
 
 
 def test_normalize_reference_matrix(g_11_5_1):

@@ -11,7 +11,7 @@ from heckedyn.curves import (Isogeny, all_points_of_order,
                              chain_eval, ell_subgroups, iso_scalars,
                              j_invariant, scaled_point, torsion_basis,
                              torsion_coordinates, trace_from_residues, velu)
-from heckedyn.fields import embedding, factor
+from heckedyn.fields import embedding
 from heckedyn.padics import PadicNumber
 from heckedyn.quadforms import (class_number, fundamental_discriminant,
                                 kronecker)
@@ -156,6 +156,35 @@ def test_closure_fixes_marked_point():
     # walk_char_poly verifies the marked-point closure internally
     e = walk_char_poly(G, walks[0])
     assert e.norm == 3 ** len(walks[0])
+
+
+def test_second_walk_trace_evaluates_no_point(monkeypatch):
+    # one warm-up pass caches every arrow matrix the (11, 3, 5) walks need,
+    # the matrices mod N of the marked-point closure included, so tracing
+    # them again evaluates no isogeny and no chain
+    import heckedyn.ssgraph
+    G = build_ssgraph(11, 3, 5)
+    walks = closed_walks(G, 0, 4)
+    first = [walk_char_poly(G, w) for w in walks]
+
+    def refuse(*args):
+        raise AssertionError("a point was evaluated")
+    monkeypatch.setattr(heckedyn.ssgraph, "chain_eval", refuse)
+    monkeypatch.setattr(Isogeny, "__call__", refuse)
+    assert [walk_char_poly(G, w) for w in walks] == first
+
+
+def test_closure_catches_a_wrong_label():
+    # negating the post-scalar of one arrow negates its matrix: the
+    # determinant and the Weil bound still hold, but the walk now sends the
+    # marked point P to -P
+    G = build_ssgraph(11, 3, 5)
+    w = [1, 29, 16]
+    assert [G.arrows[ai].src for ai in w] == [0, 7, 4]
+    assert G.arrows[w[-1]].dst == 0
+    G.arrows[w[0]].post_scalar = -G.arrows[w[0]].post_scalar
+    with pytest.raises(InvariantBreach):
+        walk_char_poly(G, w)
 
 
 def test_self_dual_loops_cross_checked_by_traces(g_13_5_1):
@@ -327,8 +356,7 @@ def test_odd_closed_walk_budget_exhausted():
 
 # -- walk traces from matrix traces against the relation search -------------
 
-def reference_chain_trace(steps, E, ell, d, skip_primes=(),
-                          candidate_traces=None):
+def reference_chain_trace(steps, E, ell, d, candidate_traces=None):
     """The relation search that ``curves.chain_trace`` used before its
     residues were matrix traces: t with phi^2 - t phi + ell^d = 0 on a
     basis of E[m]."""
@@ -349,22 +377,20 @@ def reference_chain_trace(steps, E, ell, d, skip_primes=(),
             acc2 = acc2 + w2
         raise InvariantBreach("no trace residue mod %d satisfies the relation" % m)
 
-    return trace_from_residues(E, ell, d, residue, skip_primes,
-                               candidate_traces)
+    return trace_from_residues(E, ell, d, residue, candidate_traces)
 
 
 def _reference_trace(G, w):
     E = G.vertices[G.arrows[w[0]].src].curve
-    skip = tuple(q for q, _ in factor(G.N))
-    return reference_chain_trace(_walk_steps(G, w), E, G.ell, len(w),
-                                 skip_primes=skip)
+    return reference_chain_trace(_walk_steps(G, w), E, G.ell, len(w))
 
 
 @pytest.mark.parametrize("case", ["11_3_1", "11_5_1", "13_5_1", "11_3_5"])
 def test_matrix_traces_equal_chain_trace(case, g_11_3_1, g_11_5_1, g_13_5_1):
     # every walk the other tests trace: (11, 3, 1) up to length 4 from both
     # bases, (11, 5, 1) up to length 3, the (13, 5, 1) loops, and the
-    # level-5 walks at (11, 3, 5), where the prime 5 | N is skipped
+    # level-5 walks at (11, 3, 5), whose closure checks cache every arrow's
+    # matrix mod 5
     if case == "11_3_1":
         G = g_11_3_1
         walks = closed_walks(G, 0, 4) + closed_walks(G, 1, 4)
@@ -383,7 +409,7 @@ def test_matrix_traces_equal_chain_trace(case, g_11_3_1, g_11_5_1, g_13_5_1):
         assert e.trace == _reference_trace(G, w), w
         assert e.norm == G.ell ** len(w)
     if G.N > 1:
-        assert all(m != 5 for _, m in G.arrow_matrices)
+        assert {(ai, 5) for w in walks for ai in w} <= set(G.arrow_matrices)
 
 
 @pytest.mark.parametrize("p,j0,ell", [(41, 12, 3), (11, 2, 2)])
@@ -526,16 +552,21 @@ def test_ramanujan_bound_level_one(p, ell):
 
 def _hurwitz_p(n, p):
     """Sum over f^2 | n of h_w(-n / f^2) (1 - (d0/p)) / 2, with
-    h_w = h / (w/2) and d0 the fundamental discriminant of -n / f^2: the
-    class-number term of the trace formula for the Brandt matrices."""
+    h_w = h / (w/2), d0 the fundamental discriminant of -n / f^2 and no
+    term for an order whose conductor p divides; H_p(0) = (p - 1) / 24,
+    the mass.  The class-number term of the trace formula for the Brandt
+    matrices (Gross 1987, section 1)."""
+    if n == 0:
+        return Fraction(p - 1, 24)
     total = Fraction(0)
     f = 1
     while f * f <= n:
         d = -(n // (f * f))
         if n % (f * f) == 0 and d % 4 in (0, 1):
-            h_w = Fraction(class_number(d), {-3: 3, -4: 2}.get(d, 1))
-            d0, _ = fundamental_discriminant(d)
-            total += h_w * (1 - kronecker(d0, p)) / 2
+            d0, conductor = fundamental_discriminant(d)
+            if conductor % p:
+                h_w = Fraction(class_number(d), {-3: 3, -4: 2}.get(d, 1))
+                total += h_w * (1 - kronecker(d0, p)) / 2
         f += 1
     return total
 
@@ -544,13 +575,24 @@ def _hurwitz_p(n, p):
 @pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                                59, 61, 101, 103])
 def test_loop_count_matches_trace_formula(p, ell):
-    # the loops at N = 1 are the trace of the Brandt matrix B(ell): one term
-    # H_p(4 ell - s^2) for each trace s of an endomorphism of degree ell
+    # the arrow counts at N = 1 are the Brandt matrix A = B(ell), whose
+    # loops are its trace; the Hecke recursion B(ell^(d+1)) =
+    # A B(ell^d) - ell B(ell^(d-1)) gives B(ell^d), whose trace has one term
+    # H_p(4 ell^d - s^2) for each trace s of an endomorphism of degree ell^d
     G = build_ssgraph(p, ell, 1)
-    loops = sum(1 for ar in G.arrows if ar.src == ar.dst)
-    formula = sum((1 if s == 0 else 2) * _hurwitz_p(4 * ell - s * s, p)
-                  for s in range(math.isqrt(4 * ell - 1) + 1))
-    assert loops == formula
+    n = len(G.vertices)
+    A = [[0] * n for _ in range(n)]
+    for ar in G.arrows:
+        A[ar.src][ar.dst] += 1
+    B, prev = A, [[int(i == j) for j in range(n)] for i in range(n)]
+    for d in range(1, 5):
+        m = ell ** d
+        formula = sum((1 if s == 0 else 2) * _hurwitz_p(4 * m - s * s, p)
+                      for s in range(math.isqrt(4 * m) + 1))
+        assert sum(B[i][i] for i in range(n)) == formula, d
+        B, prev = [[sum(A[i][k] * B[k][j] for k in range(n))
+                    - ell * prev[i][j] for j in range(n)]
+                   for i in range(n)], B
 
 
 # -- level structure from matrices against the point-matching builder -------
