@@ -197,6 +197,8 @@ def cmd_dyn_walk_measure(args):
         raise UsageError("-k must be >= 1")
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
+    if args.budget < 1:
+        raise UsageError("--budget must be >= 1")
     if M < args.k + 1:
         raise UsageError("classes mod p^%d need -M >= %d" % (args.k, args.k + 1))
     G = ssgraph.build_ssgraph(args.p, args.ell, args.N)

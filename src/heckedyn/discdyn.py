@@ -5,8 +5,9 @@ quaternionic units on the period disc, and seeded random-walk measures.
 The disc of interest is restricted to unramified points: coordinates are
 elements of W(F_{p^2}) of valuation >= 1.  The Moebius chart is pinned by
 two constraints: the identity matrix acts trivially, and unit matrices map
-the disc into itself isometrically (every Moebius step enforces the latter
-with a ChartEscape guard).
+the disc into itself isometrically.  The Moebius step works on u = w/p, so
+its image p u' lies in the disc by construction; ChartEscape guards its one
+division, made once per unit.
 """
 
 import random
@@ -158,32 +159,56 @@ class DiscPoint:
         return "DiscPoint(%r)" % (self.w,)
 
 
-def _unit_ints(gamma, m):
-    """The four coordinates (a0, a1, b0, b1) of gamma reduced mod m."""
-    return (gamma.a.a0.val % m, gamma.a.a1.val % m,
-            gamma.b.a0.val % m, gamma.b.a1.val % m)
+def _unit_map(gamma, P):
+    """gamma as the map u -> (A u + B) / (1 + C u) on u = w/p mod P, for P a
+    power of p: (A0, A1, B0, B1, C0, C1) mod P with A = a/a^sigma,
+    B = b^sigma/a^sigma and C = p b/a^sigma.
 
-
-def _mobius_mod(g, w0, w1, p, d, m):
-    """w -> (a w + p b^sigma) / (b w + a^sigma) on w = w0 + w1*delta mod m,
-    for g = (a0, a1, b0, b1) mod m and m a power of p.
-
-    Both numerator terms have ord >= 1 and the denominator is a unit, so
-    the disc {ord >= 1} maps into itself; ChartEscape guards the invariant.
+    From w = p u, gamma(w) = p (A u + B) / (1 + C u).  The one division, by
+    Nm(a) = a a^sigma, is made here, once per unit; ChartEscape guards it.
     """
-    a0, a1, b0, b1 = g
-    n0 = a0 * w0 + d * a1 * w1 + p * b0
-    n1 = a0 * w1 + a1 * w0 - p * b1
-    e0 = (b0 * w0 + d * b1 * w1 + a0) % m
-    e1 = (b0 * w1 + b1 * w0 - a1) % m
-    if e0 % p == 0 and e1 % p == 0:
+    p = gamma.p
+    d = gamma.a.d
+    a0, a1 = gamma.a.a0.val, gamma.a.a1.val
+    b0, b1 = gamma.b.a0.val, gamma.b.a1.val
+    nm = a0 * a0 - d * a1 * a1
+    if nm % p == 0:
         raise ChartEscape("Moebius denominator is not a unit")
-    ninv = pow(e0 * e0 - d * e1 * e1, -1, m)
-    x0 = (n0 * e0 - d * n1 * e1) * ninv % m
-    x1 = (n1 * e0 - n0 * e1) * ninv % m
-    if x0 % p or x1 % p:
-        raise ChartEscape("unit matrix left the invariant disc")
-    return x0, x1
+    ninv = pow(nm, -1, P)
+    # 1/a^sigma = a/Nm(a): A = a^2, B = b^sigma a and C = p b a, over Nm(a)
+    return ((a0 * a0 + d * a1 * a1) * ninv % P, 2 * a0 * a1 * ninv % P,
+            (b0 * a0 - d * b1 * a1) * ninv % P, (b0 * a1 - b1 * a0) * ninv % P,
+            p * (b0 * a0 + d * b1 * a1) * ninv % P,
+            p * (b0 * a1 + b1 * a0) * ninv % P)
+
+
+def _newton_steps(k):
+    """Newton steps that invert a unit = 1 mod p modulo p^k: ceil(log2 k)."""
+    return (k - 1).bit_length() if k > 1 else 0
+
+
+def _mobius_u(g, u0, u1, d, P, n):
+    """u -> (A u + B) / (1 + C u) mod P on u = u0 + u1*delta, for the map
+    g = _unit_map(gamma, P) and n = _newton_steps(k) at P = p^k.
+
+    C = 0 mod p, so 1 + C u = 1 mod p, and n Newton steps
+    r <- r (2 - (1 + C u) r) from r = 1 invert it.  With s = -C u the
+    iterates are (1 + s)(1 + s^2)...(1 + s^(2^(n-1))), so each step is one
+    factor; at k = 1 the step is affine.  The image w' = p u' lies in the
+    disc {ord >= 1} by construction.
+    """
+    A0, A1, B0, B1, C0, C1 = g
+    x0 = A0 * u0 + d * A1 * u1 + B0
+    x1 = A0 * u1 + A1 * u0 + B1
+    if n:
+        s0 = -(C0 * u0 + d * C1 * u1)
+        s1 = -(C0 * u1 + C1 * u0)
+        x0, x1 = x0 + x0 * s0 + d * x1 * s1, x1 + x0 * s1 + x1 * s0
+        for _ in range(n - 1):
+            s0, s1 = (s0 * s0 + d * s1 * s1) % P, 2 * s0 * s1 % P
+            x0, x1 = ((x0 + x0 * s0 + d * x1 * s1) % P,
+                      (x1 + x0 * s1 + x1 * s0) % P)
+    return x0 % P, x1 % P
 
 
 def mobius_apply(gamma, pt):
@@ -192,11 +217,12 @@ def mobius_apply(gamma, pt):
     w = pt.w
     p = gamma.p
     prec = min(gamma.a.prec, gamma.b.prec, w.prec)
-    m = p ** prec
+    P = p ** (prec - 1)
     d = gamma.a.d
-    x0, x1 = _mobius_mod(_unit_ints(gamma, m), w.a0.val, w.a1.val, p, d, m)
-    return DiscPoint(WqElement(PadicNumber(p, prec, x0),
-                               PadicNumber(p, prec, x1), d))
+    u0, u1 = _mobius_u(_unit_map(gamma, P), w.a0.val // p, w.a1.val // p,
+                       d, P, _newton_steps(prec - 1))
+    return DiscPoint(WqElement(PadicNumber(p, prec, p * u0),
+                               PadicNumber(p, prec, p * u1), d))
 
 
 def transitivity_witness(x, ell):
@@ -338,13 +364,10 @@ def _solve_wq_norm(u, p):
 class EmpiricalMeasure:
     """Visit counts of residue classes (w/p mod p^k) of the invariant disc."""
 
-    def __init__(self, k):
+    def __init__(self, k, counts, total):
         self.k = k
-        self.counts = {}
-        self.total = 0
-
-    def distribution(self):
-        return {k: v / self.total for k, v in self.counts.items()}
+        self.counts = counts
+        self.total = total
 
     def tv_distance(self, other):
         keys = set(self.counts) | set(other.counts)
@@ -354,20 +377,15 @@ class EmpiricalMeasure:
                      - other.counts.get(key, 0) / other.total)
         return s / 2.0
 
-    def copy(self):
-        m = EmpiricalMeasure(self.k)
-        m.counts = dict(self.counts)
-        m.total = self.total
-        return m
-
 
 def random_walk(generators, x0, steps, seed, k=1, checkpoints=()):
     """Iterate uniformly random inverse generators from x0, recording the
     residue class at every step; deterministic under the seed.
 
-    Unit Moebius maps are isometries, so the walk runs on classes of w mod
-    p^(k+1), which fix the keys (w/p mod p^k); inputs must be known that far.
-    Checkpoints outside 1..steps are ignored.
+    Unit Moebius maps are isometries, so the walk runs on the classes
+    u = w/p mod p^k, which are the keys; inputs must be known to w mod
+    p^(k+1).  Each generator is turned into its map on u once.  Checkpoints
+    outside 1..steps are ignored.
 
     Returns (measure, trajectory of checkpoint measures).
     """
@@ -379,21 +397,27 @@ def random_walk(generators, x0, steps, seed, k=1, checkpoints=()):
     if prec < k + 1:
         raise UsageError("classes mod %d^%d need precision >= %d, got %d"
                          % (p, k, k + 1, prec))
-    m = p ** (k + 1)
+    P = p ** k
+    n = _newton_steps(k)
     d = invs[0].a.d
-    ints = [_unit_ints(g, m) for g in invs]
-    rng = random.Random(seed)
-    measure = EmpiricalMeasure(k)
-    counts = measure.counts
-    snaps = []
+    maps = [_unit_map(g, P) for g in invs]
+    # choice makes the one _randbelow(len(maps)) draw that randrange makes,
+    # so a seed gives the same walk through either
+    choice = random.Random(seed).choice
+    step = _mobius_u
+    # visits keyed by u0 P + u1; dicts keep first-visit order
+    counts = {}
+    get = counts.get
+    u0, u1 = x0.w.a0.val // p % P, x0.w.a1.val // p % P
     cps = sorted({c for c in checkpoints if 1 <= c <= steps})
-    w0, w1 = x0.w.a0.val % m, x0.w.a1.val % m
-    for i in range(1, steps + 1):
-        w0, w1 = _mobius_mod(ints[rng.randrange(len(ints))], w0, w1, p, d, m)
-        key = (w0 // p, w1 // p)
-        counts[key] = counts.get(key, 0) + 1
-        measure.total = i
-        if cps and i == cps[0]:
-            snaps.append((i, measure.copy()))
-            cps.pop(0)
-    return measure, snaps
+    snaps = []
+    done = 0
+    for stop in cps + [max(steps, 0)]:
+        for _ in range(stop - done):
+            u0, u1 = step(choice(maps), u0, u1, d, P, n)
+            key = u0 * P + u1
+            counts[key] = get(key, 0) + 1
+        done = stop
+        snaps.append((stop, EmpiricalMeasure(
+            k, {divmod(key, P): c for key, c in counts.items()}, stop)))
+    return snaps.pop()[1], snaps

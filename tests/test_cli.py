@@ -237,6 +237,8 @@ def test_walk_measure_rejects_bad_inputs(tmp_path, capsys):
     for extra, msg in ((["-k", "-1"], "-k must be >= 1"),
                        (["-k", "0"], "-k must be >= 1"),
                        (["--steps", "0"], "--steps must be >= 1"),
+                       (["--budget", "0"], "--budget must be >= 1"),
+                       (["--budget", "-1"], "--budget must be >= 1"),
                        (["-k", "5", "-M", "5"], "need -M >= 6")):
         out_path = str(tmp_path / "m.json")
         code, out, err = run(base + extra + ["--out", out_path], capsys)

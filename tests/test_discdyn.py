@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from heckedyn.discdyn import (DiscAutomorphism, DiscPoint, QuatUnit,
-                              _mobius_mod, _unit_ints, apply,
-                              classify_periodic, identity_unit, mobius_apply,
-                              qc_count, quat_embed, random_walk,
+from heckedyn.discdyn import (DiscAutomorphism, DiscPoint, EmpiricalMeasure,
+                              QuatUnit, _mobius_u, _newton_steps, _unit_map,
+                              apply, classify_periodic, identity_unit,
+                              mobius_apply, qc_count, quat_embed, random_walk,
                               serre_tate_multivar, transitivity_witness)
-from heckedyn.errors import NotAUnit, PrecisionExhausted, UsageError
+from heckedyn.errors import (ChartEscape, NotAUnit, PrecisionExhausted,
+                             UsageError)
 from heckedyn.padics import PadicNumber, quadratic_roots, sqrt_unit, wq
-from heckedyn.ssgraph import closed_walks, sat_membership, walk_char_poly
+from heckedyn.ssgraph import (build_ssgraph, closed_walks, sat_membership,
+                              walk_char_poly)
 
 
 def test_apply_identity_and_scalar():
@@ -213,26 +215,144 @@ def _reference_key(gamma, pt, k):
 def test_integer_kernel_matches_wq_arithmetic(g_11_5_1):
     p, M = 11, 24
     invs = _walk_inverses(g_11_5_1, p, M)
+    assert len(invs) == 27
     d = invs[0].a.d
-    # every generator on every class at k = 1
-    m = p ** 2
+    # every generator on every class at k = 1, where the step is affine
+    P = p
     for gamma in invs:
-        g = _unit_ints(gamma, m)
+        g = _unit_map(gamma, P)
         for c0 in range(p):
             for c1 in range(p):
                 pt = DiscPoint(wq(p, M, p * c0, p * c1))
-                x0, x1 = _mobius_mod(g, p * c0, p * c1, p, d, m)
-                assert (x0 // p, x1 // p) == _reference_key(gamma, pt, 1)
-    # seeded (generator, class) pairs at k = 2, class lifts with high digits
-    m = p ** 3
-    ints = [_unit_ints(gamma, m) for gamma in invs]
+                assert _mobius_u(g, c0, c1, d, P, 0) \
+                    == _reference_key(gamma, pt, 1)
+    # seeded (generator, class) pairs, class lifts with high digits
     rng = random.Random(11)
-    for _ in range(2000):
-        i = rng.randrange(len(invs))
-        w0, w1 = p * rng.randrange(p ** 6), p * rng.randrange(p ** 6)
-        pt = DiscPoint(wq(p, M, w0, w1))
-        x0, x1 = _mobius_mod(ints[i], w0 % m, w1 % m, p, d, m)
-        assert (x0 // p, x1 // p) == _reference_key(invs[i], pt, 2)
+    for k, pairs in ((2, 2000), (3, 500), (5, 500)):
+        P = p ** k
+        maps = [_unit_map(gamma, P) for gamma in invs]
+        for _ in range(pairs):
+            i = rng.randrange(len(invs))
+            u0, u1 = rng.randrange(p ** 6), rng.randrange(p ** 6)
+            pt = DiscPoint(wq(p, M, p * u0, p * u1))
+            got = _mobius_u(maps[i], u0 % P, u1 % P, d, P, _newton_steps(k))
+            assert got == _reference_key(invs[i], pt, k)
+
+
+def test_newton_steps_are_ceil_log2():
+    assert [_newton_steps(k) for k in range(7)] == [0, 0, 1, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("prec", [1, 2, 3])
+def test_mobius_apply_at_low_precision_matches_wq_arithmetic(prec):
+    p = 11
+    rng = random.Random(prec)
+    checked = 0
+    while checked < 40:
+        a = wq(p, prec, rng.randrange(p ** 3), rng.randrange(p ** 3))
+        b = wq(p, prec, rng.randrange(p ** 3), rng.randrange(p ** 3))
+        try:
+            gamma = QuatUnit(a, b)
+        except NotAUnit:
+            continue
+        x = DiscPoint(wq(p, prec, p * rng.randrange(p ** 3),
+                         p * rng.randrange(p ** 3)))
+        y = mobius_apply(gamma, x)
+        num = gamma.a * x.w + gamma.b.conj() * p
+        den = gamma.b * x.w + gamma.a.conj()
+        assert y.w.a0.prec == y.w.a1.prec == prec
+        assert y.w == num * den.inverse()
+        if prec == 1:
+            # known to one digit, every disc point is 0 + O(p)
+            assert (y.w.a0.val, y.w.a1.val) == (0, 0)
+        checked += 1
+
+
+def test_unit_map_tests_the_unit_mod_p():
+    # at P = 1 nothing is a unit mod P, but a = 1 is a unit mod p
+    p = 11
+    g = _unit_map(identity_unit(p, 1), 1)
+    assert g == (0, 0, 0, 0, 0, 0)
+    # QuatUnit refuses a = 0 mod p, so set it past the constructor
+    gamma = identity_unit(p, 3)
+    gamma.a = wq(p, 3, p, 0)
+    with pytest.raises(ChartEscape):
+        _unit_map(gamma, p ** 2)
+
+
+def _reference_unit_ints(gamma, m):
+    """The four coordinates (a0, a1, b0, b1) of gamma reduced mod m."""
+    return (gamma.a.a0.val % m, gamma.a.a1.val % m,
+            gamma.b.a0.val % m, gamma.b.a1.val % m)
+
+
+def _reference_mobius_mod(g, w0, w1, p, d, m):
+    """w -> (a w + p b^sigma) / (b w + a^sigma) on w = w0 + w1*delta mod m,
+    for g = (a0, a1, b0, b1) mod m and m a power of p, with one modular
+    inverse per step."""
+    a0, a1, b0, b1 = g
+    n0 = a0 * w0 + d * a1 * w1 + p * b0
+    n1 = a0 * w1 + a1 * w0 - p * b1
+    e0 = (b0 * w0 + d * b1 * w1 + a0) % m
+    e1 = (b0 * w1 + b1 * w0 - a1) % m
+    if e0 % p == 0 and e1 % p == 0:
+        raise ChartEscape("Moebius denominator is not a unit")
+    ninv = pow(e0 * e0 - d * e1 * e1, -1, m)
+    x0 = (n0 * e0 - d * n1 * e1) * ninv % m
+    x1 = (n1 * e0 - n0 * e1) * ninv % m
+    if x0 % p or x1 % p:
+        raise ChartEscape("unit matrix left the invariant disc")
+    return x0, x1
+
+
+def reference_random_walk(generators, x0, steps, seed, k=1, checkpoints=()):
+    """The walk on w mod p^(k+1) with tuple keys, one modular inverse per
+    step and a copied measure at each checkpoint."""
+    invs = [g.inverse() for g in generators]
+    p = x0.w.p
+    m = p ** (k + 1)
+    d = invs[0].a.d
+    ints = [_reference_unit_ints(g, m) for g in invs]
+    rng = random.Random(seed)
+    measure = EmpiricalMeasure(k, {}, 0)
+    counts = measure.counts
+    snaps = []
+    cps = sorted({c for c in checkpoints if 1 <= c <= steps})
+    w0, w1 = x0.w.a0.val % m, x0.w.a1.val % m
+    for i in range(1, steps + 1):
+        w0, w1 = _reference_mobius_mod(ints[rng.randrange(len(ints))],
+                                       w0, w1, p, d, m)
+        key = (w0 // p, w1 // p)
+        counts[key] = counts.get(key, 0) + 1
+        measure.total = i
+        if cps and i == cps[0]:
+            snaps.append((i, EmpiricalMeasure(k, dict(counts), i)))
+            cps.pop(0)
+    return measure, snaps
+
+
+@pytest.mark.parametrize("inst", [(11, 5, 1), (13, 3, 1)])
+def test_random_walk_matches_reference_walk(inst):
+    p = inst[0]
+    M = 8
+    gens = [g.inverse() for g in _walk_inverses(build_ssgraph(*inst), p, M)]
+    x0 = DiscPoint(wq(p, M, p, 3 * p))
+    steps = 6000
+    cps = [steps // 16, steps // 8, steps // 4, steps // 2, steps]
+    for k in (1, 2, 3):
+        for seed in (7, 8):
+            got, got_snaps = random_walk(gens, x0, steps, seed, k, cps)
+            want, want_snaps = reference_random_walk(gens, x0, steps, seed,
+                                                     k, cps)
+            assert list(got.counts.items()) == list(want.counts.items())
+            assert got.total == want.total == steps
+            assert [(i, list(s.counts.items()), s.total) for i, s in got_snaps] \
+                == [(i, list(s.counts.items()), s.total)
+                    for i, s in want_snaps]
+            assert [a[1].tv_distance(b[1]) for a, b
+                    in zip(got_snaps, got_snaps[1:])] \
+                == [a[1].tv_distance(b[1]) for a, b
+                    in zip(want_snaps, want_snaps[1:])]
 
 
 def test_random_walk_needs_precision_for_its_classes():
