@@ -3,15 +3,18 @@
 Short Weierstrass models only; the package excludes characteristics 2 and 3
 throughout the curve layer.  Supersingularity is read off the Hasse
 invariant, and a canonical supersingular model is picked by the order of one
-point, so the supersingular side never counts points; exhaustive counting
-serves only traces of Frobenius on the ordinary side.  A canonical model is
-tested once per class mod 4th / 6th powers (``FieldDesc.first_in_class``).
+point, so the supersingular side never counts points.  Traces of Frobenius
+over F_p come from Shanks-Mestre baby-step giant-step for p > 229 and from
+the exhaustive count below that; a caller that knows a count by base change
+passes it to ``Curve``.  A canonical model is tested once per class mod
+4th / 6th powers (``FieldDesc.first_in_class``).
 The rational ell-subgroups are read off the cycles in which one [g],
 g a generator of (Z/ell)^x / {+-1}, permutes the factors of psi_ell.
 Torsion points over larger extensions are produced by cofactor
 multiplication, never by root finding in big fields.  On canonical models
-the cofactor is that of the group exponent p^r - 1, and the basis scan
-skips x in F_p whenever E[ell^e] does not lie over F_{p^4}.  Scalar
+the cofactor is that of the group exponent p^r - 1.  A point with x in F_p
+lies in E(F_{q^2}), so the basis scan skips F_p whenever ell^e does not
+divide p^2 - 1 (canonical models) or #E(F_{q^2}) (the others).  Scalar
 multiplication runs in Jacobian coordinates with one field inversion at
 the end.  ``torsion_grid`` is the one index of E[N]: it holds
 P = i P1 + j P2 at (i, j), is made affine with one batch inversion and is
@@ -36,9 +39,10 @@ MAX_AUX_EXT_DEGREE = 40
 
 
 class Curve:
-    """y^2 = x^3 + a x + b over a FieldDesc with p >= 5."""
+    """y^2 = x^3 + a x + b over a FieldDesc with p >= 5; ``count`` is
+    #E(field) when the caller already knows it."""
 
-    def __init__(self, field, a, b):
+    def __init__(self, field, a, b, count=None):
         if field.p < 5:
             raise UnsupportedCharacteristic(
                 "curve layer needs p >= 5, got p = %d" % field.p)
@@ -53,7 +57,7 @@ class Curve:
         if disc.is_zero():
             raise ValueError("singular curve")
         self.canonical_ss = False
-        self._count = None
+        self._count = count
         self._divpoly = {}
         self._xi_cache = {}
         self._coeff_cache = {}
@@ -262,7 +266,8 @@ def model_from_j(field, j):
 
 
 def count_points(E):
-    """#E(F_q) by exhaustive scan with a cached square table; desk scale."""
+    """#E(F_q) by exhaustive scan with a cached square table, unless the
+    count is already known; the reference for every other count."""
     if E._count is None:
         F = E.field
         sq = F.square_set()
@@ -280,7 +285,94 @@ def count_points(E):
 
 
 def trace_of_frobenius(E):
-    return E.field.order + 1 - count_points(E)
+    """q + 1 - #E(F_q): by Shanks-Mestre over F_p with p > MESTRE_MIN_P,
+    otherwise by the exhaustive count."""
+    F = E.field
+    if E._count is None and F.k == 1 and F.p > MESTRE_MIN_P:
+        E._count = _mestre_count(E)
+    return F.order + 1 - count_points(E)
+
+
+# above this p the orders of points on E and its twist fix #E(F_p)
+# (Mestre-Schoof; Cremona-Sutherland 2010 lower it to 29); the first
+# MESTRE_MAX_X values of x give those orders or the count fails fast
+MESTRE_MIN_P = 229
+MESTRE_MAX_X = 1000
+
+
+def _mestre_count(E):
+    """#E(F_p) from the orders of points on E and on its quadratic twist E'
+    (Cohen 7.4.12).  #E and #E' = 2p + 2 - #E lie in the Hasse interval;
+    with L, L' the lcms of the orders found on each, #E is the one N there
+    with L | N and L' | 2p + 2 - N.  Each x in encoding order gives a point
+    P on E or on E' (twisted by the first non-residue d), and L ord(LP) =
+    lcm(L, ord P), where ord(LP) is found by baby-step giant-step over the
+    multiples of L in the interval: O(p^(1/4)) group operations."""
+    F = E.field
+    p = F.p
+    w = math.isqrt(4 * p)
+    lo, hi = p + 1 - w, p + 1 + w
+    d = F.nonresidue()
+    twist = Curve(F, E.a * d * d, E.b * d * d * d)
+    lcm = [1, 1]
+    for enc in range(min(p, MESTRE_MAX_X)):
+        x = F.from_enc(enc)
+        P = E.lift_x(x)
+        side = 0
+        if P is None:
+            side = 1
+            P = twist.lift_x(x * d)
+        if P.y.is_zero():
+            continue
+        L = lcm[side]
+        Q = L * P
+        if Q.inf:
+            continue
+        lcm[side] = L * _point_order(Q, -(-lo // L), hi // L)
+        N = _unique_in_progression(lo, hi, lcm[0], lcm[1], 2 * p + 2)
+        if N is not None:
+            return N
+    raise InvariantBreach("point orders leave #E open for %r" % (E,))
+
+
+def _point_order(Q, lo, hi):
+    """The order of Q, given that some multiple of it lies in [lo, hi].
+    Baby steps jQ, 0 <= j < s, and giant steps -(lo + i s)Q, s^2 > hi - lo,
+    meet at a multiple k = lo + i s + j, and k loses each prime factor that
+    Q does not need."""
+    s = math.isqrt(hi - lo) + 1
+    baby = {}
+    R = Q.curve.infinity(Q.field)
+    for j in range(s):
+        baby.setdefault(R.key(), j)
+        R = R + Q
+    G = -(lo * Q)
+    for i in range(s + 1):
+        j = baby.get(G.key())
+        if j is not None:
+            break
+        G = G - R
+    else:
+        raise InvariantBreach("no multiple of the order of %r in [%d, %d]"
+                              % (Q, lo, hi))
+    k = lo + i * s + j
+    for q, _ in factor(k):
+        while k % q == 0 and ((k // q) * Q).inf:
+            k //= q
+    return k
+
+
+def _unique_in_progression(lo, hi, L, Lt, total):
+    """The N in [lo, hi] with L | N and Lt | total - N when it is the only
+    one, else None."""
+    g = math.gcd(L, Lt)
+    M = L // g * Lt
+    # N = L a with L a = total mod Lt
+    a = total // g * pow(L // g, -1, Lt // g) % (Lt // g)
+    N = lo + (L * a - lo) % M
+    if N > hi:
+        raise InvariantBreach("no group order in the Hasse interval")
+    return N if N + M > hi else None
 
 
 _HASSE_COEFFS = {}
@@ -763,23 +855,25 @@ def torsion_field_degree(E, m):
     return r
 
 
+def _order_over(E, r):
+    """#E(F_{q^r}), q = #E.field, from the trace of Frobenius t by the
+    recurrence t_i = t t_{i-1} - q t_{i-2} for the trace over F_{q^i}."""
+    q = E.field.order
+    t = trace_of_frobenius(E)
+    t0, t1 = 2, t
+    for _ in range(r - 1):
+        t0, t1 = t1, t * t1 - q * t0
+    return q ** r + 1 - t1
+
+
 def torsion_field(E, m):
     """(big field, #E over it, extension degree r) with E[m] rational there."""
     got = E._torsion_cache.get(("field", m))
     if got is not None:
         return got
     p = E.field.p
-    q = E.field.order
     r = torsion_field_degree(E, m)
-    if E.canonical_ss:
-        n = (p ** r - 1) ** 2
-    else:
-        t = trace_of_frobenius(E)
-        # trace over F_{q^r} by the recurrence t_i = t t_{i-1} - q t_{i-2}
-        t0, t1 = 2, t
-        for _ in range(r - 1):
-            t0, t1 = t1, t * t1 - q * t0
-        n = q ** r + 1 - t1
+    n = (p ** r - 1) ** 2 if E.canonical_ss else _order_over(E, r)
     big = make_field(p, E.field.k * r)
     got = (big, n, r)
     E._torsion_cache[("field", m)] = got
@@ -804,16 +898,19 @@ def _prime_power_basis(E, ell, e):
     canonical models E(F_{p^(2r)}) = E[p^r - 1], so c = (p^r - 1) / ell^v
     is prime to ell, and the point taken is (ell^(k-e) c) R with R = cP of
     order ell^k: ell^(k-e) c^2 P, the point that the cofactor c^2 of the
-    group order (p^r - 1)^2 gives.  A point with x in F_p lies in
-    E(F_{p^4}) = E[p^2 - 1], which has no point of order ell^e unless
-    r = ord_{ell^e}(p) divides 2, so the scan then starts at encoding p."""
+    group order (p^r - 1)^2 gives.
+
+    A point with x in F_p lies in E(F_{q^2}), q = #E.field, whose exponent
+    divides p^2 - 1 on canonical models (E(F_{p^4}) = E[p^2 - 1]) and
+    #E(F_{q^2}) on the others.  When ell^e does not divide that number, no
+    such point has order ell^e, and the scan starts at encoding p."""
     m = ell ** e
     big, n, r = torsion_field(E, m)
-    start = 0
+    p = E.field.p
     if E.canonical_ss:
-        n = E.field.p ** r - 1
-        if r > 2:
-            start = E.field.p
+        n = p ** r - 1
+    below = p ** 2 - 1 if E.canonical_ss else _order_over(E, 2)
+    start = p if below % m else 0
     v = 0
     nn = n
     while nn % ell == 0:
@@ -957,71 +1054,6 @@ def torsion_point(E, N):
     if not pts:
         raise InvariantBreach("no point of order %d found" % N)
     return pts[0]
-
-
-# ---------------------------------------------------------------------------
-# dual isogenies
-
-def dual_kernel_poly(phi):
-    """Kernel polynomial of the dual isogeny, located among the rational
-    subgroups of the target by composing with the x-map."""
-    E, E2 = phi.source, phi.target
-    ell = phi.degree
-    if ell == 2:
-        T = E.rhs_poly() // phi.kernel_poly
-    else:
-        T = _div_B(E, ell) // phi.kernel_poly
-    for h2 in ell_subgroups(E2, ell):
-        # h2(N/D) = 0 on the roots of T <=> T | sum_i h2_i N^i D^(dd-i)
-        dd = h2.degree()
-        cs = h2.coeffs
-        acc = Poly(E.field, [])
-        for i in range(dd + 1):
-            term = Poly(E.field, [cs[i]])
-            for _ in range(i):
-                term = term * phi.num
-            for _ in range(dd - i):
-                term = term * phi.den
-            acc = acc + term
-        if (acc % T).is_zero():
-            return h2
-    raise InvariantBreach("dual kernel not found among rational subgroups")
-
-
-def dual_isogeny(phi):
-    """(psi, u) with psi = velu(target, dual kernel) and u the isomorphism
-    scaling such that scaled psi(phi(P)) = [deg] P exactly."""
-    h2 = dual_kernel_poly(phi)
-    psi = velu(phi.target, h2)
-    cands = iso_scalars(psi.target, phi.source)
-    if not cands:
-        raise InvariantBreach("dual target is not isomorphic to the source")
-    # pin down u on a sample point whose image [deg] Q has order > 3, so no
-    # nontrivial automorphism can fix it and fake the comparison
-    E = phi.source
-    Q = None
-    for r in (1, 2, 3, 4):
-        big = make_field(E.field.p, E.field.k * r)
-        for enc in range(big.order):
-            x = big.from_enc(enc)
-            P = E.lift_x(x)
-            if P is None:
-                continue
-            img = phi.degree * P
-            if img.inf or (2 * img).inf or (3 * img).inf:
-                continue
-            Q = P
-            break
-        if Q is not None:
-            break
-    if Q is None:
-        raise InvariantBreach("no sample point for dual normalization")
-    target_val = phi.degree * Q
-    for u in cands:
-        img = scaled_point(psi(phi(Q)), u, E)
-        if img == target_val:
-            return psi, u
-    raise InvariantBreach("no dual normalization matches [deg]")
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ orbits and arrow targets are matrix products (at N = 1 all are zero).
 import math
 
 from .curves import (action_matrix, automorphism_scalars, canonical_ss_model,
-                     chain_eval, chain_trace, dual_isogeny, ell_subgroups,
-                     iso_scalars, j_invariant, mat_mul, scaled_point,
-                     supersingular_j_in_base, torsion_coordinates,
-                     torsion_grid, torsion_index, trace_from_residues, velu)
+                     chain_eval, ell_subgroups, iso_scalars, j_invariant,
+                     mat_mul, scaled_point, supersingular_j_in_base,
+                     torsion_coordinates, torsion_grid, torsion_index,
+                     trace_from_residues, velu)
 from .errors import (BudgetExhausted, EvenEll, InvariantBreach, NotAUnit,
                      ScaleExceeded, SharedCharacteristic, UsageError)
 from .fields import is_prime, squarefree_split
@@ -365,21 +365,6 @@ def walk_char_poly(G, walk):
     if _apply(_walk_matrix(G, walk, G.N), c, G.N) != c:
         raise InvariantBreach("composed walk does not fix the marked point")
     return WalkEndo(t, G.ell ** len(walk))
-
-
-def backtrack_endo(G, arrow_index):
-    """WalkEndo of an arrow followed by its exact dual label: multiplication
-    by ell, recovered independently through the torsion action.
-
-    The stored label of the dual arrow can differ from the exact dual by an
-    automorphism at j in {0, 1728}; this helper always uses the exact dual.
-    """
-    ar = G.arrows[arrow_index]
-    E = G.vertices[ar.src].curve
-    psi, u2 = dual_isogeny(ar.isogeny)
-    steps = [ar.isogeny, psi, (E, u2)]
-    t = chain_trace(steps, E, G.ell, 2)
-    return WalkEndo(t, G.ell ** 2)
 
 
 def closed_walks(G, base, max_len, cap=20000):

@@ -8,9 +8,8 @@ from local degree patterns.  The two are compared in the acceptance suite.
 
 import math
 
-from .curves import (Curve, chain_trace, ell_subgroups, is_supersingular,
-                     iso_scalars, j_invariant, model_from_j,
-                     trace_of_frobenius, velu)
+from .curves import (Curve, chain_trace, ell_subgroups, iso_scalars,
+                     j_invariant, model_from_j, trace_of_frobenius, velu)
 from .errors import (BadDiscriminant, ExcludedJ, InvariantBreach, NotClosed,
                      SupersingularStart, UsageError)
 from .fields import embedding, is_prime, make_field
@@ -188,12 +187,12 @@ class EmpiricalVolcano:
         F = make_field(p, 1)
         if isinstance(j0, int):
             j0 = F.from_enc(j0 % p)
-        E0 = model_from_j(F, j0)
-        if is_supersingular(E0):
+        # supersingular iff p | t, which for p >= 5 means t = 0
+        t = trace_of_frobenius(model_from_j(F, j0))
+        if t % p == 0:
             raise SupersingularStart("j = %d is supersingular" % j0.enc())
         if j0.enc() in (0, 1728 % p):
             raise ExcludedJ("j in {0, 1728} is excluded")
-        t = trace_of_frobenius(E0)
         d_frob = t * t - 4 * p
         d0, cond = fundamental_discriminant(d_frob)
         if d0 in (-3, -4):
@@ -327,13 +326,16 @@ def walk_endo_empirical(vol, walk):
         return (2, 1)
     v0 = closed_walk_start(vol.arrows, walk)
     # base everything on the F_{p^2} model so twist scalars embed; one
-    # model per vertex keeps its point count and torsion bases
+    # model per vertex keeps its torsion bases.  Every vertex has trace +-t,
+    # so by base change its F_{p^2} model has trace t^2 - 2p
     E2 = vol.f2_models.get(v0)
     if E2 is None:
         F2 = make_field(vol.p, 2)
         emb = embedding(vol.field, F2)
         E = vol.curves[v0]
-        E2 = vol.f2_models[v0] = Curve(F2, emb(E.a), emb(E.b))
+        t, p = vol.frobenius_trace, vol.p
+        E2 = vol.f2_models[v0] = Curve(F2, emb(E.a), emb(E.b),
+                                       count=p * p + 1 - (t * t - 2 * p))
     steps = []
     for ai in walk:
         ar = vol.arrows[ai]

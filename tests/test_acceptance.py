@@ -19,10 +19,12 @@ from heckedyn.padics import (PadicNumber, binom_pow, cyclo_binom_fixed,
                              orbit_closure, quadratic_roots, wq)
 from heckedyn.quadforms import (class_number, fundamental_discriminant,
                                 kronecker)
-from heckedyn.ssgraph import (backtrack_endo, build_ssgraph, closed_walks,
-                              graph_report, is_rigid, monoid_certificates,
-                              sat_membership, walk_char_poly)
+from heckedyn.ssgraph import (build_ssgraph, closed_walks, graph_report,
+                              is_rigid, monoid_certificates, sat_membership,
+                              walk_char_poly)
 from heckedyn.volcano import build_empirical, build_synthetic
+
+from duals import backtrack_endo
 
 
 def report(criterion, ok, detail=""):

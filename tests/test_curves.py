@@ -3,14 +3,15 @@ import random
 
 import pytest
 
-from heckedyn.errors import (BadTorsionOrder, EqualCharacteristic, NotAKernel,
-                             NotSupersingular, UnsupportedCharacteristic)
+from heckedyn.errors import (BadTorsionOrder, EqualCharacteristic,
+                             InvariantBreach, NotAKernel, NotSupersingular,
+                             UnsupportedCharacteristic)
 from heckedyn import curves
 from heckedyn.curves import (Curve, _mult_by_k_fraction,
                              _poly_invert_mod, action_matrix,
                              all_points_of_order,
                              automorphism_scalars, canonical_ss_model,
-                             count_points, division_poly, dual_isogeny,
+                             count_points, division_poly,
                              ell_subgroups, is_supersingular, iso_scalars,
                              j_invariant, model_from_j, scaled_point,
                              supersingular_j_in_base, torsion_basis,
@@ -19,6 +20,9 @@ from heckedyn.curves import (Curve, _mult_by_k_fraction,
 from heckedyn.fields import (Poly, embedding, factor, is_prime, make_field,
                              poly_factor)
 from heckedyn.ssgraph import build_ssgraph
+from heckedyn.volcano import build_empirical, walk_endo_empirical
+
+from duals import dual_isogeny
 
 F11 = make_field(11, 1)
 F121 = make_field(11, 2)
@@ -459,6 +463,71 @@ def test_supersingular_side_never_counts_points(monkeypatch):
     assert [j.enc() for j in supersingular_j_in_base(23)] == [0, 3, 19]
 
 
+# ---------------------------------------------------------------------------
+# traces of Frobenius over F_p: Shanks-Mestre against the exhaustive count
+
+def _both_twists(F, j):
+    E = model_from_j(F, j)
+    d = F.nonresidue()
+    return E, Curve(F, E.a * d * d, E.b * d * d * d)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 300) if is_prime(p)])
+def test_trace_of_frobenius_matches_exhaustive_count(p):
+    # both twists of every j, j = 0 and 1728 included, with one exhaustive
+    # count and at most one Shanks-Mestre run per curve: above 229
+    # trace_of_frobenius is Shanks-Mestre, checked against a fresh count;
+    # below it is the count, against which Shanks-Mestre is checked from
+    # p = 31 on (Cremona-Sutherland: p > 29 suffices)
+    F = make_field(p, 1)
+    for e in range(p):
+        for E in _both_twists(F, F.from_enc(e)):
+            t = trace_of_frobenius(E)
+            assert t * t < 4 * p
+            if p > curves.MESTRE_MIN_P:
+                assert t == p + 1 - count_points(Curve(F, E.a, E.b))
+            elif p > 29:
+                assert curves._mestre_count(Curve(F, E.a, E.b)) == p + 1 - t
+
+
+def test_trace_of_frobenius_on_seeded_curves_near_ten_thousand():
+    rng = random.Random(10007)
+    for p in (10007, 10009, 10037):
+        F = make_field(p, 1)
+        for _ in range(6):
+            a, b = rng.randrange(p), rng.randrange(p)
+            if (4 * a ** 3 + 27 * b ** 2) % p == 0:
+                continue
+            t = trace_of_frobenius(Curve(F, a, b))
+            assert t == p + 1 - count_points(Curve(F, a, b))
+            assert t * t < 4 * p
+
+
+def test_trace_of_frobenius_at_the_field_envelope():
+    # p = 2^31 - 1 against complex multiplication: j(O_D) has
+    # 4p = t^2 + |D| b^2 when p splits in Q(sqrt D), and t = 0 when it does
+    # not (Deuring); here -7 and -11 split, -8 and -19 do not
+    from heckedyn.quadforms import kronecker
+    p = 2 ** 31 - 1
+    F = make_field(p, 1)
+    split = []
+    for j, D in ((-3375, -7), (8000, -8), (-32768, -11), (-884736, -19)):
+        t = trace_of_frobenius(model_from_j(F, F.elt(j)))
+        if kronecker(D, p) == 1:
+            split.append(D)
+            b2, r = divmod(4 * p - t * t, -D)
+            assert t != 0 and r == 0 and math.isqrt(b2) ** 2 == b2
+        else:
+            assert t == 0
+    assert split == [-7, -11]
+
+
+def test_mestre_count_fails_fast_without_points(monkeypatch):
+    monkeypatch.setattr(curves, "MESTRE_MAX_X", 0)
+    with pytest.raises(InvariantBreach):
+        trace_of_frobenius(Curve(make_field(10007, 1), 1, 1))
+
+
 def _degree_subsets(factors, dd):
     """Subsets of the factor list with degrees summing to dd."""
     n = len(factors)
@@ -645,6 +714,36 @@ def test_torsion_basis_matches_reference_scan(p):
                 continue
             (ell, e), = factor(N)
             assert torsion_basis(E, N) == reference_prime_power_basis(E, ell, e)
+
+
+def _walk_model(p, j, ell):
+    """The F_{p^2} model of vertex 0 after its first closed 2-walk, with the
+    bases the walk's trace used."""
+    vol = build_empirical(p, j, ell)
+    a = next(ar for ar in vol.arrows if ar.src == 0)
+    b = next(ar for ar in vol.arrows if ar.src == a.dst and ar.dst == 0)
+    walk_endo_empirical(vol, [a.index, b.index])
+    return vol.f2_models[0]
+
+
+def test_ordinary_basis_scan_matches_scan_from_zero():
+    # the F_p skip on ordinary F_{p^2} models gives the basis of the scan
+    # from encoding 0, for every auxiliary prime the walk used
+    for p, j, ell in ((41, 12, 3), (1009, 5, 2)):
+        E2 = _walk_model(p, j, ell)
+        used = sorted(key[1] for key in E2._torsion_cache if key[0] == "basis")
+        assert used
+        for m in used:
+            assert curves._order_over(E2, 2) % m
+            (l, e), = factor(m)
+            assert torsion_basis(E2, m) == reference_prime_power_basis(E2, l, e)
+    # 5 divides #E(F_{41^4}), and the reference takes its first point over
+    # F_41, so the skip must not apply
+    E2 = _walk_model(41, 12, 3)
+    assert curves._order_over(E2, 2) % 5 == 0
+    ref = reference_prime_power_basis(E2, 5, 1)
+    assert ref[0].x.enc() < 41
+    assert torsion_basis(E2, 5) == ref
 
 
 def test_all_points_of_order_matches_affine_grid():

@@ -3,6 +3,8 @@ import pytest
 from heckedyn import curves
 from heckedyn.errors import (BadDiscriminant, ExcludedJ, NotClosed, NotSplit,
                              SupersingularStart)
+from heckedyn.curves import is_supersingular, model_from_j
+from heckedyn.fields import make_field
 from heckedyn.quadforms import class_number, kronecker
 from heckedyn.volcano import (build_empirical, build_synthetic,
                               lambda_of_endo, quad_power, reduce_walk,
@@ -110,6 +112,39 @@ def test_empirical_rejects_bad_starts():
     # p = 13 has ordinary j = 0 (excluded: extra automorphisms)
     with pytest.raises(ExcludedJ):
         build_empirical(13, 0, 2)
+
+
+@pytest.mark.parametrize("p", [11, 13, 101, 233, 263])
+def test_supersingular_start_matches_hasse_invariant(p):
+    # the start is rejected by its trace (p | t); the Hasse invariant is the
+    # oracle, on every j in F_p, and SupersingularStart still comes before
+    # ExcludedJ at j = 0 and 1728
+    F = make_field(p, 1)
+    for e in range(p):
+        supersingular = is_supersingular(model_from_j(F, F.from_enc(e)))
+        try:
+            build_empirical(p, e, 2, depth=0)
+        except SupersingularStart:
+            assert supersingular
+        except ExcludedJ:
+            assert not supersingular
+        else:
+            assert not supersingular
+
+
+def test_empirical_volcano_at_the_field_envelope():
+    # p = 2^31 - 1 splits in Q(sqrt -7), so j = -3375, with CM by the
+    # maximal order of discriminant -7, is ordinary: 4p = t^2 + 7 c^2 for
+    # the Frobenius conductor c; p is inert in Q(sqrt -8), so j = 8000 is
+    # supersingular
+    p = 2 ** 31 - 1
+    vol = build_empirical(p, -3375, 2, depth=1)
+    t = vol.frobenius_trace
+    assert vol.field_disc == -7
+    assert t * t + 7 * vol.frobenius_conductor ** 2 == 4 * p
+    assert len(vol.arrows) == 3 and not vol.complete
+    with pytest.raises(SupersingularStart):
+        build_empirical(p, 8000, 2, depth=0)
 
 
 def test_empirical_degrees_bounded():
@@ -220,8 +255,9 @@ def test_walk_endo_empirical_cross_check():
 
 
 def test_walk_endo_empirical_counts_each_vertex_model_once(monkeypatch):
-    # the F_{p^2} model of a vertex, with its point count and torsion
-    # bases, is built once and reused by every walk from that vertex
+    # the F_{p^2} model of a vertex, with its torsion bases, is built once
+    # and reused by every walk from that vertex; its point count comes from
+    # the volcano's trace by base change, so no walk scans F_{p^2}
     vol = build_empirical(41, 12, 3)
     i = next(ar.index for ar in vol.arrows if ar.src == 0 and ar.dst == 1)
     j = next(ar.index for ar in vol.arrows if ar.src == 1 and ar.dst == 0)
@@ -236,7 +272,10 @@ def test_walk_endo_empirical_counts_each_vertex_model_once(monkeypatch):
     monkeypatch.setattr(curves, "count_points", counting)
     first = walk_endo_empirical(vol, [i, j])
     assert walk_endo_empirical(vol, [i, j]) == first
-    assert len(scans) == 1
+    assert len(scans) == 0
+    monkeypatch.undo()
+    E2 = vol.f2_models[0]
+    assert E2._count == count(curves.Curve(E2.field, E2.a, E2.b))
 
 
 def test_walk_endo_empirical_backtrack_is_scalar():
