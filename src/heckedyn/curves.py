@@ -17,11 +17,13 @@ lies in E(F_{q^2}), so the basis scan skips F_p whenever ell^e does not
 divide p^2 - 1 (canonical models) or #E(F_{q^2}) (the others).  Scalar
 multiplication runs in Jacobian coordinates with one field inversion at
 the end.  ``torsion_grid`` is the one index of E[N]: it holds
-P = i P1 + j P2 at (i, j), is made affine with one batch inversion and is
-cached on the curve together with its inverse ``torsion_index``, so
-``torsion_coordinates`` is one lookup.  ``action_matrix`` reads a map on
-E[m] as a 2x2 matrix mod m against the torsion bases of its source and
-target; a chain's trace mod m is the trace of its matrix.
+P = i P1 + j P2 at (i, j).  Off the two axes each P is an affine chord sum
+with its denominator inverted in one batch, and half of the grid is the
+negation of the other half.  The grid is cached on the curve together with
+its inverse ``torsion_index``, so ``torsion_coordinates`` is one lookup.
+``action_matrix`` reads a map on E[m] as a 2x2 matrix mod m against the
+torsion bases of its source and target; a chain's trace mod m is the trace
+of its matrix.
 """
 
 import math
@@ -221,27 +223,34 @@ def _jacobian_add(F, a, X, Y, Z, x, y):
     return X3, Y3, mul(Z, H)
 
 
+def _batch_inverse(F, values):
+    """The inverses of the nonzero values in F with one field inversion:
+    prefix products, one inverse of the last, then a walk back (Montgomery's
+    trick).  ZeroDivisionError when a value is zero."""
+    mul = F._mulc
+    prefix = [values[0]]
+    for v in values[1:]:
+        prefix.append(mul(prefix[-1], v))
+    inv = F._invc(prefix[-1])
+    out = [None] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        out[i] = mul(inv, prefix[i - 1])
+        inv = mul(inv, values[i])
+    out[0] = inv
+    return out
+
+
 def _affine(E, F, points):
     """The affine points of E over F for Jacobian triples (X, Y, Z), none at
-    infinity, with one field inversion: prefix products of the Z, one
-    inverse of the last, then a walk back (Montgomery's trick)."""
+    infinity, with one batch inversion of the Z."""
     mul = F._mulc
-    prefix = [points[0][2]]
-    for _, _, Z in points[1:]:
-        prefix.append(mul(prefix[-1], Z))
-    inv = F._invc(prefix[-1])
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        X, Y, Z = points[i]
-        if i:
-            zi = mul(inv, prefix[i - 1])
-            inv = mul(inv, Z)
-        else:
-            zi = inv
+    out = []
+    inverses = _batch_inverse(F, [Z for _, _, Z in points])
+    for (X, Y, _), zi in zip(points, inverses):
         zi2 = mul(zi, zi)
-        out[i] = CurvePoint(E, F, ExtFieldElement(F, mul(X, zi2)),
-                            ExtFieldElement(F, mul(mul(Y, zi2), zi)), False,
-                            check=False)
+        out.append(CurvePoint(E, F, ExtFieldElement(F, mul(X, zi2)),
+                              ExtFieldElement(F, mul(mul(Y, zi2), zi)), False,
+                              check=False))
     return out
 
 
@@ -968,10 +977,15 @@ def torsion_basis(E, N):
 
 
 def torsion_grid(E, N):
-    """{(i, j): i P1 + j P2} over all of E[N], on the basis (P1, P2) =
-    torsion_basis(E, N); {(0, 0): O} at N = 1.  The grid is walked in
-    Jacobian coordinates, made affine with one inversion and cached on E;
-    callers must not mutate it."""
+    """{(i, j): i P1 + j P2} over all of E[N] in row-major key order, on the
+    basis (P1, P2) = torsion_basis(E, N); {(0, 0): O} at N = 1.  Cached on
+    E; callers must not mutate it.
+
+    The axes i P1 and j P2 are walked in Jacobian coordinates and made
+    affine together.  Every other point is the chord sum i P1 + j P2, whose
+    x-coordinates differ because the basis is independent; only the pairs
+    with (i, j) <= (N - i, N - j) are summed, with one batch inversion of
+    the chord denominators, and the rest are their negatives."""
     if N == 1:
         return {(0, 0): E.infinity()}
     got = E._torsion_cache.get(("grid", N))
@@ -979,22 +993,44 @@ def torsion_grid(E, N):
         return got
     P1, P2 = torsion_basis(E, N)
     F = P1.field
+    mul, sub = F._mulc, F._subc
     a = E.coeffs_in(F)[0].coeffs
-    x1, y1, x2, y2 = P1.x.coeffs, P1.y.coeffs, P2.x.coeffs, P2.y.coeffs
-    coords, keep = [], []
-    row = (F.one().coeffs, F.one().coeffs, F.zero().coeffs)
+    walk = []
+    for P in (P1, P2):
+        x, y = P.x.coeffs, P.y.coeffs
+        T = (x, y, F.one().coeffs)
+        walk.append(T)
+        for _ in range(N - 2):
+            T = _jacobian_add(F, a, *T, x, y)
+            walk.append(T)
+    pairs = [(i, j) for i in range(1, N // 2 + 1) for j in range(1, N)
+             if (i, j) <= (N - i, N - j)]
+    try:
+        axes = _affine(E, F, walk)
+        # A[i] = i P1 and B[j] = j P2, 0 <= i, j < N
+        A = [E.infinity(F)] + axes[:N - 1]
+        B = A[:1] + axes[N - 1:]
+        inverses = iter(_batch_inverse(
+            F, [sub(B[j].x.coeffs, A[i].x.coeffs) for i, j in pairs]))
+    except ZeroDivisionError:
+        raise InvariantBreach("dependent basis of E[%d]" % N) from None
+    grid = {}
     for i in range(N):
-        if i:
-            row = _jacobian_add(F, a, *row, x1, y1)
-        cur = row
         for j in range(N):
-            if j:
-                cur = _jacobian_add(F, a, *cur, x2, y2)
-            if i or j:
-                coords.append((i, j))
-                keep.append(cur)
-    grid = E._torsion_cache[("grid", N)] = {(0, 0): E.infinity(F)}
-    grid.update(zip(coords, _affine(E, F, keep)))
+            if not (i and j):
+                grid[i, j] = A[i] if i else B[j]
+            elif (i, j) <= (N - i, N - j):
+                xa, ya = A[i].x.coeffs, A[i].y.coeffs
+                xb, yb = B[j].x.coeffs, B[j].y.coeffs
+                lam = mul(sub(yb, ya), next(inverses))
+                x3 = sub(sub(mul(lam, lam), xa), xb)
+                grid[i, j] = CurvePoint(
+                    E, F, ExtFieldElement(F, x3),
+                    ExtFieldElement(F, sub(mul(lam, sub(xa, x3)), ya)), False,
+                    check=False)
+            else:
+                grid[i, j] = -grid[N - i, N - j]
+    E._torsion_cache[("grid", N)] = grid
     return grid
 
 

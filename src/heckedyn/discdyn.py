@@ -401,9 +401,12 @@ def random_walk(generators, x0, steps, seed, k=1, checkpoints=()):
     n = _newton_steps(k)
     d = invs[0].a.d
     maps = [_unit_map(g, P) for g in invs]
-    # choice makes the one _randbelow(len(maps)) draw that randrange makes,
-    # so a seed gives the same walk through either
-    choice = random.Random(seed).choice
+    # the draw of Random.choice(maps), inline: getrandbits of the bit length
+    # of len(maps) until it falls below len(maps), so a seed gives the same
+    # walk as through choice or randrange
+    getrandbits = random.Random(seed).getrandbits
+    n_maps = len(maps)
+    bits = n_maps.bit_length()
     step = _mobius_u
     # visits keyed by u0 P + u1; dicts keep first-visit order
     counts = {}
@@ -414,7 +417,10 @@ def random_walk(generators, x0, steps, seed, k=1, checkpoints=()):
     done = 0
     for stop in cps + [max(steps, 0)]:
         for _ in range(stop - done):
-            u0, u1 = step(choice(maps), u0, u1, d, P, n)
+            r = getrandbits(bits)
+            while r >= n_maps:
+                r = getrandbits(bits)
+            u0, u1 = step(maps[r], u0, u1, d, P, n)
             key = u0 * P + u1
             counts[key] = get(key, 0) + 1
         done = stop

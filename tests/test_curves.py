@@ -779,6 +779,48 @@ def test_torsion_grid_coordinates_and_action_matrix():
                 assert (a + d - {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}[k]) % N == 0
 
 
+def assert_grid_is_scalar_sums(E, N):
+    # every point by scalar multiplication, row-major keys, and the half
+    # of the grid taken by negation
+    P1, P2 = torsion_basis(E, N)
+    grid = torsion_grid(E, N)
+    assert list(grid) == [(i, j) for i in range(N) for j in range(N)]
+    for (i, j), P in grid.items():
+        assert P == i * P1 + j * P2
+        assert grid[(N - i) % N, (N - j) % N] == -P
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_torsion_grid_matches_scalar_multiples(p):
+    # even N holds the self-negating point (N/2, N/2); at p = 11, E[10]
+    # lies over F_{p^2} itself
+    for j in supersingular_js(p):
+        E = canonical_ss_model(j)
+        for N in (2, 3, 6, 8, 9, 10, 12):
+            assert_grid_is_scalar_sums(E, N)
+
+
+def test_torsion_grid_on_ordinary_walk_model():
+    E2 = _walk_model(41, 12, 3)
+    used = sorted(key[1] for key in E2._torsion_cache if key[0] == "grid")
+    assert used
+    for m in used:
+        assert_grid_is_scalar_sums(E2, m)
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_torsion_grid_rejects_a_dependent_basis(N):
+    # P2 = 2 P1: at N = 4 the axis of P2 meets O at 2 P2, at N = 5 the
+    # chord of P1 and 2 P2 = 4 P1 = -P1 has a zero denominator
+    E0 = canonical_ss_model(supersingular_js(11)[0])
+    E = Curve(E0.field, E0.a, E0.b)
+    P1 = torsion_basis(E0, N)[0]
+    E._torsion_cache[("basis", N)] = (P1, 2 * P1)
+    with pytest.raises(InvariantBreach):
+        torsion_grid(E, N)
+    assert ("grid", N) not in E._torsion_cache
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
 def test_points_over_base_field_lie_in_small_torsion(p):
     # the premise of the basis scan's skip of x in F_p: such a point lies in

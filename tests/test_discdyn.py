@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from heckedyn import discdyn
 from heckedyn.discdyn import (DiscAutomorphism, DiscPoint, EmpiricalMeasure,
                               QuatUnit, _mobius_u, _newton_steps, _unit_map,
                               apply, classify_periodic, identity_unit,
@@ -370,6 +372,23 @@ def test_random_walk_ignores_checkpoints_outside_steps():
     _, snaps = random_walk([identity_unit(p, M)], x0, 10, seed=1,
                            checkpoints=(0, 3, 3, 7, 10, 11))
     assert [(i, s.total) for i, s in snaps] == [(3, 3), (7, 7), (10, 10)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 27, 32, 33])
+def test_random_walk_draws_as_random_choice(n, monkeypatch):
+    # generator i's map is i, and a step records the map it is given
+    counter = itertools.count()
+    monkeypatch.setattr(discdyn, "_unit_map", lambda g, P: next(counter) % n)
+    drawn = []
+    monkeypatch.setattr(discdyn, "_mobius_u",
+                        lambda g, u0, u1, d, P, k: drawn.append(g) or (u0, u1))
+    p, M = 11, 4
+    for seed in range(10):
+        drawn.clear()
+        random_walk([identity_unit(p, M)] * n, DiscPoint(wq(p, M, p, 0)),
+                    2000, seed)
+        rng = random.Random(seed)
+        assert drawn == [rng.choice(range(n)) for _ in range(2000)]
 
 
 def test_transitivity_witness_roundtrip():

@@ -355,3 +355,17 @@ def test_synthetic_vs_empirical_suite_smoke():
         syn = build_synthetic(vol.rim_disc, ell, vol.true_depth)
         assert syn.rim_size == len(vol.rim_vertices())
         assert syn.level_sizes == vol.level_sizes()
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="rim_disc takes the prime-to-ell part of the "
+                          "Frobenius conductor as the rim conductor, which "
+                          "fails when End(E) has a smaller prime-to-ell "
+                          "conductor than Z[pi] (here 1 against 5533)")
+def test_rim_disc_at_a_cm_special_start():
+    # j = -3375 has CM by the maximal order of Q(sqrt(-7)): vertex 0 has two
+    # 2-isogenies back to itself (h(-7) = 1) and one down, so it is on the
+    # rim, whose discriminant is -7; the volcano reports -7 * 5533^2
+    vol = build_empirical(2147483647, -3375, 2, 1)
+    assert sorted(ar.dst for ar in vol.arrows if ar.src == 0) == [0, 0, 1]
+    assert vol.rim_disc == -7
