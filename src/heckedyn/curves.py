@@ -555,20 +555,6 @@ def _div_B(E, n):
     return val
 
 
-def division_poly(E, m):
-    """Univariate polynomial whose roots are exactly the x-coordinates of
-    the nonzero m-torsion; m = 2 gives x^3 + ax + b."""
-    if m < 1:
-        raise BadTorsionOrder("m must be >= 1")
-    if m % E.field.p == 0:
-        raise BadTorsionOrder("p divides the torsion order %d" % m)
-    if m == 1:
-        return Poly(E.field, [1])
-    if m % 2 == 1:
-        return _div_B(E, m)
-    return E.rhs_poly() * _div_B(E, m)
-
-
 def _mult_by_k_fraction(E, k):
     """(numerator, denominator) x-polynomials of the multiplication-by-k map."""
     got = E._xi_cache.get(k)
@@ -1080,16 +1066,6 @@ def mat_mul(M, K, m):
     e, f, g, h = K
     return ((a * e + b * g) % m, (a * f + b * h) % m,
             (c * e + d * g) % m, (c * f + d * h) % m)
-
-
-def torsion_point(E, N):
-    """A point of exact order N with lex-smallest (x, y); N = 1 is infinity."""
-    if N == 1:
-        return E.infinity()
-    pts = all_points_of_order(E, N)
-    if not pts:
-        raise InvariantBreach("no point of order %d found" % N)
-    return pts[0]
 
 
 # ---------------------------------------------------------------------------

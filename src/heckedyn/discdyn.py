@@ -12,10 +12,11 @@ division, made once per unit.
 
 import random
 
-from .errors import (ChartEscape, NotAUnit, PrecisionExhausted,
-                     SearchExhausted, UsageError)
-from .padics import (PadicNumber, WqElement, binom_pow, exp, log1p,
-                     smallest_nonresidue, sqrt_unit, wq)
+from .errors import (ChartEscape, InvariantBreach, NotAUnit,
+                     PrecisionExhausted, SearchExhausted, UsageError)
+from .padics import (PadicNumber, WqElement, binom_pow, cyclo_binom_fixed,
+                     require_disc, sat_membership, smallest_nonresidue,
+                     sqrt_unit, wq)
 
 
 class DiscAutomorphism:
@@ -42,27 +43,25 @@ def apply(auto, t):
 
 
 def serre_tate_multivar(F_inv, G_dag, T):
-    """Entrywise prod_{r,s} (1 + t_rs)^(F_inv[r][i] G_dag[s][j]) - 1,
-    computed through the logarithm: exp(F_inv^T L G_dag) - 1.
+    """Entrywise prod_{r,s} (1 + t_rs)^(F_inv[r][i] G_dag[s][j]) - 1, one
+    binom_pow per factor.
 
-    All three arguments are g x g matrices of PadicNumber; T entries need
-    ord >= 1 (>= 2 for p = 2).
+    All three arguments are g x g matrices of PadicNumber; every T entry
+    needs ord >= 1 (>= 2 for p = 2), also one whose exponents are all 0.
     """
+    for row in T:
+        for t in row:
+            require_disc(t)
     g = len(T)
-    L = [[log1p(T[r][s]) for s in range(g)] for r in range(g)]
     out = []
     for i in range(g):
         row = []
         for j in range(g):
-            acc = None
+            acc = 1
             for r in range(g):
                 for s in range(g):
-                    term = F_inv[r][i] * L[r][s] * G_dag[s][j]
-                    acc = term if acc is None else acc + term
-            if acc.val == 0:
-                row.append(PadicNumber(acc.p, acc.prec, 0))
-            else:
-                row.append(exp(acc) - 1)
+                    acc = (1 + binom_pow(T[r][s], F_inv[r][i] * G_dag[s][j])) * acc
+            row.append(acc - 1)
         out.append(row)
     return out
 
@@ -74,7 +73,6 @@ def classify_periodic(lam, m, conductor_valuation_a):
         raise UsageError("conductor valuation must be >= 0")
     if conductor_valuation_a == 0:
         return True
-    from .padics import cyclo_binom_fixed
     return cyclo_binom_fixed(lam.p, conductor_valuation_a, lam ** m)
 
 
@@ -228,41 +226,22 @@ def mobius_apply(gamma, pt):
 def transitivity_witness(x, ell):
     """A unit gamma in the square-class subgroup with gamma(0) = x.
 
-    Built from gamma = (a, x a^sigma; x^sigma a / p, a^sigma) with a running
-    over Teichmuller representatives until the determinant certificate
-    passes; a = 1 always works for odd p since det = 1 mod p.
+    gamma = (a, p b^sigma; b, a^sigma) with a = 1 and b = x^sigma / p: its
+    determinant 1 - Nm(x)/p is 1 mod p, a square, and gamma(0) = p b^sigma
+    = x.  Both facts are checked; InvariantBreach if either fails.
     """
-    from .ssgraph import sat_membership
     w = x.w
-    p = w.p
-    prec = w.prec
+    p, prec = w.p, w.prec
     if w.a0.val == 0 and w.a1.val == 0:
         return identity_unit(p, prec)
-    for a0 in _teichmuller_reps(p, prec):
-        a = a0
-        b = w.conj() * a
-        b = b.shift_down(1)
-        try:
-            gamma = QuatUnit(a, b)
-        except NotAUnit:
-            continue
-        if not sat_membership(gamma.det(), ell):
-            continue
-        img = mobius_apply(gamma, DiscPoint(wq(p, b.prec, 0)))
-        if img.w == w:
-            return gamma
-    raise SearchExhausted("no witness found; must not happen for odd p")
-
-
-def _teichmuller_reps(p, prec):
-    from .padics import teichmuller
-    out = []
-    for u in range(1, p):
-        out.append(teichmuller(PadicNumber(p, prec, u)))
-    reps = []
-    for t in out:
-        reps.append(WqElement(t, PadicNumber(p, prec, 0)))
-    return reps
+    a = wq(p, prec, 1)
+    # the product with a = 1 cuts both coordinates of x to x's precision
+    gamma = QuatUnit(a, (w.conj() * a).shift_down(1))
+    if not sat_membership(gamma.det(), ell):
+        raise InvariantBreach("witness determinant is not in the subgroup")
+    if mobius_apply(gamma, DiscPoint(wq(p, prec - 1, 0))).w != w:
+        raise InvariantBreach("witness does not map 0 to x")
+    return gamma
 
 
 # ---------------------------------------------------------------------------

@@ -446,10 +446,6 @@ class ExtFieldElement:
     def __rtruediv__(self, other):
         return self.field.elt(other) * self.inverse()
 
-    def frobenius(self, e=1):
-        """Image under the p-power Frobenius applied e times."""
-        return self ** (self.field.p ** e)
-
     def sqrt(self):
         """A square root, or None; Tonelli-Shanks on the cyclic unit group."""
         if self.is_zero():
@@ -880,7 +876,6 @@ class Embedding:
         self.small = small
         self.big = big
         self.root = root
-        self._inverse = None
 
     def __call__(self, elt):
         if elt.field is self.big:
@@ -892,40 +887,6 @@ class Embedding:
         for c in reversed(elt.coeffs):
             acc = acc * self.root + c
         return acc
-
-    def _inverse_rows(self):
-        """Rows T over F_p with T V = [I; 0], V the big-field coordinates
-        of root^0, ..., root^(k-1) as columns (Gauss-Jordan on [V | I])."""
-        p, k, K = self.small.p, self.small.k, self.big.k
-        cols = [(self.root ** i).coeffs for i in range(k)]
-        rows = [[col[r] for col in cols] + [int(r == s) for s in range(K)]
-                for r in range(K)]
-        for c in range(k):
-            piv = next(r for r in range(c, K) if rows[r][c])
-            rows[c], rows[piv] = rows[piv], rows[c]
-            inv = pow(rows[c][c], -1, p)
-            rows[c] = [x * inv % p for x in rows[c]]
-            for r in range(K):
-                f = rows[r][c]
-                if r != c and f:
-                    rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
-        return [row[k:] for row in rows]
-
-    def section(self, elt):
-        """Preimage in the small field; raises KeyError if not in the image.
-        Solves sum_i c_i root^i = elt over F_p."""
-        if elt.field is not self.big:
-            raise ValueError("element not in the target field")
-        if self.small is self.big:
-            return elt
-        if self._inverse is None:
-            self._inverse = self._inverse_rows()
-        p, k = self.small.p, self.small.k
-        w = [sum(t * v for t, v in zip(row, elt.coeffs)) % p
-             for row in self._inverse]
-        if any(w[k:]):
-            raise KeyError(elt.enc())
-        return ExtFieldElement(self.small, tuple(w[:k]))
 
 
 def embedding(small, big):

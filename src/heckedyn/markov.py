@@ -103,15 +103,6 @@ def closed_walk_start(arrows, walk):
     return v0
 
 
-def is_irreducible(chain):
-    return is_strongly_connected(_targets(chain[1]))
-
-
-def period(chain):
-    """gcd of cycle lengths of an irreducible chain."""
-    return out_period(_targets(chain[1]))
-
-
 def _solve_exact(rows, rhs):
     """Gaussian elimination over Fractions; rows is a square matrix."""
     n = len(rows)

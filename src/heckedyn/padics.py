@@ -2,13 +2,17 @@
 
 A PadicNumber stores an exact residue mod p^prec together with its absolute
 precision.  Ring operations keep the minimum precision of their inputs;
-dividing by p^v costs exactly v digits.  Ramified objects (p^a-th roots of
+dividing by p^v costs exactly v digits.  There is no log or exp series:
+the disc map (1 + t)^lam - 1 and the Teichmuller lift are each one modular
+power, exact at the stated precision.  Ramified objects (p^a-th roots of
 unity) are never represented directly; assertions about them run inside
 CyclotomicRing quotients, which are exact.
 """
 
+from math import comb
+
 from .errors import (ConvergenceDomain, NotAUnit, NotSplit,
-                     PrecisionExhausted)
+                     PrecisionExhausted, UsageError)
 from .fields import is_prime, make_field, multiplicative_order
 
 DEFAULT_PRECISION = 24
@@ -143,128 +147,37 @@ class PadicNumber:
 
 
 # ---------------------------------------------------------------------------
-# logarithm / exponential / Teichmuller
-
-def _min_valuation(p):
-    # convergence domain of exp and of the isometric branch of log
-    return 2 if p == 2 else 1
-
-
-def log1p(t):
-    """log(1 + t) for ord(t) >= 1 (>= 2 when p = 2), to t's precision.
-
-    Computed with guard digits so the divisions by n are exact; the result
-    satisfies ord(log1p(t)) = ord(t).
-    """
-    p, M = t.p, t.prec
-    if t.val == 0:
-        return PadicNumber(p, M, 0)
-    if t.valuation() < _min_valuation(p):
-        raise ConvergenceDomain("log1p needs ord(t) >= %d" % _min_valuation(p))
-    # terms beyond nmax have valuation >= n - log_p(n) >= M; the bound
-    # n - ilog_p(n) is nondecreasing, unlike n - v_p(n)
-    nmax = 1
-    while nmax - _ilog(p, nmax) < M + 1:
-        nmax += 1
-    guard = 0
-    for n in range(1, nmax + 1):
-        guard = max(guard, _vp(p, n))
-    big = p ** (M + guard)
-    acc = 0
-    tn = t.val % big
-    for n in range(1, nmax + 1):
-        v = _vp(p, n)
-        unit = n // (p ** v)
-        term = (tn // (p ** v)) * pow(unit, -1, big)
-        if tn % (p ** v) != 0:
-            # t^n has valuation >= n > v, exact within the guard window
-            raise PrecisionExhausted("guard digits exhausted in log1p")
-        if n % 2 == 1:
-            acc += term
-        else:
-            acc -= term
-        tn = tn * t.val % big
-    return PadicNumber(p, M, acc)
-
-
-def exp(t):
-    """exp(t) for ord(t) >= 1 (>= 2 when p = 2), to t's precision."""
-    p, M = t.p, t.prec
-    if t.val == 0:
-        return PadicNumber(p, M, 1)
-    if t.valuation() < _min_valuation(p):
-        raise ConvergenceDomain("exp needs ord(t) >= %d" % _min_valuation(p))
-    # v_p(n!) = (n - s_p(n)) / (p - 1); term valuation grows at least like
-    # n * ord(t) - n/(p-1), so n <= 2M + p suffices for all p
-    nmax = 2 * M + p
-    guard = _vp_factorial(p, nmax) + 1
-    big = p ** (M + guard)
-    acc = 1
-    tn = t.val % big
-    fact_v = 0
-    fact_unit = 1
-    for n in range(1, nmax + 1):
-        fact_v += _vp(p, n)
-        fact_unit = fact_unit * (n // (p ** _vp(p, n))) % big
-        pv = p ** fact_v
-        if tn % pv != 0:
-            raise PrecisionExhausted("guard digits exhausted in exp")
-        acc += (tn // pv) * pow(fact_unit, -1, big)
-        tn = tn * t.val % big
-    return PadicNumber(p, M, acc)
-
-
-def _vp(p, n):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _ilog(p, n):
-    v = 0
-    while p ** (v + 1) <= n:
-        v += 1
-    return v
-
-
-def _vp_factorial(p, n):
-    v = 0
-    q = p
-    while q <= n:
-        v += n // q
-        q *= p
-    return v
-
+# Teichmuller lifts and binomial powers
 
 def teichmuller(x):
-    """The unique (p-1)-st root of unity congruent to x mod p."""
+    """The unique (p-1)-st root of unity congruent to x mod p: x^(p^(M+1))
+    mod p^M, the fixed point of y -> y^p at precision M."""
     if not x.is_unit():
         raise NotAUnit("Teichmuller lift needs a unit")
     p, M = x.p, x.prec
-    m = p ** M
-    w = x.val % m
-    for _ in range(M + 1):
-        w = pow(w, p, m)
-    # after enough iterations w is the fixed point of y -> y^p
-    return PadicNumber(p, M, w)
+    return PadicNumber(p, M, pow(x.val, p ** (M + 1), p ** M))
+
+
+def require_disc(t):
+    """Raise ConvergenceDomain unless t = 0 or ord(t) >= 1 (>= 2 at p = 2),
+    the disc on which (1 + t)^lam is continuous in lam."""
+    least = 2 if t.p == 2 else 1
+    if t.val != 0 and t.valuation() < least:
+        raise ConvergenceDomain("(1 + t)^lam needs ord(t) >= %d" % least)
 
 
 def binom_pow(t, lam):
-    """(1 + t)^lam - 1 via exp(lam * log(1+t)).
+    """(1 + t)^lam - 1 as one modular power, to M = min(t.prec, lam.prec).
 
-    Defined for any integral exponent; it is an isometry of the disc
-    exactly when lam is a unit.
+    Exact, as (1 + t)^(p^n) = 1 mod p^(n+1) for ord(t) >= 1 (mod 2^(n+2) for
+    ord(t) >= 2 at p = 2).  Any integral exponent is allowed; the map is an
+    isometry of the disc exactly when lam is a unit.
     """
-    if t.val == 0:
-        return PadicNumber(t.p, min(t.prec, lam.prec), 0)
-    if lam.val == 0:
-        return PadicNumber(t.p, min(t.prec, lam.prec), 0)
-    arg = lam * log1p(t)
-    if arg.val == 0:
-        return PadicNumber(t.p, arg.prec, 0)
-    return exp(arg) - 1
+    p, M = t.p, min(t.prec, lam.prec)
+    if t.val == 0 or lam.val == 0:
+        return PadicNumber(p, M, 0)
+    require_disc(t)
+    return PadicNumber(p, M, pow(1 + t.val, lam.val, p ** M) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +296,6 @@ def wq(p, prec, a0, a1=0):
 # ---------------------------------------------------------------------------
 # cyclotomic quotient rings Z_p[t] / Phi_{p^a}(1+t)
 
-def _binomial(n, k):
-    from math import comb
-    return comb(n, k)
-
-
 class CyclotomicRing:
     """Z/p^M [t] modulo Phi_{p^a}(1 + t); 1 + t is a primitive p^a-th root of 1.
 
@@ -407,7 +315,7 @@ class CyclotomicRing:
         for i in range(p):
             e = i * p ** (a - 1)
             for k in range(e + 1):
-                coeffs[k] = (coeffs[k] + _binomial(e, k)) % self.mod_int
+                coeffs[k] = (coeffs[k] + comb(e, k)) % self.mod_int
         self.modulus = coeffs  # monic of degree self.degree
 
     def one(self):
@@ -535,6 +443,27 @@ def orbit_closure(lam):
         return ClosureDescriptor(r, None, r, True)
     v = diff.valuation()
     return ClosureDescriptor(r, v, r, False)
+
+
+# ---------------------------------------------------------------------------
+# the square-class subgroup (Z_p^x)^2 <ell>
+
+def sat_membership(u, ell):
+    """True iff the unit u lies in (Z_p^x)^2 * <ell>."""
+    p = u.p
+    need = 5 if p == 2 else 3
+    if u.prec < need:
+        raise UsageError("need precision >= %d at p = %d" % (need, p))
+    if not u.is_unit():
+        raise NotAUnit("sat membership is about units")
+    if p == 2:
+        vals = (u.val % 8, u.val * pow(ell, -1, 2 ** u.prec) % 8)
+        return any(v == 1 for v in vals)
+    r1 = pow(u.val % p, (p - 1) // 2, p)
+    if r1 == 1:
+        return True
+    u2 = u.val * pow(ell, -1, p ** u.prec) % p ** u.prec
+    return pow(u2 % p, (p - 1) // 2, p) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,9 @@ from .curves import (action_matrix, automorphism_scalars, canonical_ss_model,
                      mat_mul, scaled_point, supersingular_j_in_base,
                      torsion_coordinates, torsion_grid, torsion_index,
                      trace_from_residues, velu)
-from .errors import (BudgetExhausted, EvenEll, InvariantBreach, NotAUnit,
+from .errors import (BudgetExhausted, EvenEll, InvariantBreach,
                      ScaleExceeded, SharedCharacteristic, UsageError)
 from .fields import is_prime, squarefree_split
-from .fields import multiplicative_order as alpha_of_level  # noqa: F401
 from .markov import closed_walk_start, is_strongly_connected, out_period
 
 
@@ -445,24 +444,3 @@ def monoid_certificates(G, budget=4, base=0):
         "alpha_check": alpha_ok,
         "walks_examined": len(walks),
     }
-
-
-# ---------------------------------------------------------------------------
-# the square-class subgroup (Z_p^x)^2 <ell>
-
-def sat_membership(u, ell):
-    """True iff the unit u lies in (Z_p^x)^2 * <ell>."""
-    p = u.p
-    need = 5 if p == 2 else 3
-    if u.prec < need:
-        raise UsageError("need precision >= %d at p = %d" % (need, p))
-    if not u.is_unit():
-        raise NotAUnit("sat membership is about units")
-    if p == 2:
-        vals = (u.val % 8, u.val * pow(ell, -1, 2 ** u.prec) % 8)
-        return any(v == 1 for v in vals)
-    r1 = pow(u.val % p, (p - 1) // 2, p)
-    if r1 == 1:
-        return True
-    u2 = u.val * pow(ell, -1, p ** u.prec) % p ** u.prec
-    return pow(u2 % p, (p - 1) // 2, p) == 1

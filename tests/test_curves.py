@@ -7,16 +7,14 @@ from heckedyn.errors import (BadTorsionOrder, EqualCharacteristic,
                              InvariantBreach, NotAKernel, NotSupersingular,
                              UnsupportedCharacteristic)
 from heckedyn import curves
-from heckedyn.curves import (Curve, _mult_by_k_fraction,
+from heckedyn.curves import (Curve, _div_B, _mult_by_k_fraction,
                              _poly_invert_mod, action_matrix,
-                             all_points_of_order,
-                             automorphism_scalars, canonical_ss_model,
-                             count_points, division_poly,
-                             ell_subgroups, is_supersingular, iso_scalars,
-                             j_invariant, model_from_j, scaled_point,
+                             all_points_of_order, automorphism_scalars,
+                             canonical_ss_model, count_points, ell_subgroups,
+                             is_supersingular, iso_scalars, j_invariant,
+                             model_from_j, scaled_point,
                              supersingular_j_in_base, torsion_basis,
-                             torsion_grid, torsion_point,
-                             trace_of_frobenius, velu)
+                             torsion_grid, trace_of_frobenius, velu)
 from heckedyn.fields import (Poly, embedding, factor, is_prime, make_field,
                              poly_factor)
 from heckedyn.ssgraph import build_ssgraph
@@ -26,6 +24,30 @@ from duals import dual_isogeny
 
 F11 = make_field(11, 1)
 F121 = make_field(11, 2)
+
+
+def division_poly(E, m):
+    """Univariate polynomial whose roots are exactly the x-coordinates of
+    the nonzero m-torsion; m = 2 gives x^3 + ax + b."""
+    if m < 1:
+        raise BadTorsionOrder("m must be >= 1")
+    if m % E.field.p == 0:
+        raise BadTorsionOrder("p divides the torsion order %d" % m)
+    if m == 1:
+        return Poly(E.field, [1])
+    if m % 2 == 1:
+        return _div_B(E, m)
+    return E.rhs_poly() * _div_B(E, m)
+
+
+def torsion_point(E, N):
+    """A point of exact order N with lex-smallest (x, y); N = 1 is infinity."""
+    if N == 1:
+        return E.infinity()
+    pts = all_points_of_order(E, N)
+    if not pts:
+        raise InvariantBreach("no point of order %d found" % N)
+    return pts[0]
 
 
 def test_j_invariant_examples():

@@ -9,11 +9,25 @@ from heckedyn.discdyn import (DiscAutomorphism, DiscPoint, EmpiricalMeasure,
                               apply, classify_periodic, identity_unit,
                               mobius_apply, qc_count, quat_embed, random_walk,
                               serre_tate_multivar, transitivity_witness)
-from heckedyn.errors import (ChartEscape, NotAUnit, PrecisionExhausted,
+from heckedyn.errors import (ChartEscape, ConvergenceDomain, HeckedynError,
+                             NotAUnit, PrecisionExhausted, SearchExhausted,
                              UsageError)
-from heckedyn.padics import PadicNumber, quadratic_roots, sqrt_unit, wq
-from heckedyn.ssgraph import (build_ssgraph, closed_walks, sat_membership,
-                              walk_char_poly)
+from heckedyn.padics import (PadicNumber, WqElement, quadratic_roots,
+                             sat_membership, sqrt_unit, teichmuller, wq)
+from heckedyn.ssgraph import build_ssgraph, closed_walks, walk_char_poly
+
+from padic_series import exp, log1p
+
+
+def outcome(f, *args):
+    """What f(*args) returns, as plain numbers, or the type it raises."""
+    try:
+        x = f(*args)
+    except HeckedynError as e:
+        return type(e)
+    if isinstance(x, QuatUnit):
+        return tuple((c.val, c.prec) for c in (x.a.a0, x.a.a1, x.b.a0, x.b.a1))
+    return [[(c.val, c.prec) for c in row] for row in x]
 
 
 def test_apply_identity_and_scalar():
@@ -83,6 +97,69 @@ def test_serre_tate_multivar_composition_law():
         for i in range(g):
             for j in range(g):
                 assert (lhs[i][j] - rhs[i][j]).val % p ** (M - 2) == 0
+
+
+def series_multivar(F_inv, G_dag, T):
+    """Entrywise prod_{r,s} (1 + t_rs)^(F_inv[r][i] G_dag[s][j]) - 1,
+    computed through the logarithm: exp(F_inv^T L G_dag) - 1."""
+    g = len(T)
+    L = [[log1p(T[r][s]) for s in range(g)] for r in range(g)]
+    out = []
+    for i in range(g):
+        row = []
+        for j in range(g):
+            acc = None
+            for r in range(g):
+                for s in range(g):
+                    term = F_inv[r][i] * L[r][s] * G_dag[s][j]
+                    acc = term if acc is None else acc + term
+            if acc.val == 0:
+                row.append(PadicNumber(acc.p, acc.prec, 0))
+            else:
+                row.append(exp(acc) - 1)
+        out.append(row)
+    return out
+
+
+def test_serre_tate_multivar_matches_the_series():
+    # value and precision of every entry, with mixed precisions, zero
+    # entries and T entries outside the disc
+    rng = random.Random(19)
+    raised = 0
+    for p in (2, 3, 5, 41):
+        lo = 2 if p == 2 else 1
+        for _ in range(40):
+            g = rng.randint(1, 3)
+
+            def draw(is_T):
+                prec = rng.randint(1, 20)
+                if rng.random() < 0.15:
+                    return PadicNumber(p, prec, 0)
+                if is_T:
+                    v = lo if rng.random() < 0.9 else lo - 1
+                    return PadicNumber(p, prec, rng.randrange(1, p ** 6) * p ** v)
+                return PadicNumber(p, prec, rng.randrange(p ** prec))
+
+            F, G, T = ([[draw(k == 2) for _ in range(g)] for _ in range(g)]
+                       for k in range(3))
+            got = outcome(serre_tate_multivar, F, G, T)
+            assert got == outcome(series_multivar, F, G, T), (p, F, G, T)
+            raised += got is ConvergenceDomain
+    assert 10 < raised < 100
+
+
+def test_serre_tate_multivar_checks_t_with_zero_exponents():
+    # every exponent is 0 mod p^prec, so no factor is computed; the entry
+    # outside the disc still raises, as the logarithm did
+    for p, t in ((2, 2), (5, 1), (41, 3)):
+        zero = PadicNumber(p, 10, p ** 10)
+        T = [[PadicNumber(p, 10, 4 * p), PadicNumber(p, 10, t)],
+             [PadicNumber(p, 10, 0), PadicNumber(p, 10, 4 * p)]]
+        Z = [[zero, zero], [zero, zero]]
+        with pytest.raises(ConvergenceDomain):
+            serre_tate_multivar(Z, Z, T)
+        with pytest.raises(ConvergenceDomain):
+            series_multivar(Z, Z, T)
 
 
 def test_classify_periodic():
@@ -405,6 +482,76 @@ def test_transitivity_witness_roundtrip():
 def test_transitivity_witness_zero():
     g = transitivity_witness(DiscPoint(wq(11, 10, 0, 0)), 5)
     assert g.is_identity()
+
+
+def search_witness(x, ell):
+    """A unit gamma in the square-class subgroup with gamma(0) = x.
+
+    Built from gamma = (a, x a^sigma; x^sigma a / p, a^sigma) with a running
+    over Teichmuller representatives until the determinant certificate
+    passes; a = 1 always works for odd p since det = 1 mod p.
+    """
+    w = x.w
+    p = w.p
+    prec = w.prec
+    if w.a0.val == 0 and w.a1.val == 0:
+        return identity_unit(p, prec)
+    for a0 in _teichmuller_reps(p, prec):
+        a = a0
+        b = w.conj() * a
+        b = b.shift_down(1)
+        try:
+            gamma = QuatUnit(a, b)
+        except NotAUnit:
+            continue
+        if not sat_membership(gamma.det(), ell):
+            continue
+        img = mobius_apply(gamma, DiscPoint(wq(p, b.prec, 0)))
+        if img.w == w:
+            return gamma
+    raise SearchExhausted("no witness found; must not happen for odd p")
+
+
+def _teichmuller_reps(p, prec):
+    out = []
+    for u in range(1, p):
+        out.append(teichmuller(PadicNumber(p, prec, u)))
+    reps = []
+    for t in out:
+        reps.append(WqElement(t, PadicNumber(p, prec, 0)))
+    return reps
+
+
+def test_transitivity_witness_matches_the_search():
+    # the closed form is the search's first candidate, a = 1; at low
+    # precision both raise the same error
+    rng = random.Random(9)
+    seen = set()
+    for p in (3, 5, 7, 11, 13, 41):
+        for _ in range(40):
+            M0 = rng.choice((1, 2, 3, 4, 5, 8, 24))
+            M1 = M0 if rng.random() < 0.7 else rng.randint(1, 8)
+            xs = (0, 0) if rng.random() < 0.1 else \
+                (p * rng.randrange(p ** 8), p * rng.randrange(p ** 8))
+            x = DiscPoint(WqElement(PadicNumber(p, M0, xs[0]),
+                                    PadicNumber(p, M1, xs[1])))
+            ell = rng.choice((2, 3, 5, 7, p))
+            got = outcome(transitivity_witness, x, ell)
+            assert got == outcome(search_witness, x, ell), (p, x, ell)
+            seen.add(got if isinstance(got, type) else "witness")
+    assert seen == {"witness", UsageError, PrecisionExhausted}
+
+
+def test_transitivity_witness_low_precision():
+    # det is known to prec - 1 digits, and sat_membership needs 3
+    for prec in (2, 3):
+        with pytest.raises(UsageError):
+            transitivity_witness(DiscPoint(wq(11, prec, 11, 0)), 5)
+    assert transitivity_witness(DiscPoint(wq(11, 4, 11, 0)), 5).det().prec == 3
+    # w is nonzero at precision 1 only through a more precise coordinate
+    x = DiscPoint(WqElement(PadicNumber(11, 1, 0), PadicNumber(11, 3, 11)))
+    with pytest.raises(PrecisionExhausted):
+        transitivity_witness(x, 5)
 
 
 def test_quat_embed_trace_and_det():

@@ -9,6 +9,13 @@ from heckedyn.fields import (FieldDesc, Poly, _is_irreducible, embedding,
                              multiplicative_order, poly_factor, poly_roots,
                              squarefree_split, xgcd)
 
+from field_section import section
+
+
+def frobenius(w, e=1):
+    """Image under the p-power Frobenius applied e times."""
+    return w ** (w.field.p ** e)
+
 
 def brute_irreducible(p, coeffs):
     """Trial division by every monic polynomial of degree at most k/2."""
@@ -270,7 +277,7 @@ def test_embedding_section_roundtrip():
     for n in range(small.order):
         z = small.from_enc(n)
         img = emb(z)
-        assert emb.section(img) == z
+        assert section(emb, img) == z
     # homomorphism on a sample
     a, b = small.from_enc(5), small.from_enc(7)
     assert emb(a * b) == emb(a) * emb(b)
@@ -349,18 +356,18 @@ def test_embedding_section_linear_on_large_fields():
     encs += [rng.randrange(small.order) for _ in range(200)]
     for n in encs:
         z = small.from_enc(n)
-        assert emb.section(emb(z)) == z
+        assert section(emb, emb(z)) == z
     # F_{257^2} inside F_{257^4} is the fixed field of Frobenius squared
     off = [w for w in (big.from_enc(rng.randrange(big.order)) for _ in range(40))
-           if w.frobenius(2) != w]
+           if frobenius(w, 2) != w]
     assert off
     for w in off:
         with pytest.raises(KeyError):
-            emb.section(w)
+            section(emb, w)
     ident = embedding(small, small)
     for n in encs:
         z = small.from_enc(n)
-        assert ident.section(ident(z)) == z
+        assert section(ident, ident(z)) == z
 
 
 def test_nonresidue_is_first_non_square():

@@ -11,8 +11,9 @@ from heckedyn.cli import main
 from heckedyn.errors import (Bipartite, DepthTooSmall, NotClosed,
                              NotOutRegular, Reducible, UsageError)
 from heckedyn.graphio import Arrow, load_ssgraph
-from heckedyn.markov import (closed_walk_start, is_irreducible, mixing_report,
-                             normalize, period, stationary, tv_distance,
+from heckedyn.markov import (_targets, closed_walk_start,
+                             is_strongly_connected, mixing_report, normalize,
+                             out_period, stationary, tv_distance,
                              volcano_escape)
 from heckedyn.ssgraph import build_ssgraph
 from heckedyn.volcano import build_synthetic
@@ -25,6 +26,15 @@ def _graph(ell, n, edges):
     """A bare graph object: ell, n vertices and (src, dst) arrows."""
     return SimpleNamespace(ell=ell, vertices=range(n),
                            arrows=[Arrow(a, b, None, 1) for a, b in edges])
+
+
+def is_irreducible(chain):
+    return is_strongly_connected(_targets(chain[1]))
+
+
+def period(chain):
+    """gcd of cycle lengths of an irreducible chain."""
+    return out_period(_targets(chain[1]))
 
 
 def _dense(chain):

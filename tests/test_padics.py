@@ -2,13 +2,70 @@ import random
 
 import pytest
 
-from heckedyn.errors import (ConvergenceDomain, NotAUnit, NotSplit,
-                             PrecisionExhausted)
+from heckedyn.errors import (ConvergenceDomain, HeckedynError, NotAUnit,
+                             NotSplit, PrecisionExhausted)
 from heckedyn.fields import is_prime
 from heckedyn.padics import (CyclotomicRing, PadicNumber, binom_pow,
-                             cyclo_binom_fixed, exp, log1p, orbit_closure,
+                             cyclo_binom_fixed, orbit_closure,
                              quadratic_roots, smallest_nonresidue, sqrt_unit,
                              teichmuller, wq)
+
+from padic_series import exp, log1p, teichmuller_by_powers
+
+
+def outcome(f, *args):
+    """(value, precision) of f(*args), or the type of what it raises."""
+    try:
+        x = f(*args)
+    except HeckedynError as e:
+        return type(e)
+    return x.val, x.prec
+
+
+def series_binom_pow(t, lam):
+    """exp(lam log(1 + t)) - 1; 0 for lam = 0 whatever t is."""
+    if lam.val == 0:
+        return PadicNumber(t.p, min(t.prec, lam.prec), 0)
+    return exp(lam * log1p(t)) - 1
+
+
+def test_binom_pow_matches_the_series():
+    # value and precision alike, over mixed precisions, zero t or lam,
+    # exponents that are 0 mod p^prec and t outside the disc
+    rng = random.Random(19)
+    shapes = []
+    for p in (2, 3, 5, 41):
+        for _ in range(300):
+            Mt, Ml = rng.randint(1, 30), rng.randint(1, 30)
+            v = rng.choice((0, 1, 1, 2, 3))
+            tv = rng.choice((0, p ** Mt) + (rng.randrange(1, p ** 6) * p ** v,) * 8)
+            lv = rng.choice((0, p ** Ml, rng.randrange(-50, 50))
+                            + (rng.randrange(p ** Ml),) * 7)
+            t, lam = PadicNumber(p, Mt, tv), PadicNumber(p, Ml, lv)
+            got = outcome(binom_pow, t, lam)
+            assert got == outcome(series_binom_pow, t, lam), (p, t, lam)
+            shapes.append("raises" if got is ConvergenceDomain
+                          else "zero" if got[0] == 0 else "value")
+    assert min(shapes.count(s) for s in ("raises", "zero", "value")) > 100
+
+
+def test_binom_pow_domain_after_the_zero_returns():
+    assert outcome(binom_pow, PadicNumber(5, 6, 2), PadicNumber(5, 6, 0)) == (0, 6)
+    assert outcome(binom_pow, PadicNumber(2, 8, 2), PadicNumber(2, 4, 16)) == (0, 4)
+    with pytest.raises(ConvergenceDomain):
+        binom_pow(PadicNumber(5, 6, 2), PadicNumber(5, 6, 3))
+    with pytest.raises(ConvergenceDomain):
+        binom_pow(PadicNumber(2, 8, 2), PadicNumber(2, 8, 3))  # p = 2 needs ord >= 2
+    assert binom_pow(PadicNumber(2, 8, 4), PadicNumber(2, 8, 3)).val == 124
+
+
+def test_teichmuller_matches_repeated_powers():
+    rng = random.Random(20)
+    for p in (2, 3, 5, 41):
+        for _ in range(100):
+            M = rng.randint(1, 30)
+            x = PadicNumber(p, M, rng.randrange(p ** M))
+            assert outcome(teichmuller, x) == outcome(teichmuller_by_powers, x)
 
 
 def test_log1p_zero_and_domain():

@@ -11,18 +11,18 @@ from heckedyn.curves import (Isogeny, all_points_of_order,
                              chain_eval, ell_subgroups, iso_scalars,
                              j_invariant, scaled_point, torsion_basis,
                              torsion_coordinates, trace_from_residues, velu)
-from heckedyn.fields import embedding
-from heckedyn.padics import PadicNumber
+from heckedyn.fields import embedding, multiplicative_order as alpha_of_level
+from heckedyn.padics import PadicNumber, sat_membership
 from heckedyn.quadforms import (class_number, fundamental_discriminant,
                                 kronecker)
 from heckedyn.ssgraph import (SSArrow, SSGraph, SSVertex, WalkEndo,
-                              _is_self_dual, _walk_steps, alpha_of_level,
-                              build_ssgraph, closed_walks, graph_report,
-                              is_rigid, is_solid, monoid_certificates,
-                              odd_closed_walk, sat_membership,
+                              _is_self_dual, _walk_steps, build_ssgraph,
+                              closed_walks, graph_report, is_rigid, is_solid,
+                              monoid_certificates, odd_closed_walk,
                               self_dual_loop_count, walk_char_poly)
 
 from duals import backtrack_endo
+from field_section import section
 
 
 def test_reference_instance_11_5_1(g_11_5_1):
@@ -224,14 +224,14 @@ def arrow_dual_kernel(G, ar):
             break
     if gen is None:
         raise InvariantBreach("ell-torsion collapsed under a degree-ell map")
-    sec = embedding(E1.field, big).section
+    emb = embedding(E1.field, big)
     from heckedyn.fields import Poly
     cur = gen
     coeffs = Poly(big, [1])
     for _ in range((ell - 1) // 2):
         coeffs = coeffs * Poly(big, [-cur.x, big.one()])
         cur = cur + gen
-    return Poly(E1.field, [sec(c) for c in coeffs.coeffs])
+    return Poly(E1.field, [section(emb, c) for c in coeffs.coeffs])
 
 
 @pytest.mark.parametrize("p,ell", [(p, ell) for p in (11, 13, 37, 61, 101, 131)
