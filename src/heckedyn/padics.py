@@ -1,15 +1,13 @@
-"""Fixed-precision p-adic arithmetic: Z_p, W(F_{p^2}), cyclotomic quotients.
+"""Fixed-precision p-adic arithmetic: Z_p and W(F_{p^2}).
 
 A PadicNumber stores an exact residue mod p^prec together with its absolute
 precision.  Ring operations keep the minimum precision of their inputs;
 dividing by p^v costs exactly v digits.  There is no log or exp series:
 the disc map (1 + t)^lam - 1 and the Teichmuller lift are each one modular
 power, exact at the stated precision.  Ramified objects (p^a-th roots of
-unity) are never represented directly; assertions about them run inside
-CyclotomicRing quotients, which are exact.
+unity) are never represented: whether lam fixes them is read off the
+digits of lam.
 """
-
-from math import comb
 
 from .errors import (ConvergenceDomain, NotAUnit, NotSplit,
                      PrecisionExhausted, UsageError)
@@ -294,104 +292,23 @@ def wq(p, prec, a0, a1=0):
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic quotient rings Z_p[t] / Phi_{p^a}(1+t)
+# fixed circles of roots of unity
 
-class CyclotomicRing:
-    """Z/p^M [t] modulo Phi_{p^a}(1 + t); 1 + t is a primitive p^a-th root of 1.
-
-    Coefficient arithmetic is exact mod p^M, so root-of-unity identities are
-    decided exactly here without any ramified carrier.
-    """
-
-    def __init__(self, p, a, prec):
-        self.p = p
-        self.a = a
-        self.prec = prec
-        self.mod_int = p ** prec
-        self.degree = p ** (a - 1) * (p - 1)
-        # Phi_{p^a}(x) = sum_{i<p} x^(i p^(a-1)); substitute x = 1 + t
-        deg_x = p ** (a - 1) * (p - 1)
-        coeffs = [0] * (deg_x + 1)
-        for i in range(p):
-            e = i * p ** (a - 1)
-            for k in range(e + 1):
-                coeffs[k] = (coeffs[k] + comb(e, k)) % self.mod_int
-        self.modulus = coeffs  # monic of degree self.degree
-
-    def one(self):
-        return CyclotomicRingElement(self, [1])
-
-    def gen_plus_one(self):
-        """The residue of 1 + t, a primitive p^a-th root of unity."""
-        return CyclotomicRingElement(self, [1, 1])
-
-    def reduce(self, coeffs):
-        m = self.mod_int
-        c = [x % m for x in coeffs]
-        n = self.degree
-        while len(c) > n:
-            top = c.pop()
-            if top:
-                sh = len(c) - n
-                for i in range(n):
-                    c[sh + i] = (c[sh + i] - top * self.modulus[i]) % m
-        while len(c) < n:
-            c.append(0)
-        return c
-
-
-class CyclotomicRingElement:
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = ring.reduce(list(coeffs))
-
-    def __eq__(self, other):
-        return self.ring is other.ring and self.coeffs == other.coeffs
-
-    def __mul__(self, other):
-        r = self.ring
-        m = r.mod_int
-        a, b = self.coeffs, other.coeffs
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % m
-        return CyclotomicRingElement(r, prod)
-
-    def __pow__(self, e):
-        acc = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-
-def cyclo_binom_fixed(p, a, lam, prec=None):
+def cyclo_binom_fixed(p, a, lam):
     """True iff t -> (1+t)^lam - 1 fixes the primitive p^a-th roots of unity.
 
-    Reduces to p^a | lam - 1, and independently verifies the identity
-    (1+t)^(lam mod p^a) = 1 + t in Z_p[t]/Phi_{p^a}(1+t) by square-and-multiply.
+    A primitive p^a-th root 1 + t has (1+t)^lam = 1 + t exactly when
+    p^a | lam - 1, so only the first a digits of lam are read.
     """
+    if p != lam.p:
+        raise UsageError("exponent lies in Z_%d, not Z_%d" % (lam.p, p))
     if a < 1:
         raise ValueError("level a must be >= 1")
     if not lam.is_unit():
         raise NotAUnit("exponent must be a unit")
-    prec = prec if prec is not None else lam.prec
-    digit_test = (lam.val - 1) % (p ** a) == 0
     if lam.prec < a:
         raise PrecisionExhausted("need at least a digits of the exponent")
-    ring = CyclotomicRing(p, a, min(prec, lam.prec))
-    zeta = ring.gen_plus_one()
-    ring_test = (zeta ** (lam.val % p ** a)) == zeta
-    if ring_test != digit_test:  # pragma: no cover - both sides are exact
-        raise AssertionError("cyclotomic check disagrees with digit check")
-    return ring_test
+    return (lam.val - 1) % (p ** a) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +366,20 @@ def orbit_closure(lam):
 # the square-class subgroup (Z_p^x)^2 <ell>
 
 def sat_membership(u, ell):
-    """True iff the unit u lies in (Z_p^x)^2 * <ell>."""
+    """True iff the unit u lies in (Z_p^x)^2 * <ell>; when p | ell the
+    only units there are the squares."""
     p = u.p
     need = 5 if p == 2 else 3
     if u.prec < need:
         raise UsageError("need precision >= %d at p = %d" % (need, p))
     if not u.is_unit():
         raise NotAUnit("sat membership is about units")
+    candidates = [u.val]
+    if ell % p:
+        candidates.append(u.val * pow(ell, -1, p ** u.prec))
     if p == 2:
-        vals = (u.val % 8, u.val * pow(ell, -1, 2 ** u.prec) % 8)
-        return any(v == 1 for v in vals)
-    r1 = pow(u.val % p, (p - 1) // 2, p)
-    if r1 == 1:
-        return True
-    u2 = u.val * pow(ell, -1, p ** u.prec) % p ** u.prec
-    return pow(u2 % p, (p - 1) // 2, p) == 1
+        return any(v % 8 == 1 for v in candidates)
+    return any(pow(v % p, (p - 1) // 2, p) == 1 for v in candidates)
 
 
 # ---------------------------------------------------------------------------

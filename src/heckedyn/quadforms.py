@@ -1,7 +1,10 @@
 """Imaginary-quadratic machinery: reduced forms, class groups, Hurwitz numbers.
 
 All arithmetic is exact big-integer arithmetic; discriminants along volcano
-levels grow like l^(2i)*D and must never be truncated.
+levels grow like l^(2i)*D and must never be truncated.  Nothing is found by
+search: forms compose by Dirichlet's formulas (Cohen, Alg. 5.4.7), the
+order of a prime class comes from the powers of one prime form, and the
+generator of its principal power from one Gauss reduction.
 """
 
 from fractions import Fraction
@@ -49,20 +52,28 @@ class QuadForm:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
 
-def reduce_form(f):
-    """The unique reduced form equivalent to f (Gauss reduction)."""
+def _gauss(f):
+    """Gauss reduction of f: the reduced form g and the first column (x, y)
+    of the SL_2(Z) matrix M with g = f o M, so that f(x, y) = g.a."""
     a, b, c = f.a, f.b, f.c
+    x, y, u, v = 1, 0, 0, 1  # M = (x u; y v)
     while True:
         if -a < b <= a <= c and not (a == c and b < 0):
-            return QuadForm(a, b, c)
+            return QuadForm(a, b, c), (x, y)
         if c < a or (c == a and b < 0):
+            # (X, Y) = (-y', x')
             a, b, c = c, -b, a
+            x, y, u, v = u, v, -x, -y
             continue
-        # normalize b into (-a, a]
+        # (X, Y) = (x' + r y', y') normalizes b into (-a, a]
         r = (a - b) // (2 * a)
-        b2 = b + 2 * r * a
-        c2 = a * r * r + b * r + c
-        b, c = b2, c2
+        b, c = b + 2 * r * a, a * r * r + b * r + c
+        u, v = u + r * x, v + r * y
+
+
+def reduce_form(f):
+    """The unique reduced form equivalent to f (Gauss reduction)."""
+    return _gauss(f)[0]
 
 
 def principal_form(D):
@@ -101,53 +112,37 @@ def reduced_forms(D):
     return out
 
 
-def _transform(f, M):
-    """f composed with the unimodular substitution (x, y) -> M (x, y)."""
-    (x1, u), (y1, v) = M
-    a = f(x1, y1)
-    c = f(u, v)
-    b = 2 * (f.a * x1 * u + f.c * y1 * v) + f.b * (x1 * v + y1 * u)
-    return QuadForm(a, b, c)
-
-
-def _represent_coprime_to(f, n):
-    """A form equivalent to f whose leading coefficient is coprime to n."""
-    import math
-    bound = 1
-    while True:
-        bound += 1
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if math.gcd(x, y) != 1:
-                    continue
-                val = f(x, y)
-                if val > 0 and math.gcd(val, n) == 1:
-                    # extend (x, y) to a determinant +1 matrix
-                    g, u, v = xgcd(x, y)
-                    if g < 0:
-                        g, u, v = -g, -u, -v
-                    assert x * u + v * y == 1
-                    return _transform(f, ((x, -v), (y, u)))
-        if bound > 64:
-            raise BadDiscriminant("could not find coprime representation")
+def _dirichlet(f1, f2):
+    """The unreduced Dirichlet composite of two primitive forms of the same
+    discriminant, and the content d1 it divides out: the ideals satisfy
+    I1 I2 = d1 I3 (Cohen, Alg. 5.4.7)."""
+    if f1.a > f2.a:
+        f1, f2 = f2, f1
+    a1, a2, b2, c2 = f1.a, f2.a, f2.b, f2.c
+    s = (f1.b + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d, y1, _ = xgcd(a2, a1)
+    if s % d == 0:
+        x2, y2, d1 = 0, -1, d
+    else:
+        d1, x2, y2 = xgcd(s, d)  # d1 > 0 as d > 0
+        y2 = -y2
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    b3 = b2 + 2 * v2 * r
+    c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
+    return QuadForm(v1 * v2, b3, c3), d1
 
 
 def compose(f1, f2):
-    """Gauss composition of two primitive forms of the same discriminant."""
-    D = f1.disc()
-    if f2.disc() != D:
+    """Dirichlet composition of two primitive forms of the same discriminant,
+    reduced."""
+    if f2.disc() != f1.disc():
         raise BadDiscriminant("discriminants differ")
-    g2 = _represent_coprime_to(f2, 2 * f1.a)
-    a1, b1 = f1.a, f1.b
-    a2, b2 = g2.a, g2.b
-    # CRT for B: B = b1 mod 2a1, B = b2 mod 2a2; gcd(2a1, 2a2) = 2 divides b2-b1
-    g, u, v = xgcd(2 * a1, 2 * a2)
-    assert (b2 - b1) % g == 0
-    lcm = (2 * a1) * (2 * a2) // g
-    B = (b1 + (2 * a1) * ((b2 - b1) // g) * u) % lcm
-    A = a1 * a2
-    assert (B * B - D) % (4 * A) == 0
-    return reduce_form(QuadForm(A, B, (B * B - D) // (4 * A)))
+    return reduce_form(_dirichlet(f1, f2)[0])
 
 
 class ClassGroupTable:
@@ -267,16 +262,21 @@ def hurwitz_class_number(n):
     return total
 
 
-def prime_form(D, ell):
-    """A reduced form representing a prime ideal above ell, if ell splits
-    or ramifies in the order of discriminant D."""
-    sym = kronecker(D, ell)
-    if sym == -1:
+def _prime_ideal_form(D, ell):
+    """The unreduced form (ell, b, (b^2 - D)/(4 ell)) of least b >= 0: a prime
+    ideal above ell, if ell splits or ramifies for discriminant D."""
+    if kronecker(D, ell) == -1:
         raise InertPrime("%d is inert for discriminant %d" % (ell, D))
     for b in range(2 * ell):
         if (b - D) % 2 == 0 and (b * b - D) % (4 * ell) == 0:
-            return reduce_form(QuadForm(ell, b, (b * b - D) // (4 * ell)))
+            return QuadForm(ell, b, (b * b - D) // (4 * ell))
     raise InertPrime("no form of norm %d for discriminant %d" % (ell, D))
+
+
+def prime_form(D, ell):
+    """A reduced form representing a prime ideal above ell, if ell splits
+    or ramifies in the order of discriminant D."""
+    return reduce_form(_prime_ideal_form(D, ell))
 
 
 def prime_class_order(D, ell):
@@ -285,6 +285,13 @@ def prime_class_order(D, ell):
     The witness is a quadratic integer of norm ell^a in the order of
     discriminant D generating L^a (or its conjugate); returned as a
     (trace, norm) pair.  Raises InertPrime when ell is inert.
+
+    The unreduced powers I = L^k / g of the prime form are composed until
+    one reduces to the principal form; g is the content the compositions
+    divide out (ell at k = 2 for ramified ell, else 1).  The reduction's
+    column (x, y) has I(x, y) = 1, so alpha = g (x A + y (B + sqrt D)/2)
+    generates L^a.  Every generator of L^a or its conjugate is alpha or
+    alpha-bar times a unit; the witness is the one of least (|t|, t).
     """
     _check_disc(D)
     if not is_prime(ell):
@@ -292,43 +299,20 @@ def prime_class_order(D, ell):
     _, cond = fundamental_discriminant(D)
     if cond % ell == 0:
         raise BadDiscriminant("ell divides the conductor of %d" % D)
-    if kronecker(D, ell) == -1:
-        raise InertPrime("%d is inert for discriminant %d" % (ell, D))
-    import math
-    G = class_group(D)
-    L = G.index[prime_form(D, ell).key()]
-    a = G.order_of(L) if L != G.identity else 1
-    target = ell ** a
-    split = kronecker(D, ell) == 1
-    # solve principal_form(x, y) = ell^a exactly; for split ell a witness must
-    # not be divisible by ell (v_L = a, v_Lbar = 0), for ramified ell any
-    # element of norm ell^a generates L^a since L is the only prime above ell
-    sols = []
-    yb = math.isqrt(4 * target // (-D))
-    for y in range(0, yb + 1):
-        s2 = D * y * y + 4 * target
-        if s2 < 0:
-            continue
-        s = math.isqrt(s2)
-        if s * s != s2:
-            continue
-        if D % 4 == 0:
-            # x^2 = target + (D/4) y^2, i.e. (2x)^2 = s2
-            if s % 2 == 0:
-                for x in {s // 2, -s // 2}:
-                    sols.append((x, y))
-        else:
-            # x = (-y +- s) / 2
-            for num in {-y + s, -y - s}:
-                if num % 2 == 0:
-                    sols.append((num // 2, y))
-    best = None
-    for x, y in sols:
-        if split and x % ell == 0 and y % ell == 0:
-            continue
-        tr = 2 * x + (y if D % 4 == 1 else 0)
-        if best is None or (abs(tr), tr) < (abs(best[0]), best[0]):
-            best = (tr, target)
-    if best is None:
-        raise InertPrime("no witness of norm %d found for D = %d" % (target, D))
-    return a, best
+    L = _prime_ideal_form(D, ell)
+    one = principal_form(D)
+    power, g, a = L, 1, 1
+    red, (x, y) = _gauss(power)
+    while red != one:
+        power, d1 = _dirichlet(power, L)
+        g *= d1
+        a += 1
+        red, (x, y) = _gauss(power)
+    # alpha = (t + s sqrt D) / 2; the unit multiples at D = -4 and -3
+    t, s = g * (2 * x * power.a + y * power.b), g * y
+    traces = [t]
+    if D == -4:
+        traces.append(2 * s)
+    elif D == -3:
+        traces += [(t - 3 * s) // 2, (t + 3 * s) // 2]
+    return a, (-min(abs(tr) for tr in traces), ell ** a)

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from heckedyn.errors import (ConvergenceDomain, HeckedynError, NotAUnit,
-                             NotSplit, PrecisionExhausted)
+                             NotSplit, PrecisionExhausted, UsageError)
 from heckedyn.fields import is_prime
-from heckedyn.padics import (CyclotomicRing, PadicNumber, binom_pow,
-                             cyclo_binom_fixed, orbit_closure,
-                             quadratic_roots, smallest_nonresidue, sqrt_unit,
-                             teichmuller, wq)
+from heckedyn.padics import (PadicNumber, binom_pow, cyclo_binom_fixed,
+                             orbit_closure, quadratic_roots,
+                             smallest_nonresidue, sqrt_unit, teichmuller, wq)
 
+from cyclotomic_ring import CyclotomicRing
 from padic_series import exp, log1p, teichmuller_by_powers
 
 
@@ -205,6 +205,30 @@ def test_cyclo_ring_root_of_unity():
     z = ring.gen_plus_one()
     assert (z ** 25) == ring.one()
     assert not (z ** 5) == ring.one()
+
+
+def test_cyclo_binom_fixed_matches_the_ring():
+    # (1 + t)^lam = 1 + t in Z/p^M[t]/Phi_{p^a}(1 + t) against the digit test
+    for p, a in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
+        ring = CyclotomicRing(p, a, 4)
+        zeta = ring.gen_plus_one()
+        for lam in range(1, 2 * p ** a + 2):
+            if lam % p == 0:
+                continue
+            expected = zeta ** lam == zeta
+            assert cyclo_binom_fixed(p, a, PadicNumber(p, 4, lam)) == expected
+
+
+def test_cyclo_binom_fixed_rejects_bad_inputs():
+    with pytest.raises(UsageError):
+        cyclo_binom_fixed(3, 1, PadicNumber(2, 8, 3))
+    with pytest.raises(PrecisionExhausted):
+        cyclo_binom_fixed(2, 2, PadicNumber(2, 1, 1))
+    with pytest.raises(NotAUnit):
+        cyclo_binom_fixed(2, 2, PadicNumber(2, 8, 2))
+    # the digit test reads only a digits, so no cyclotomic quotient is built
+    assert not cyclo_binom_fixed(101, 2, PadicNumber(101, 24, 102))
+    assert cyclo_binom_fixed(101, 2, PadicNumber(101, 24, 1 + 101 ** 2))
 
 
 def test_cyclo_binom_both_directions():

@@ -1,14 +1,19 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from heckedyn.errors import InertPrime
+from heckedyn.errors import BadDiscriminant, InertPrime
+from heckedyn.fields import xgcd
 from heckedyn.quadforms import (QuadForm, class_group, class_number, compose,
                                 fundamental_discriminant,
                                 hurwitz_class_number, kronecker,
                                 prime_class_order, principal_form,
                                 reduce_form, reduced_forms)
+
+import quadforms_reference as reference
 
 
 def test_reduce_already_reduced():
@@ -181,3 +186,63 @@ def test_compose_principal_is_identity():
         pf = reduce_form(principal_form(D))
         for f in reduced_forms(D):
             assert compose(f, pf) == f
+
+
+def _discriminants(bound):
+    return [D for D in range(-3, -bound - 1, -1) if D % 4 in (0, 1)]
+
+
+def test_compose_matches_the_reference():
+    # every pair of reduced forms with -D <= 1000
+    pairs = 0
+    for D in _discriminants(1000):
+        forms = reduced_forms(D)
+        for f, g in itertools.product(forms, repeat=2):
+            assert compose(f, g) == reference.compose(f, g), (f, g)
+            pairs += 1
+    assert pairs > 50000
+
+
+def test_compose_matches_the_reference_unreduced():
+    # the second form moved by a random SL_2(Z) substitution
+    rng = random.Random(20)
+    for D in rng.sample(_discriminants(3000), 60):
+        forms = reduced_forms(D)
+        for _ in range(20):
+            f, g = rng.choice(forms), rng.choice(forms)
+            x, y = rng.randrange(-30, 31), rng.randrange(1, 31)
+            d, u, v = xgcd(x, y)
+            if abs(d) != 1:
+                continue
+            u, v = u * d, v * d  # x u + y v = 1
+            moved = reference._transform(g, ((x, -v), (y, u)))
+            assert reduce_form(moved) == g
+            assert compose(f, moved) == reference.compose(f, moved), (f, moved)
+
+
+def test_prime_class_order_matches_the_search():
+    # every (D, ell) with -D <= 1000 whose reference search is small
+    cases = set()
+    for D in _discriminants(1000):
+        for ell in (2, 3, 5, 7, 11):
+            try:
+                got = prime_class_order(D, ell)
+            except (BadDiscriminant, InertPrime) as exc:
+                with pytest.raises(type(exc)) as ref_exc:
+                    reference.prime_class_order(D, ell)
+                assert str(ref_exc.value) == str(exc)
+                continue
+            if ell ** got[0] > 10 ** 10 * -D:
+                continue
+            assert got == reference.prime_class_order(D, ell), (D, ell)
+            cases.add((D, ell))
+    assert len(cases) == 1277
+    assert {(-3, 7), (-3, 3), (-4, 5), (-4, 2)} <= cases
+
+
+def test_prime_class_order_at_class_number_83():
+    # the search over y would take 7^41 steps here
+    a, (t, n) = prime_class_order(-3911, 7)
+    assert a == 83 == class_number(-3911) and n == 7 ** 83
+    q, r = divmod(t * t - 4 * n, -3911)
+    assert r == 0 and math.isqrt(q) ** 2 == q

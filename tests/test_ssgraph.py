@@ -261,6 +261,20 @@ def test_sat_membership_examples():
     assert not sat_membership(PadicNumber(11, 6, 2), 5)  # 2, 2/5 non-residues
 
 
+def test_sat_membership_when_p_divides_ell():
+    # the only units in (Z_p^x)^2 <p> are the squares
+    assert not sat_membership(PadicNumber(11, 3, 2), 11)
+    assert sat_membership(PadicNumber(11, 3, 4), 11)
+    assert sat_membership(PadicNumber(2, 5, 9), 2)
+    assert not sat_membership(PadicNumber(2, 5, 3), 2)
+    for p in (3, 5, 7):
+        m = p ** 3
+        squares = {x * x % m for x in range(m) if x % p}
+        for u in range(1, m):
+            if u % p:
+                assert sat_membership(PadicNumber(p, 3, u), p) == (u in squares)
+
+
 def test_sat_membership_square_table():
     for p, ell in ((3, 2), (5, 3), (11, 5), (13, 5)):
         m = p ** 3
