@@ -5,7 +5,6 @@ case is how the acceptance suite detects violations of structural guarantees.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -13,7 +12,8 @@ from fractions import Fraction
 
 from . import discdyn, graphio, markov, padics, ssgraph, volcano
 from .errors import (Bipartite, BudgetExhausted, HeckedynError,
-                     InvariantBreach, UsageError)
+                     InvariantBreach, NonPrime, UsageError)
+from .fields import is_prime
 from .padics import DEFAULT_PRECISION, PadicNumber, wq
 
 
@@ -108,14 +108,6 @@ def build_parser():
     return top
 
 
-def _emit(payload, path):
-    text = json.dumps(payload, indent=1, sort_keys=True, default=str) + "\n"
-    if path and path != "-":
-        graphio.atomic_write(path, text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_ssgraph(args):
     if args.ell % 2 == 0:
         raise UsageError("ell must be odd")
@@ -128,9 +120,10 @@ def cmd_ssgraph(args):
         graphio.atomic_write(args.dot, graphio.ssgraph_to_dot(G))
     if args.report:
         rep = ssgraph.graph_report(G)
-        _emit(rep, args.report)
+        graphio.dump_json(rep, args.report)
     if not (args.out or args.dot or args.report):
-        _emit({"vertices": len(G.vertices), "arrows": len(G.arrows)}, None)
+        graphio.dump_json({"vertices": len(G.vertices),
+                           "arrows": len(G.arrows)}, None)
     return 0
 
 
@@ -139,7 +132,7 @@ def cmd_volcano(args):
         depth = args.depth if args.depth is not None else 0
         V = volcano.build_synthetic(args.disc, args.ell, depth)
         payload = graphio.synthetic_to_dict(V)
-        _emit(payload, args.out)
+        graphio.dump_json(payload, args.out)
         return 0
     if args.p is None or args.j is None:
         raise UsageError("need either --disc or both -p and --j")
@@ -147,7 +140,7 @@ def cmd_volcano(args):
     payload = graphio.volcano_to_dict(vol)
     if args.dot:
         graphio.atomic_write(args.dot, graphio.volcano_to_dot(vol))
-    _emit(payload, args.out)
+    graphio.dump_json(payload, args.out)
     return 0
 
 
@@ -162,7 +155,7 @@ def cmd_dyn_orbit(args):
         cur = discdyn.apply(auto, cur)
         orbit.append({"digits": cur.digits(), "valuation":
                       None if cur.val == 0 else cur.valuation()})
-    _emit({"p": args.p, "precision": M, "orbit": orbit}, args.out)
+    graphio.dump_json({"p": args.p, "precision": M, "orbit": orbit}, args.out)
     return 0
 
 
@@ -170,7 +163,7 @@ def cmd_dyn_closure(args):
     M = _precision(args)
     lam = PadicNumber(args.p, M, args.lam)
     d = padics.orbit_closure(lam)
-    _emit({
+    graphio.dump_json({
         "p": args.p,
         "teich_order": d.teich_order,
         "wild_valuation": d.wild_valuation,
@@ -230,7 +223,7 @@ def cmd_dyn_walk_measure(args):
         "odd_walk_len": len(odd_walk),
         "histogram": hist,
     }
-    _emit(payload, args.out)
+    graphio.dump_json(payload, args.out)
     if args.tv_csv:
         rows = ["n,tv"]
         for i in range(1, len(snaps)):
@@ -264,7 +257,7 @@ def cmd_markov(args):
     if args.stationary or args.mixing is None:
         pi = rep["stationary"] if rep is not None else markov.stationary(T)
         payload["stationary"] = ["%s" % x for x in pi]
-    _emit(payload, args.out)
+    graphio.dump_json(payload, args.out)
     return 0
 
 
@@ -277,6 +270,10 @@ def main(argv=None):
         if args.command == "volcano":
             return cmd_volcano(args)
         if args.command == "dyn":
+            # the p-adic classes take p on trust; walk-measure checks it
+            # when it builds the graph
+            if args.dyn_command != "walk-measure" and not is_prime(args.p):
+                raise NonPrime("p = %d is not prime" % args.p)
             if args.dyn_command == "orbit":
                 return cmd_dyn_orbit(args)
             if args.dyn_command == "closure":

@@ -127,10 +127,6 @@ class ChartEscape(InvariantBreach):
     pass
 
 
-class SearchExhausted(InvariantBreach):
-    pass
-
-
 # markov
 
 class NotOutRegular(UsageError):

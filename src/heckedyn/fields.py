@@ -90,14 +90,20 @@ def squarefree_split(n):
 
 
 def multiplicative_order(a, m):
-    """Least r >= 1 with a^r = 1 mod m (1 when m = 1); a must be a unit."""
+    """Least r >= 1 with a^r = 1 mod m (1 when m = 1); a must be a unit.
+
+    The order divides r = phi(m), read off factor(m); each prime q of r is
+    divided out of r while a^(r/q) = 1 mod m (Cohen, Alg. 1.4.3).
+    """
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError("not a unit")
-    r, x = 1, a
-    while x != 1 % m:
-        x = x * a % m
-        r += 1
+    r = 1
+    for q, e in factor(m):
+        r *= (q - 1) * q ** (e - 1)
+    for q, _ in factor(r):
+        while r % q == 0 and pow(a, r // q, m) == 1 % m:
+            r //= q
     return r
 
 

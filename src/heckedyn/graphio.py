@@ -18,6 +18,7 @@ Each distinct j must pass the Hasse test, else NotSupersingular.
 
 import json
 import os
+import sys
 import tempfile
 from collections import namedtuple
 
@@ -211,4 +212,10 @@ def volcano_to_dot(vol):
 
 
 def dump_json(obj, path):
-    atomic_write(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    """obj as indented JSON with sorted keys, written atomically to path, or
+    to stdout when path is None, empty or "-"."""
+    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    if path and path != "-":
+        atomic_write(path, text)
+    else:
+        sys.stdout.write(text)

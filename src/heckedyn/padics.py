@@ -341,19 +341,17 @@ class ClosureDescriptor:
 def orbit_closure(lam):
     """Descriptor of the closure of the cyclic group generated by a unit lam.
 
-    The finite flag is certified at the stored precision only: lam^r = 1
-    mod p^prec is reported as a finite orbit of size r.
+    r is the order of lam mod p, or mod 4 at p = 2, where Z_2^x =
+    {1, -1} x (1 + 4 Z_2).  The finite flag is certified at the stored
+    precision only: lam^r = 1 mod p^prec is reported as a finite orbit of
+    size r.
     """
     if not lam.is_unit():
         raise NotAUnit("orbit_closure needs a unit")
     p, M = lam.p, lam.prec
     if M < 2:
         raise PrecisionExhausted("need at least 2 digits to classify an orbit")
-    if p == 2:
-        # Z_2^x = {1,-1} x (1 + 4 Z_2)
-        r = 1 if lam.val % 4 == 1 else 2
-    else:
-        r = multiplicative_order(lam.val, p)
+    r = multiplicative_order(lam.val, 4 if p == 2 else p)
     lam_r = lam ** r
     diff = lam_r - 1
     if diff.val == 0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -189,6 +190,68 @@ def test_dyn_closure(capsys):
     payload = json.loads(out)
     assert payload["component_count"] == 4
     assert payload["wild_valuation"] == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["dyn", "orbit", "--lam", "3", "--t", "9", "-M", "5"],
+    ["dyn", "closure", "--lam", "3", "-M", "5"],
+    ["dyn", "periodic", "--lam", "7", "-a", "1"],
+])
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
+def test_dyn_rejects_a_p_that_is_not_prime(capsys, command, p):
+    # p = 0 used to die in a ZeroDivisionError, p = 4 to print a
+    # descriptor of "Z_4" and p = 6 to answer true
+    code, out, err = run(command + ["-p", str(p)], capsys)
+    assert code == 1 and out == ""
+    assert "p = %d is not prime" % p in err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["dyn", "closure", "-p", "5", "--lam", "2", "-M", "8"],
+     "f7ec366771f858853334056ecedb63bd1f7119f3440b49b6e00d557e7e0a0139"),
+    (["dyn", "closure", "-p", "2", "--lam", "7", "-M", "8"],
+     "b4a66d2a52a7b8f3932f2d5d6a06d6d68cb1968ced81f97901aa1c04b5808774"),
+    (["dyn", "orbit", "-p", "5", "--lam", "2", "--t", "5", "-n", "3",
+      "-M", "4"],
+     "46a93be235f8db035bfb017d01901e21af78ca937afc9598e6fc145c85aff0f0"),
+    (["dyn", "orbit", "-p", "2", "--lam", "3", "--t", "4", "-n", "3",
+      "-M", "6"],
+     "cb672b2c145bd8f911631a4636dba9b2ca1c0e5706cd17e5e1e1edcd7dbb6168"),
+])
+def test_dyn_output_at_prime_p_is_pinned(capsys, argv, digest):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dyn_periodic_at_p_2_and_5(capsys):
+    assert run(["dyn", "periodic", "-p", "5", "--lam", "26", "-a", "2"],
+               capsys)[1] == "true\n"
+    assert run(["dyn", "periodic", "-p", "2", "--lam", "5", "-a", "3"],
+               capsys)[1] == "false\n"
+
+
+def test_dyn_closure_at_2_31_minus_1(capsys):
+    # the order of 7 mod 2^31 - 1 from the primes of 2^31 - 2, no p-step loop
+    code, out, err = run(["dyn", "closure", "-p", "2147483647", "--lam", "7",
+                          "-M", "24"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["teich_order"] == payload["component_count"] == 2 ** 31 - 2
+    assert payload["wild_valuation"] == 1 and payload["finite"] is False
+
+
+def test_dump_json_writes_stdout_for_none_and_dash(tmp_path, capsys):
+    obj = {"b": [1, None, 2.5], "a": {"y": True, "x": "s"}}
+    path = str(tmp_path / "obj.json")
+    dump_json(obj, path)
+    with open(path) as fh:
+        text = fh.read()
+    assert text == json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    for target in (None, "-"):
+        dump_json(obj, target)
+        assert capsys.readouterr().out == text
+    assert not os.path.exists("-")
 
 
 def test_markov_stationary_cli(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -10,12 +11,12 @@ from heckedyn.discdyn import (DiscAutomorphism, DiscPoint, EmpiricalMeasure,
                               mobius_apply, qc_count, quat_embed, random_walk,
                               serre_tate_multivar, transitivity_witness)
 from heckedyn.errors import (ChartEscape, ConvergenceDomain, HeckedynError,
-                             NotAUnit, PrecisionExhausted, SearchExhausted,
-                             UsageError)
+                             NotAUnit, PrecisionExhausted, UsageError)
 from heckedyn.padics import (PadicNumber, WqElement, quadratic_roots,
                              sat_membership, sqrt_unit, teichmuller, wq)
 from heckedyn.ssgraph import build_ssgraph, closed_walks, walk_char_poly
 
+import discdyn_reference
 from padic_series import exp, log1p
 
 
@@ -509,7 +510,7 @@ def search_witness(x, ell):
         img = mobius_apply(gamma, DiscPoint(wq(p, b.prec, 0)))
         if img.w == w:
             return gamma
-    raise SearchExhausted("no witness found; must not happen for odd p")
+    raise AssertionError("no witness found; must not happen for odd p")
 
 
 def _teichmuller_reps(p, prec):
@@ -570,6 +571,66 @@ def test_quat_embed_low_precision_is_a_usage_error():
             quat_embed(1, 25, 11, M)
     g = quat_embed(1, 25, 11, 4)
     assert g.det() == PadicNumber(11, g.a.a0.prec, 25)
+
+
+def test_quat_embed_matches_the_search():
+    # every (t, n) with 0 < n < 100 prime to p and t^2 < 4 n: the closed form
+    # gives the search's unit, each component at its precision, or its error
+    cases = 0
+    seen = set()
+    for p in (3, 5, 7, 11, 13):
+        for prec in (2, 3, 4, 6, 10):
+            for n in range(1, 100):
+                if n % p == 0:
+                    continue
+                top = math.isqrt(4 * n)
+                for t in range(-top, top + 1):
+                    if t * t == 4 * n:
+                        continue
+                    cases += 1
+                    got = outcome(quat_embed, t, n, p, prec)
+                    assert got == outcome(discdyn_reference.quat_embed,
+                                          t, n, p, prec), (t, n, p, prec)
+                    w = 0
+                    while (t * t - 4 * n) % p ** (w + 1) == 0:
+                        w += 1
+                    if isinstance(got, type):
+                        seen.add(got)
+                        continue
+                    seen.add((w, "unit"))
+                    # a.a1 = c = cu p^(w/2) at even w; the larger root of two
+                    c, c_prec = got[1]
+                    if w and w % 2 == 0 and c_prec > w // 2:
+                        cu = c // p ** (w // 2) % p
+                        if cu > p - cu:
+                            seen.add("larger root")
+    assert cases == 54635
+    assert {(w, "unit") for w in range(5)} | {"larger root", UsageError,
+                                               PrecisionExhausted} <= seen
+
+
+def test_quat_embed_when_the_smaller_root_cancels():
+    # disc = 4 - 4 * 712 = -9 * 316 and -316 = 8 mod 81, so the smaller root
+    # cu = 1 leaves disc/4 - 2 c^2 = -729, which is 0 at precision 4 + 2:
+    # the search moves on to cu = 2, and so does the closed form
+    for prec in range(1, 9):
+        assert outcome(quat_embed, 2, 712, 3, prec) == outcome(
+            discdyn_reference.quat_embed, 2, 712, 3, prec), prec
+    assert quat_embed(2, 712, 3, 4).a.a1.val == 2 * 3
+
+
+def test_solve_wq_norm_matches_the_reference():
+    for p in (3, 5, 7, 11, 13):
+        for prec in (1, 2, 3):
+            for u in range(1, p ** prec):
+                if u % p == 0:
+                    continue
+                x = PadicNumber(p, prec, u)
+                got = discdyn._solve_wq_norm(x, p)
+                ref = discdyn_reference._solve_wq_norm(x, p)
+                assert [(c.val, c.prec) for c in (got.a0, got.a1)] == \
+                    [(c.val, c.prec) for c in (ref.a0, ref.a1)]
+                assert got.norm() == x
 
 
 def test_quat_embed_rejects_split_field():

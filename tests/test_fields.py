@@ -332,6 +332,30 @@ def test_xgcd_bezout():
             assert abs(g) == math.gcd(a, b)
 
 
+def order_by_powers(a, m):
+    """Least r >= 1 with a^r = 1 mod m, by stepping through the powers."""
+    a %= m
+    r, x = 1, a
+    while x != 1 % m:
+        x = x * a % m
+        r += 1
+    return r
+
+
+def test_multiplicative_order_matches_the_powers():
+    for m in range(1, 200):
+        for a in range(m):
+            if math.gcd(a, m) == 1:
+                assert multiplicative_order(a, m) == order_by_powers(a, m)
+
+
+def test_multiplicative_order_at_2_31_minus_1():
+    # 7 is a primitive root mod the Mersenne prime 2^31 - 1
+    assert multiplicative_order(7, 2 ** 31 - 1) == 2 ** 31 - 2
+    assert multiplicative_order(7 ** 6, 2 ** 31 - 1) == (2 ** 31 - 2) // 6
+    assert multiplicative_order(2, 2 ** 31 - 1) == 31
+
+
 def test_multiplicative_order():
     for m in range(1, 60):
         for a in range(-m, 2 * m):

@@ -291,6 +291,18 @@ def test_orbit_closure_matches_brute_residues():
                 assert attained == union, (p, lam_val, k)
 
 
+def test_orbit_closure_at_2():
+    # Z_2^x = {1, -1} x (1 + 4 Z_2): the order of lam mod 4 is 1 or 2
+    for lam in range(1, 64, 2):
+        d = orbit_closure(PadicNumber(2, 6, lam))
+        r = 1 if lam % 4 == 1 else 2
+        assert d.teich_order == d.component_count == r
+        diff = (lam ** r - 1) % 64
+        assert d.finite == (diff == 0)
+        if diff:
+            assert d.wild_valuation == (diff & -diff).bit_length() - 1
+
+
 def test_orbit_closure_needs_unit():
     with pytest.raises(NotAUnit):
         orbit_closure(PadicNumber(5, 6, 10))
