@@ -2,12 +2,13 @@
 
 Short Weierstrass models only; the package excludes characteristics 2 and 3
 throughout the curve layer.  Supersingularity is read off the Hasse
-invariant, and a canonical supersingular model is picked by the order of one
-point, so the supersingular side never counts points.  Traces of Frobenius
+invariant, and the supersingular side never counts points: the first j
+comes from Deuring's criterion, and a canonical model is the twist by -1 of
+a model over F_p, whose squared Frobenius is -p (only a j outside F_p needs
+the order of one point).  Traces of Frobenius
 over F_p come from Shanks-Mestre baby-step giant-step for p > 229 and from
 the exhaustive count below that; a caller that knows a count by base change
-passes it to ``Curve``.  A canonical model is tested once per class mod
-4th / 6th powers (``FieldDesc.first_in_class``).
+passes it to ``Curve``.
 The rational ell-subgroups are read off the cycles in which one [g],
 g a generator of (Z/ell)^x / {+-1}, permutes the factors of psi_ell.
 Torsion points over larger extensions are produced by cofactor
@@ -32,8 +33,8 @@ from .errors import (BadTorsionOrder, EqualCharacteristic, InvariantBreach,
                      NotAKernel, NotSupersingular, TraceAmbiguous,
                      UnsupportedCharacteristic)
 from .fields import (ExtFieldElement, Poly, embed_poly, embedding, factor,
-                     make_field, multiplicative_order, poly_factor,
-                     poly_roots, x_poly)
+                     make_field, multiplicative_order, order_from_multiple,
+                     poly_factor, poly_roots, x_poly)
 
 AUX_TRACE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 # largest degree over F_p of the field of E[m] for an auxiliary prime m
@@ -347,8 +348,7 @@ def _mestre_count(E):
 def _point_order(Q, lo, hi):
     """The order of Q, given that some multiple of it lies in [lo, hi].
     Baby steps jQ, 0 <= j < s, and giant steps -(lo + i s)Q, s^2 > hi - lo,
-    meet at a multiple k = lo + i s + j, and k loses each prime factor that
-    Q does not need."""
+    meet at a multiple lo + i s + j of the order."""
     s = math.isqrt(hi - lo) + 1
     baby = {}
     R = Q.curve.infinity(Q.field)
@@ -364,11 +364,7 @@ def _point_order(Q, lo, hi):
     else:
         raise InvariantBreach("no multiple of the order of %r in [%d, %d]"
                               % (Q, lo, hi))
-    k = lo + i * s + j
-    for q, _ in factor(k):
-        while k % q == 0 and ((k // q) * Q).inf:
-            k //= q
-    return k
+    return order_from_multiple(lo + i * s + j, lambda e: (e * Q).inf)
 
 
 def _unique_in_progression(lo, hi, L, Lt, total):
@@ -429,13 +425,30 @@ def is_supersingular(E):
 
 
 def supersingular_j_in_base(p):
-    """The supersingular j in F_p, yielded lazily in encoding order (a BFS
-    seed needs only the first)."""
+    """The supersingular j in F_p, yielded lazily in encoding order."""
     F = make_field(p, 1)
     for e in range(p):
         j = F.from_enc(e)
         if is_supersingular(model_from_j(F, j)):
             yield j
+
+
+# (D, j(O_D)) for the nine imaginary quadratic fields of class number 1
+CM_J = ((-3, 0), (-4, 1728), (-7, -3375), (-8, 8000), (-11, -32768),
+        (-19, -884736), (-43, -884736000), (-67, -147197952000),
+        (-163, -262537412640768000))
+
+
+def supersingular_seed(p):
+    """A supersingular j in F_p: j(O_D) for the first D in CM_J with
+    (D/p) != 1, as a CM curve has supersingular reduction iff p does not
+    split in its CM field (Deuring; Lang, Elliptic Functions, Ch. 13).  A p
+    that splits in all nine (15073, 18313, ...) falls back to the scan."""
+    F = make_field(p, 1)
+    for D, j in CM_J:
+        if pow(D % p, (p - 1) // 2, p) != 1:
+            return F.elt(j)
+    return next(supersingular_j_in_base(p))
 
 
 def _is_canonical(E):
@@ -456,8 +469,12 @@ def _is_canonical(E):
 def canonical_ss_model(j):
     """The canonical supersingular model over F_{p^2}: the lex-smallest
     coefficient vector with #E(F_{p^2}) = (p-1)^2, i.e. squared Frobenius
-    acting as the scalar p.  The isomorphic models (a u^4, b u^6) share
-    the verdict, so each class is tested once, on its first element."""
+    acting as the scalar p.  A model over F_p has trace 0, so its squared
+    Frobenius is -p.  The model (0, z) resp. (z, 0) is the twist of (0, 1)
+    resp. (1, 0) by the automorphism z^((q-1)/e), e = 6 resp. 4, so it is
+    canonical iff that value is -1; at any other j in F_p the quadratic
+    twist is.  ``_is_canonical`` decides only for j outside F_p, and
+    certifies the chosen model."""
     p = j.field.p
     Fp2 = make_field(p, 2)
     if j.field.k == 1:
@@ -471,34 +488,25 @@ def canonical_ss_model(j):
     if not is_supersingular(model_from_j(Fp2, j)):
         raise NotSupersingular("j = %d is not supersingular at p = %d" % (j.enc(), p))
     if j.is_zero() or j == 1728:
-        # the models are (0, z) resp. (z, 0), one per class of z mod 6th
-        # resp. 4th powers; try the classes by their first elements
-        e = 6 if j.is_zero() else 4
-        firsts = [Fp2.first_in_class(e, c)
-                  for c in _binomial_roots(Fp2, e, Fp2.one())]
-        for z in sorted(firsts, key=ExtFieldElement.enc):
-            best = Curve(Fp2, Fp2.zero(), z) if j.is_zero() else Curve(Fp2, z, Fp2.zero())
-            if _is_canonical(best):
-                break
-        else:
-            raise InvariantBreach("no canonical model found for j = %d" % j.enc())
+        z = Fp2.first_in_class(6 if j.is_zero() else 4, Fp2.elt(-1))
+        best = Curve(Fp2, Fp2.zero(), z) if j.is_zero() else Curve(Fp2, z, Fp2.zero())
     else:
         base = model_from_j(Fp2, j)
-        if not _is_canonical(base):
-            # quadratic twist by the first non-residue
+        if j.coeffs[1] == 0 or not _is_canonical(base):
+            # the twist by the first non-residue turns -p into p
             d = Fp2.nonresidue()
             base = Curve(Fp2, base.a * d * d, base.b * d * d * d)
-            if not _is_canonical(base):
-                raise InvariantBreach("no canonical model in either twist class")
         # the models are (a u^4, b u^6): the least a' is the first element of
         # the class of a mod 4th powers, which fixes u up to a 4th root of
-        # unity, so b' is one of the two square roots of b^2 (a'/a)^3
+        # unity, so b' is one of the two square roots of b^2 (a'/a)^3, a
+        # square as a'/a is a 4th power
         a, b = base.a, base.b
         z = Fp2.first_in_class(4, a ** ((Fp2.order - 1) // 4))
         r = (b * b * z * z * z / (a * a * a)).sqrt()
-        if r is None:
-            raise InvariantBreach("b'^2 is not a square for j = %d" % j.enc())
         best = Curve(Fp2, z, min(r, -r, key=lambda t: t.enc()))
+    if not _is_canonical(best):
+        raise InvariantBreach("the model chosen for j = %d is not canonical"
+                              % j.enc())
     best.canonical_ss = True
     _CANONICAL_CACHE[key] = best
     return best
@@ -824,17 +832,23 @@ def iso_scalars(E1, E2):
 # torsion fields and bases (cofactor method, no large root finding)
 
 def _companion_order(t, q, m):
-    """Order of the companion matrix of x^2 - t x + q modulo m."""
-    e = (0, (-q) % m, 1 % m, t % m)
-    ident = (1 % m, 0, 0, 1 % m)
-    cur = e
-    r = 1
-    while cur != ident:
-        cur = mat_mul(cur, e, m)
-        r += 1
-        if r > m ** 4:
-            raise InvariantBreach("companion matrix order overflow")
-    return r
+    """Order of the companion matrix C of x^2 - t x + q in GL_2(Z/m), m
+    prime to q: a divisor of |GL_2(Z/m)|, the product of
+    l^(4e-3) (l-1)^2 (l+1) over the prime powers l^e of m."""
+    n = 1
+    for l, e in factor(m):
+        n *= l ** (4 * e - 3) * (l - 1) ** 2 * (l + 1)
+
+    def trivial(e):
+        R, C = (1, 0, 0, 1), (0, (-q) % m, 1, t % m)
+        while e:
+            if e & 1:
+                R = mat_mul(R, C, m)
+            C = mat_mul(C, C, m)
+            e >>= 1
+        return R == (1, 0, 0, 1)
+
+    return order_from_multiple(n, trivial)
 
 
 def torsion_field_degree(E, m):
@@ -1116,10 +1130,7 @@ def trace_from_residues(E, ell, d, residue, candidate_traces=None):
     for m in AUX_TRACE_PRIMES:
         if m == ell or m == p:
             continue
-        try:
-            r = torsion_field_degree(E, m)
-        except InvariantBreach:
-            continue
+        r = torsion_field_degree(E, m)
         if E.field.k * r > MAX_AUX_EXT_DEGREE:
             continue
         cands.append((r, m))

@@ -261,6 +261,8 @@ def quat_embed(trace, norm, p, prec):
     mod p, or the other if the smaller leaves an even valuation (the other
     then leaves exactly w + 1).
     """
+    if p == 2:
+        raise UsageError("quat_embed needs odd p; W(F_4) is not modelled at p = 2")
     if norm % p == 0:
         raise UsageError("determinant must be a unit at p")
     d = smallest_nonresidue(p)

@@ -1,13 +1,15 @@
 """Finite field towers F_p < F_{p^k} and univariate polynomial algebra.
 
 Everything is exact and deterministic.  The modulus of F_{p^k} is the first
-monic irreducible of degree k in the canonical coefficient order (Rabin's
-test, run in the candidate ring F_p[x]/(f) itself), elements
+monic irreducible of degree k in the canonical coefficient order.  The
+first p candidates are the binomials x^k + c, whose irreducibility is
+decided in closed form (Lidl-Niederreiter, Thm 3.75); past them Rabin's
+test runs in the candidate ring F_p[x]/(f) itself.  Elements
 carry an integer encoding used for every lex tie-break in the package, and
 the randomized factorization steps are driven by a caller-visible seed so
 repeated runs produce identical output.
 
-Scale: p < 2**31 with plain Python integers.  Products in F_{p^2} use a
+Scale: odd p < 2**31 with plain Python integers.  Products in F_{p^2} use a
 closed form in the reduction row x^2 = r0 + r1 x, and inverses the norm.
 Products in F_{p^k}, k >= 3, use Kronecker substitution: both coefficient
 vectors are packed into one integer with slots of 8 to 64 bits (wider ones
@@ -19,8 +21,10 @@ import math
 import random
 import struct
 import threading
+from itertools import zip_longest
 
-from .errors import DegreeZero, NonPrime, ZeroPolynomial
+from .errors import (DegreeZero, NonPrime, UnsupportedCharacteristic,
+                     ZeroPolynomial)
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -89,22 +93,27 @@ def squarefree_split(n):
     return core, f
 
 
+def order_from_multiple(n, trivial):
+    """The order of a group element g from a multiple n of it, where
+    trivial(e) says whether g^e = 1: each prime q of n is divided out of
+    r = n while g^(r/q) = 1 (Cohen, Alg. 1.4.3)."""
+    r = n
+    for q, _ in factor(n):
+        while r % q == 0 and trivial(r // q):
+            r //= q
+    return r
+
+
 def multiplicative_order(a, m):
     """Least r >= 1 with a^r = 1 mod m (1 when m = 1); a must be a unit.
-
-    The order divides r = phi(m), read off factor(m); each prime q of r is
-    divided out of r while a^(r/q) = 1 mod m (Cohen, Alg. 1.4.3).
-    """
+    The order divides phi(m), read off factor(m)."""
     a %= m
     if math.gcd(a, m) != 1:
         raise ValueError("not a unit")
-    r = 1
+    phi = 1
     for q, e in factor(m):
-        r *= (q - 1) * q ** (e - 1)
-    for q, _ in factor(r):
-        while r % q == 0 and pow(a, r // q, m) == 1 % m:
-            r //= q
-    return r
+        phi *= (q - 1) * q ** (e - 1)
+    return order_from_multiple(phi, lambda e: pow(a, e, m) == 1 % m)
 
 
 def _pack_shift(a, bits):
@@ -458,8 +467,6 @@ class ExtFieldElement:
             return self
         F = self.field
         q = F.order
-        if q % 2 == 0:
-            return self ** (q // 2)
         # write q-1 = 2^s * t; one power z = a^((t-1)/2) gives x = a^((t+1)/2)
         # and b = a^t, and Euler's criterion a^((q-1)/2) = b^(2^(s-1))
         t, s = q - 1, 0
@@ -525,37 +532,44 @@ def _is_irreducible(F):
     return all(unit(k // t) for t, _ in factor(k) if k // t not in short)
 
 
+def _binomial_constant(p, k):
+    """The least c >= 1 with x^k + c irreducible over F_p, or None if there
+    is none (Lidl-Niederreiter, Thm 3.75): x^k - a is irreducible iff each
+    prime t | k divides p - 1 and a is not a t-th power, with p = 1 mod 4
+    when 4 | k.  When these hold for p, a generator of F_p^x passes."""
+    primes = [t for t, _ in factor(k)]
+    if any((p - 1) % t for t in primes) or (k % 4 == 0 and p % 4 != 1):
+        return None
+    return next(c for c in range(1, p)
+                if all(pow(-c % p, (p - 1) // t, p) != 1 for t in primes))
+
+
 def make_field(p, k):
     """F_{p^k} with the canonical modulus; cached, thread-safe.
 
     The modulus is the first monic irreducible of degree k when the vector
     of lower coefficients (c_0,...,c_{k-1}) is enumerated in encoding order,
-    so the same (p, k) always yields the same field.
+    so the same (p, k) always yields the same field.  ``_binomial_constant``
+    decides the first p, the binomials x^k + c; Rabin's test scans the rest.
     """
     if not is_prime(p):
         raise NonPrime("p = %r is not prime" % (p,))
+    if p == 2:
+        raise UnsupportedCharacteristic("the field layer needs odd p")
     if not isinstance(k, int) or k < 1:
         raise DegreeZero("extension degree must be >= 1, got %r" % (k,))
     key = (p, k)
     f = _FIELD_CACHE.get(key)
     if f is not None:
         return f
-    if k == 1:
-        field = FieldDesc(p, 1, (0, 1))
+    c = 0 if k == 1 else _binomial_constant(p, k)
+    if c is not None:
+        field = FieldDesc(p, k, (c,) + (0,) * (k - 1) + (1,))
     else:
-        field = None
-        for n in range(p ** k):
-            c = []
-            m = n
-            for _ in range(k):
-                m, r = divmod(m, p)
-                c.append(r)
-            cand = FieldDesc(p, k, tuple(c + [1]))
-            if _is_irreducible(cand):
-                field = cand
+        for n in range(p, p ** k):
+            field = FieldDesc(p, k, tuple(n // p ** i % p for i in range(k)) + (1,))
+            if _is_irreducible(field):
                 break
-        if field is None:  # pragma: no cover - cannot happen
-            raise RuntimeError("no irreducible polynomial found")
     with _FIELD_LOCK:
         return _FIELD_CACHE.setdefault(key, field)
 
@@ -610,29 +624,18 @@ class Poly:
         p = self.field.p
         return (self.degree(), tuple(encode(p, t) for t in self._c))
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def _termwise(self, other, op):
+        """op on the coefficient pairs, the shorter polynomial padded with 0."""
         F = self.field
-        n = max(len(self._c), len(other._c))
-        zero = F.zero().coeffs
-        r = []
-        for i in range(n):
-            a = self._c[i] if i < len(self._c) else zero
-            b = other._c[i] if i < len(other._c) else zero
-            r.append(F._addc(a, b))
-        return Poly(F, r, raw=True)
+        pairs = zip_longest(self._c, self._coerce(other)._c,
+                            fillvalue=F.zero().coeffs)
+        return Poly(F, [op(a, b) for a, b in pairs], raw=True)
+
+    def __add__(self, other):
+        return self._termwise(other, self.field._addc)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        F = self.field
-        n = max(len(self._c), len(other._c))
-        zero = F.zero().coeffs
-        r = []
-        for i in range(n):
-            a = self._c[i] if i < len(self._c) else zero
-            b = other._c[i] if i < len(other._c) else zero
-            r.append(F._subc(a, b))
-        return Poly(F, r, raw=True)
+        return self._termwise(other, self.field._subc)
 
     def __neg__(self):
         F = self.field
@@ -748,19 +751,10 @@ def x_poly(field):
 # ---------------------------------------------------------------------------
 # roots and factorization
 
-def _frobenius_map_poly(f):
-    """x^q mod f for q the field order."""
-    F = f.field
-    return x_poly(F).pow_mod(F.order, f)
-
-
 def _split_equal_degree(f, d, rng):
     """Cantor-Zassenhaus split of f into irreducibles of degree d."""
     F = f.field
     q = F.order
-    n = f.degree()
-    if n == d:
-        return [f.monic()]
     out = []
     stack = [f.monic()]
     while stack:
@@ -772,28 +766,13 @@ def _split_equal_degree(f, d, rng):
             r = Poly(F, [F.from_enc(rng.randrange(q)) for _ in range(g.degree())])
             if r.is_zero():
                 continue
-            if q % 2 == 1:
-                h = r.pow_mod((q ** d - 1) // 2, g) - Poly(F, [1])
-            else:
-                # trace map for characteristic 2
-                h = Poly(F, [])
-                t = r % g
-                bits = d * (F.k if F.p == 2 else 1)
-                for _ in range(bits):
-                    h = (h + t) % g
-                    t = (t * t) % g
+            h = r.pow_mod((q ** d - 1) // 2, g) - Poly(F, [1])
             s = g.gcd(h)
             if 0 < s.degree() < g.degree():
                 stack.append(s)
                 stack.append(g // s)
                 break
     return out
-
-
-def _pth_root_coeff(field, t):
-    # c^(p^(k-1)) is the p-th root of c in F_{p^k}
-    e = field.p ** (field.k - 1)
-    return field._powc(t, e)
 
 
 def poly_factor(f, seed=0):
@@ -821,9 +800,9 @@ def poly_factor(f, seed=0):
             return
         d = g.derivative()
         if d.is_zero():
-            # g is a p-th power: g = h(x^p)
-            stride = F.p
-            h_coeffs = [_pth_root_coeff(F, g._c[i]) for i in range(0, len(g._c), stride)]
+            # g = h(x^p) is a p-th power; c^(p^(k-1)) is the p-th root of c
+            e = F.p ** (F.k - 1)
+            h_coeffs = [F._powc(g._c[i], e) for i in range(0, len(g._c), F.p)]
             work(Poly(F, h_coeffs, raw=True), mult * F.p)
             return
         sqf = g.gcd(d)
@@ -860,7 +839,7 @@ def poly_roots(f):
     F = f.field
     if f.degree() == 0:
         return set()
-    lin = f.gcd(_frobenius_map_poly(f) - x_poly(F))
+    lin = f.gcd(x_poly(F).pow_mod(F.order, f) - x_poly(F))
     if lin.degree() == 0:
         return set()
     roots = set()

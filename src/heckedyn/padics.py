@@ -10,7 +10,7 @@ digits of lam.
 """
 
 from .errors import (ConvergenceDomain, NotAUnit, NotSplit,
-                     PrecisionExhausted, UsageError)
+                     PrecisionExhausted, ScaleExceeded, UsageError)
 from .fields import is_prime, make_field, multiplicative_order
 
 DEFAULT_PRECISION = 24
@@ -351,6 +351,8 @@ def orbit_closure(lam):
     p, M = lam.p, lam.prec
     if M < 2:
         raise PrecisionExhausted("need at least 2 digits to classify an orbit")
+    if p >= 2 ** 31:
+        raise ScaleExceeded("orbit closures need p < 2^31, got p = %d" % p)
     r = multiplicative_order(lam.val, 4 if p == 2 else p)
     lam_r = lam ** r
     diff = lam_r - 1

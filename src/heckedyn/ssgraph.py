@@ -15,7 +15,7 @@ import math
 
 from .curves import (action_matrix, automorphism_scalars, canonical_ss_model,
                      chain_eval, ell_subgroups, iso_scalars, j_invariant,
-                     mat_mul, scaled_point, supersingular_j_in_base,
+                     mat_mul, scaled_point, supersingular_seed,
                      torsion_coordinates, torsion_grid, torsion_index,
                      trace_from_residues, velu)
 from .errors import (BudgetExhausted, EvenEll, InvariantBreach,
@@ -142,11 +142,8 @@ def build_ssgraph(p, ell, N=1):
     # graph is connected, so one seed reaches all of them.  Once per (curve,
     # kernel) it makes the isogeny phi, the canonical model E1 of the
     # quotient, the first isomorphism u0 onto E1 and the matrix of u0 phi
-    seed = next(supersingular_j_in_base(p), None)
-    if seed is None:
-        raise InvariantBreach("no supersingular j in the base field")
     seen = {}           # curve -> [(h, phi, E1, u0, matrix on E[N])]
-    queue = [canonical_ss_model(seed)]
+    queue = [canonical_ss_model(supersingular_seed(p))]
     while queue:
         E = queue.pop(0)
         if E in seen:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -239,6 +240,16 @@ def test_dyn_closure_at_2_31_minus_1(capsys):
     payload = json.loads(out)
     assert payload["teich_order"] == payload["component_count"] == 2 ** 31 - 2
     assert payload["wild_valuation"] == 1 and payload["finite"] is False
+
+
+def test_dyn_closure_beyond_2_31_exits_1_at_once(capsys):
+    # p - 1 = 2 * 500000000000000001 hung in trial division
+    start = time.perf_counter()
+    code, out, err = run(["dyn", "closure", "-p", "1000000000000000003",
+                          "--lam", "2"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert "p < 2^31" in err
 
 
 def test_dump_json_writes_stdout_for_none_and_dash(tmp_path, capsys):

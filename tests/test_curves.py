@@ -7,16 +7,19 @@ from heckedyn.errors import (BadTorsionOrder, EqualCharacteristic,
                              InvariantBreach, NotAKernel, NotSupersingular,
                              UnsupportedCharacteristic)
 from heckedyn import curves
-from heckedyn.curves import (Curve, _div_B, _mult_by_k_fraction,
-                             _poly_invert_mod, action_matrix,
-                             all_points_of_order, automorphism_scalars,
-                             canonical_ss_model, count_points, ell_subgroups,
-                             is_supersingular, iso_scalars, j_invariant,
-                             model_from_j, scaled_point,
-                             supersingular_j_in_base, torsion_basis,
-                             torsion_grid, trace_of_frobenius, velu)
-from heckedyn.fields import (Poly, embedding, factor, is_prime, make_field,
-                             poly_factor)
+from heckedyn.curves import (Curve, _binomial_roots, _div_B,
+                             _mult_by_k_fraction, _poly_invert_mod,
+                             action_matrix, all_points_of_order,
+                             automorphism_scalars, canonical_ss_model,
+                             count_points, ell_subgroups, is_supersingular,
+                             iso_scalars, j_invariant, mat_mul, model_from_j,
+                             scaled_point, supersingular_j_in_base,
+                             supersingular_seed, torsion_basis, torsion_grid,
+                             trace_of_frobenius, velu)
+from heckedyn.fields import (ExtFieldElement, Poly, embedding, factor,
+                             is_prime, make_field, poly_factor)
+from heckedyn.graphio import ssgraph_to_dict
+from heckedyn import ssgraph
 from heckedyn.ssgraph import build_ssgraph
 from heckedyn.volcano import build_empirical, walk_endo_empirical
 
@@ -421,16 +424,63 @@ def reference_scan_ss_model(j):
     return (best.a.enc(), best.b.enc())
 
 
+def reference_trial_ss_model(j):
+    """The canonical model by twist-class trials, the search that the
+    closed form replaced: at j = 0 / 1728 one _is_canonical test per class
+    mod 6th / 4th powers, on its first element; otherwise the model over
+    F_{p^2}, then its quadratic twist."""
+    Fp2 = j.field
+    _is_canonical = curves._is_canonical
+    if j.is_zero() or j == 1728:
+        # the models are (0, z) resp. (z, 0), one per class of z mod 6th
+        # resp. 4th powers; try the classes by their first elements
+        e = 6 if j.is_zero() else 4
+        firsts = [Fp2.first_in_class(e, c)
+                  for c in _binomial_roots(Fp2, e, Fp2.one())]
+        for z in sorted(firsts, key=ExtFieldElement.enc):
+            best = Curve(Fp2, Fp2.zero(), z) if j.is_zero() else Curve(Fp2, z, Fp2.zero())
+            if _is_canonical(best):
+                break
+        else:
+            raise InvariantBreach("no canonical model found for j = %d" % j.enc())
+    else:
+        base = model_from_j(Fp2, j)
+        if not _is_canonical(base):
+            # quadratic twist by the first non-residue
+            d = Fp2.nonresidue()
+            base = Curve(Fp2, base.a * d * d, base.b * d * d * d)
+            if not _is_canonical(base):
+                raise InvariantBreach("no canonical model in either twist class")
+        # the models are (a u^4, b u^6): the least a' is the first element of
+        # the class of a mod 4th powers, which fixes u up to a 4th root of
+        # unity, so b' is one of the two square roots of b^2 (a'/a)^3
+        a, b = base.a, base.b
+        z = Fp2.first_in_class(4, a ** ((Fp2.order - 1) // 4))
+        r = (b * b * z * z * z / (a * a * a)).sqrt()
+        if r is None:
+            raise InvariantBreach("b'^2 is not a square for j = %d" % j.enc())
+        best = Curve(Fp2, z, min(r, -r, key=lambda t: t.enc()))
+    return (best.a.enc(), best.b.enc())
+
+
 def test_canonical_model_matches_per_element_scans():
-    # every supersingular j over F_{p^2}, p < 110: from p = 11 on the
-    # 3-isogeny graph is connected, so its curves are all of them
-    for p in filter(is_prime, range(5, 110)):
+    # every supersingular j over F_{p^2}, p < 300: from p = 11 on the
+    # 3-isogeny graph is connected, so its curves are all of them.  The
+    # model over F_p of a j != 0, 1728 in F_p is never the canonical one
+    untwisted = 0
+    for p in filter(is_prime, range(5, 300)):
         js = (supersingular_js(p) if p < 11 else
               [j_invariant(E) for E in build_ssgraph(p, 3, 1).curves])
         assert len(js) == ss_count(p)
         for j in js:
             E = canonical_ss_model(j)
-            assert (E.a.enc(), E.b.enc()) == reference_scan_ss_model(j)
+            got = (E.a.enc(), E.b.enc())
+            assert got == reference_scan_ss_model(j)
+            assert got == reference_trial_ss_model(j)
+            if j.coeffs[1] == 0 and not (j.is_zero() or j == 1728):
+                assert not curves._is_canonical(model_from_j(j.field, j))
+                untwisted += 1
+    assert untwisted > 60
 
 
 @pytest.mark.parametrize("p", [11, 17, 19, 23, 31, 47, 83, 107, 1019])
@@ -452,8 +502,52 @@ def test_at_most_one_canonical_test_per_class(p, monkeypatch):
             continue
         del calls[:]
         E = canonical_ss_model(F.from_enc(jenc))
-        assert 1 <= len(calls) <= e
+        assert len(calls) == 1  # the certificate of the closed form
         assert is_canonical(E)
+
+
+def test_canonical_model_at_j_0_and_1728_matches_twist_trials():
+    # the twist by the automorphism -1: z = first_in_class(6 resp. 4, -1)
+    cases = 0
+    for p in filter(is_prime, range(5, 2000)):
+        F = make_field(p, 2)
+        for j in (F.zero(), F.elt(1728)):
+            if is_supersingular(model_from_j(F, j)):
+                E = canonical_ss_model(j)
+                assert (E.a.enc(), E.b.enc()) == reference_trial_ss_model(j)
+                cases += 1
+    assert cases > 290
+
+
+def test_supersingular_seed_is_supersingular():
+    # Deuring's criterion against the Hasse invariant at every prime
+    # 11 <= p < 6000; no such p splits in all nine fields, so each seed is
+    # one of the nine CM values
+    for p in filter(is_prime, range(11, 6000)):
+        j = supersingular_seed(p)
+        assert is_supersingular(model_from_j(j.field, j)), p
+        assert j.enc() in {J % p for _, J in curves.CM_J}
+
+
+# the first supersingular j of the F_p scan, the old seed, at the first two
+# primes that split in all nine fields
+SCAN_SEEDS = {15073: 137, 18313: 1978}
+
+
+@pytest.mark.parametrize("p", sorted(SCAN_SEEDS))
+def test_supersingular_seed_falls_back_to_the_scan(p):
+    assert all(pow(D % p, (p - 1) // 2, p) == 1 for D, _ in curves.CM_J)
+    assert supersingular_seed(p).enc() == SCAN_SEEDS[p]
+
+
+@pytest.mark.parametrize("p, ell, N", [(47, 3, 1), (101, 5, 1), (61, 3, 5)])
+def test_graph_does_not_depend_on_the_seed(p, ell, N, monkeypatch):
+    # the old seed, the first supersingular j of the F_p scan, gives the
+    # same graph: it is connected and its vertices are sorted at the end
+    G = ssgraph_to_dict(build_ssgraph(p, ell, N))
+    monkeypatch.setattr(ssgraph, "supersingular_seed",
+                        lambda p: next(supersingular_j_in_base(p)))
+    assert ssgraph_to_dict(build_ssgraph(p, ell, N)) == G
 
 
 @pytest.mark.parametrize("p", [11, 13, 17, 19])
@@ -473,6 +567,31 @@ def test_hasse_invariant_on_every_base_field_model(p):
                 continue
             t = p + 1 - brute_count(p, a, b)
             assert is_supersingular(Curve(F, a, b)) == (t % p == 0)
+
+
+def reference_companion_order(t, q, m):
+    """Order of the companion matrix of x^2 - t x + q modulo m, by walking
+    its powers: the loop that the order from |GL_2(Z/m)| replaced."""
+    e = (0, (-q) % m, 1 % m, t % m)
+    ident = (1 % m, 0, 0, 1 % m)
+    cur = e
+    r = 1
+    while cur != ident:
+        cur = mat_mul(cur, e, m)
+        r += 1
+        if r > m ** 4:
+            raise InvariantBreach("companion matrix order overflow")
+    return r
+
+
+@pytest.mark.parametrize("m", curves.AUX_TRACE_PRIMES + (4, 9, 25, 15))
+def test_companion_order_matches_the_powers(m):
+    # every t mod m and every q mod m prime to m
+    for t in range(m):
+        for q in range(1, m):
+            if math.gcd(q, m) == 1:
+                assert (curves._companion_order(t, q, m)
+                        == reference_companion_order(t, q, m)), (t, q)
 
 
 def test_supersingular_side_never_counts_points(monkeypatch):

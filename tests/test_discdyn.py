@@ -573,6 +573,12 @@ def test_quat_embed_low_precision_is_a_usage_error():
     assert g.det() == PadicNumber(11, g.a.a0.prec, 25)
 
 
+def test_quat_embed_at_p_2_is_a_usage_error():
+    # it raised a bare ValueError from smallest_nonresidue
+    with pytest.raises(UsageError, match="p = 2"):
+        quat_embed(1, 3, 2, 10)
+
+
 def test_quat_embed_matches_the_search():
     # every (t, n) with 0 < n < 100 prime to p and t^2 < 4 n: the closed form
     # gives the search's unit, each component at its precision, or its error

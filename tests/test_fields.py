@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from heckedyn.errors import DegreeZero, NonPrime, ZeroPolynomial
+from heckedyn.errors import (DegreeZero, NonPrime, UnsupportedCharacteristic,
+                             ZeroPolynomial)
 from heckedyn.fields import (FieldDesc, Poly, _is_irreducible, embedding,
                              encode, factor, is_prime, make_field,
                              multiplicative_order, poly_factor, poly_roots,
@@ -104,6 +105,56 @@ def test_make_field_moduli_match_recorded_search():
     for (p, k), n in RECORDED_MODULI.items():
         F = make_field(p, k)
         assert F.modulus[k] == 1 and encode(p, F.modulus[:k]) == n
+
+
+def reference_scan_modulus(p, k):
+    """The modulus by Rabin's test on every candidate in encoding order,
+    the binomial block included: the search that the closed form for the
+    binomials replaced."""
+    field = None
+    for n in range(p ** k):
+        c = []
+        m = n
+        for _ in range(k):
+            m, r = divmod(m, p)
+            c.append(r)
+        cand = FieldDesc(p, k, tuple(c + [1]))
+        if _is_irreducible(cand):
+            field = cand
+            break
+    if field is None:  # pragma: no cover - cannot happen
+        raise RuntimeError("no irreducible polynomial found")
+    return field.modulus
+
+
+def test_make_field_matches_the_full_rabin_scan():
+    # Lidl-Niederreiter decides the binomial block for every odd p < 200
+    # and 2 <= k <= 8, whether a binomial is the modulus or none is
+    binomial = 0
+    for p in filter(is_prime, range(3, 200)):
+        for k in range(2, 9):
+            got = make_field(p, k).modulus
+            assert got == reference_scan_modulus(p, k), (p, k)
+            binomial += not any(got[1:k])
+    assert 0 < binomial < 315
+
+
+# the full scan's moduli at (p, k) where it spent its time in the binomial
+# block, as the encoding of (c_0, ..., c_{k-1})
+SCANNED_MODULI = {(10007, 4): 10013, (10009, 4): 7, (10007, 6): 10014,
+                  (1019, 8): 1024, (100003, 4): 100010}
+
+
+def test_make_field_large_moduli_match_the_full_scan():
+    for (p, k), n in SCANNED_MODULI.items():
+        F = make_field(p, k)
+        assert F.modulus[k] == 1 and encode(p, F.modulus[:k]) == n
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_make_field_rejects_characteristic_2(k):
+    with pytest.raises(UnsupportedCharacteristic, match="odd p"):
+        make_field(2, k)
 
 
 def test_modulus_search_rejects_a_root_in_fp_with_one_short_power():
