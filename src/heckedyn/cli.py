@@ -129,6 +129,11 @@ def cmd_ssgraph(args):
 
 def cmd_volcano(args):
     if args.disc is not None:
+        for flag, value in (("-p", args.p), ("--j", args.j),
+                            ("--dot", args.dot)):
+            if value is not None:
+                raise UsageError("%s is for empirical volcanoes, not --disc"
+                                 % flag)
         depth = args.depth if args.depth is not None else 0
         V = volcano.build_synthetic(args.disc, args.ell, depth)
         payload = graphio.synthetic_to_dict(V)

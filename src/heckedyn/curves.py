@@ -9,8 +9,9 @@ the order of one point).  Traces of Frobenius
 over F_p come from Shanks-Mestre baby-step giant-step for p > 229 and from
 the exhaustive count below that; a caller that knows a count by base change
 passes it to ``Curve``.
-The rational ell-subgroups are read off the cycles in which one [g],
-g a generator of (Z/ell)^x / {+-1}, permutes the factors of psi_ell.
+A rational ell-subgroup <P> is read off one factor f of psi_ell: the
+kernel polynomial prod (X - x([k]P)), formed over F[x]/(f), has constant
+coefficients exactly when <P> is rational.
 Torsion points over larger extensions are produced by cofactor
 multiplication, never by root finding in big fields.  On canonical models
 the cofactor is that of the group exponent p^r - 1.  A point with x in F_p
@@ -32,9 +33,10 @@ import math
 from .errors import (BadTorsionOrder, EqualCharacteristic, InvariantBreach,
                      NotAKernel, NotSupersingular, TraceAmbiguous,
                      UnsupportedCharacteristic)
-from .fields import (ExtFieldElement, Poly, embed_poly, embedding, factor,
-                     make_field, multiplicative_order, order_from_multiple,
-                     poly_factor, poly_roots, x_poly)
+from .fields import (ExtFieldElement, Poly, distinct_degree_parts,
+                     embed_poly, embedding, factor, make_field,
+                     multiplicative_order, order_from_multiple, poly_roots,
+                     split_equal_degree, split_prime, x_poly)
 
 AUX_TRACE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 # largest degree over F_p of the field of E[m] for an auxiliary prime m
@@ -62,7 +64,6 @@ class Curve:
         self.canonical_ss = False
         self._count = count
         self._divpoly = {}
-        self._xi_cache = {}
         self._coeff_cache = {}
         self._kernel_cache = {}
         self._torsion_cache = {}
@@ -563,23 +564,6 @@ def _div_B(E, n):
     return val
 
 
-def _mult_by_k_fraction(E, k):
-    """(numerator, denominator) x-polynomials of the multiplication-by-k map."""
-    got = E._xi_cache.get(k)
-    if got is None:
-        f4 = E.rhs_poly().scale(4)
-        bk = _div_B(E, k)
-        bk2 = bk * bk
-        den = f4 * bk2 if k % 2 == 0 else bk2
-        cross = _div_B(E, k - 1) * _div_B(E, k + 1)
-        if k % 2 == 1:
-            cross = f4 * cross
-        num = x_poly(E.field) * den - cross
-        got = (num, den)
-        E._xi_cache[k] = got
-    return got
-
-
 # ---------------------------------------------------------------------------
 # kernel polynomials of rational ell-subgroups
 
@@ -598,32 +582,39 @@ def _poly_invert_mod(g, h):
     return (t0.scale(lead_inv)) % h
 
 
-def _pm_generator(ell):
-    """The least g >= 2 whose class generates (Z/ell)^x / {+-1}."""
-    dd = (ell - 1) // 2
-    for g in range(2, ell):
-        if all(pow(g, dd // q, ell) not in (1, ell - 1) for q, _ in factor(dd)):
-            return g
+def _kernel_of_factor(E, f, dd):
+    """The kernel polynomial of <P> for a root x(P) of the irreducible
+    factor f of psi_ell, dd = (ell - 1)/2, or None when <P> is not rational.
 
+    In F[x]/(f), x_1 = x is x(P), x_2 comes from the x-only double, and
+    x_{k+1} = (2(x_k + x)(x_k x + a) + 4b)/(x_k - x)^2 - x_{k-1}, the sum
+    x([k]P + P) + x([k]P - P).  H = prod_{k <= dd} (X - x_k) is fixed by
+    Galois exactly when <P> is, i.e. when every coefficient is a constant."""
+    F = E.field
 
-def _image_factor(f, num, den, factors):
-    """Index of the factor of psi_ell whose roots are x([g]P) for the roots
-    x(P) of f: the one of f's degree that vanishes at xi = num/den mod f."""
-    F = f.field
-    inv = _poly_invert_mod(den % f, f)
-    if inv is None:
-        raise InvariantBreach("x o [g] has a pole at a root of psi_ell")
-    xi = (num % f) * inv % f
-    for i, h in enumerate(factors):
-        if h.degree() != f.degree():
-            continue
-        # evaluate h at xi inside F[x]/(f)
-        acc = Poly(F, [])
-        for c in reversed(h.coeffs):
-            acc = (acc * xi + Poly(F, [c])) % f
-        if acc.is_zero():
-            return i
-    raise InvariantBreach("no factor of psi_ell vanishes at x o [g]")
+    def over(num, den):
+        inv = _poly_invert_mod(den % f, f)
+        if inv is None:
+            raise InvariantBreach("x([k]P) has a pole at a root of psi_ell")
+        return num * inv % f
+
+    x = x_poly(F) % f
+    xs = [x]
+    if dd > 1:
+        u = x * x - E.a
+        xs.append(over(u * u - x.scale(E.b * 8),
+                       (x * x * x + x * E.a + E.b).scale(4)))
+    while len(xs) < dd:
+        xk = xs[-1]
+        num = ((xk + x) * (xk * x + E.a)).scale(2) + Poly(F, [E.b * 4])
+        xs.append((over(num, (xk - x) * (xk - x)) - xs[-2]) % f)
+    H = [Poly(F, [1])]
+    for xk in xs:
+        low = [(-xk * c) % f for c in H] + [Poly(F, [])]
+        H = [low[0]] + [low[i] + H[i - 1] for i in range(1, len(low))]
+    if any(c.degree() > 0 for c in H):
+        return None
+    return Poly(F, [(c.coeffs or [F.zero()])[0] for c in H])
 
 
 def ell_subgroups(E, ell):
@@ -631,12 +622,10 @@ def ell_subgroups(E, ell):
     sorted by coefficient encoding.  On canonical supersingular models over
     F_{p^2} this returns all ell + 1 subgroups.
 
-    For odd ell the x-set of a cyclic subgroup is one orbit of
-    (Z/ell)^x / {+-1}, of size (ell-1)/2, under the generator [g].  [g]
-    commutes with Galois, so it permutes the irreducible factors of psi_ell
-    and keeps their degrees; the roots of one cycle are a Galois-stable union
-    of [g]-orbits.  So the cycles of total degree (ell-1)/2 are exactly the
-    rational subgroups, and their factors all have one degree dividing it."""
+    For odd ell the x-set of a rational <P> is a union of Galois orbits of
+    one degree d dividing (ell-1)/2, so only the factors of psi_ell of those
+    degrees are split (psi_ell is squarefree for ell != p); each one not
+    yet in a found kernel is tested by ``_kernel_of_factor``."""
     p = E.field.p
     if ell == p:
         raise EqualCharacteristic("ell = p = %d" % p)
@@ -649,24 +638,16 @@ def ell_subgroups(E, ell):
         out = [Poly(E.field, [-r, E.field.one()]) for r in roots]
     else:
         dd = (ell - 1) // 2
-        factors = [f for f, _ in poly_factor(_div_B(E, ell))
-                   if dd % f.degree() == 0]
-        num, den = _mult_by_k_fraction(E, _pm_generator(ell))
-        image = [_image_factor(f, num, den, factors) for f in factors]
         out = []
-        seen = set()
-        for start in range(len(factors)):
-            cycle = []
-            i = start
-            while i not in seen:
-                seen.add(i)
-                cycle.append(factors[i])
-                i = image[i]
-            if sum(f.degree() for f in cycle) == dd:
-                h = Poly(E.field, [1])
-                for f in cycle:
-                    h = h * f
-                out.append(h)
+        for d, part in distinct_degree_parts(_div_B(E, ell), dd):
+            if dd % d:
+                continue
+            for f in split_equal_degree(part, d):
+                if any((h % f).is_zero() for h in out):
+                    continue
+                h = _kernel_of_factor(E, f, dd)
+                if h is not None:
+                    out.append(h)
         out.sort(key=lambda f: f.key())
     E._kernel_cache[key] = out
     return out
@@ -920,12 +901,7 @@ def _prime_power_basis(E, ell, e):
         n = p ** r - 1
     below = p ** 2 - 1 if E.canonical_ss else _order_over(E, 2)
     start = p if below % m else 0
-    v = 0
-    nn = n
-    while nn % ell == 0:
-        nn //= ell
-        v += 1
-    cof = n // (ell ** v)
+    v, cof = split_prime(n, ell)
     rescale = cof if E.canonical_ss else 1
     first = None
     first_span = None

@@ -14,6 +14,7 @@ import random
 
 from .errors import (ChartEscape, InvariantBreach, NotAUnit,
                      PrecisionExhausted, UsageError)
+from .fields import split_prime
 from .padics import (PadicNumber, WqElement, binom_pow, cyclo_binom_fixed,
                      require_disc, sat_membership, smallest_nonresidue,
                      sqrt_unit, wq)
@@ -269,11 +270,7 @@ def quat_embed(trace, norm, p, prec):
     disc = trace * trace - 4 * norm
     if disc == 0:
         raise UsageError("scalar endomorphisms embed as scalars")
-    w = 0
-    dd = disc
-    while dd % p == 0:
-        dd //= p
-        w += 1
+    w, dd = split_prime(disc, p)
     if w % 2 == 0 and pow(dd % p, (p - 1) // 2, p) == 1:
         raise UsageError(
             "x^2 - %dx + %d splits at %d; no embedding into the division algebra"

@@ -6,8 +6,9 @@ first p candidates are the binomials x^k + c, whose irreducibility is
 decided in closed form (Lidl-Niederreiter, Thm 3.75); past them Rabin's
 test runs in the candidate ring F_p[x]/(f) itself.  Elements
 carry an integer encoding used for every lex tie-break in the package, and
-the randomized factorization steps are driven by a caller-visible seed so
-repeated runs produce identical output.
+the equal-degree splitting seeds its own random.Random(0), so repeated runs
+produce identical output.  Factorization is squarefree, then distinct-degree
+by the one loop ``distinct_degree_parts``, then equal-degree.
 
 Scale: odd p < 2**31 with plain Python integers.  Products in F_{p^2} use a
 closed form in the reduction row x^2 = r0 + r1 x, and inverses the norm.
@@ -73,15 +74,22 @@ def factor(n):
     q = 2
     while q * q <= n:
         if n % q == 0:
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
+            e, n = split_prime(n, q)
             out.append((q, e))
         q += 1
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def split_prime(n, q):
+    """(v, n / q^v) with v = v_q(n), for a nonzero integer n (of either
+    sign) and q >= 2."""
+    v = 0
+    while n % q == 0:
+        n //= q
+        v += 1
+    return v, n
 
 
 def squarefree_split(n):
@@ -751,10 +759,13 @@ def x_poly(field):
 # ---------------------------------------------------------------------------
 # roots and factorization
 
-def _split_equal_degree(f, d, rng):
-    """Cantor-Zassenhaus split of f into irreducibles of degree d."""
+def split_equal_degree(f, d):
+    """Cantor-Zassenhaus split of f, a product of distinct irreducibles of
+    degree d, into those irreducibles; the random splitters come from
+    random.Random(0), so the output is reproducible."""
     F = f.field
     q = F.order
+    rng = random.Random(0)
     out = []
     stack = [f.monic()]
     while stack:
@@ -775,16 +786,37 @@ def _split_equal_degree(f, d, rng):
     return out
 
 
-def poly_factor(f, seed=0):
-    """Complete factorization into monic irreducibles with multiplicities.
+def distinct_degree_parts(f, top=None):
+    """[(d, f_d), ...] for a squarefree f: f_d is the monic product of the
+    irreducible factors of f of degree d, listed for each d <= top (every
+    d when top is None) with f_d != 1.  The roots of f_d are those of
+    x^(q^d) - x that no smaller d took; once degree(rest) < 2d, the rest
+    is irreducible."""
+    F = f.field
+    x = x_poly(F)
+    rest = f.monic()
+    h = x % rest
+    out = []
+    d = 1
+    while rest.degree() >= 2 * d and (top is None or d <= top):
+        h = h.pow_mod(F.order, rest)
+        part = rest.gcd(h - x)
+        if part.degree() > 0:
+            out.append((d, part))
+            rest = rest // part
+            h = h % rest
+        d += 1
+    if rest.degree() > 0 and (top is None or rest.degree() <= top):
+        out.append((rest.degree(), rest))
+    return out
 
-    Output is sorted by (degree, coefficient encodings) and reproducible:
-    the equal-degree splitting RNG is seeded from ``seed`` only.
-    """
+
+def poly_factor(f):
+    """Complete factorization into monic irreducibles with multiplicities,
+    sorted by (degree, coefficient encodings)."""
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     F = f.field
-    rng = random.Random(seed)
     factors = {}
 
     def add(g, mult):
@@ -810,22 +842,9 @@ def poly_factor(f, seed=0):
             work(g // sqf, mult)
             work(sqf, mult)
             return
-        # g squarefree: distinct-degree then equal-degree
-        x = x_poly(F)
-        h = x % g
-        rest = g
-        dd = 1
-        while rest.degree() >= 2 * dd:
-            h = h.pow_mod(F.order, rest)
-            part = rest.gcd(h - x)
-            if part.degree() > 0:
-                for irr in _split_equal_degree(part, dd, rng):
-                    add(irr, mult)
-                rest = rest // part
-                h = h % rest
-            dd += 1
-        if rest.degree() > 0:
-            add(rest.monic(), mult)
+        for dd, part in distinct_degree_parts(g):
+            for irr in split_equal_degree(part, dd):
+                add(irr, mult)
 
     work(f, 1)
     items = sorted(factors.values(), key=lambda t: t[0].key())
@@ -843,7 +862,7 @@ def poly_roots(f):
     if lin.degree() == 0:
         return set()
     roots = set()
-    for g in _split_equal_degree(lin, 1, random.Random(0)):
+    for g in split_equal_degree(lin, 1):
         roots.add(-ExtFieldElement(F, g._c[0]))
     return roots
 

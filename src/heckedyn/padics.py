@@ -11,7 +11,7 @@ digits of lam.
 
 from .errors import (ConvergenceDomain, NotAUnit, NotSplit,
                      PrecisionExhausted, ScaleExceeded, UsageError)
-from .fields import is_prime, make_field, multiplicative_order
+from .fields import is_prime, make_field, multiplicative_order, split_prime
 
 DEFAULT_PRECISION = 24
 
@@ -104,12 +104,7 @@ class PadicNumber:
         if self.val == 0:
             raise PrecisionExhausted(
                 "valuation of a value that is 0 mod %d^%d" % (self.p, self.prec))
-        v = 0
-        x = self.val
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
+        return split_prime(self.val, self.p)[0]
 
     def shift_down(self, v):
         """Exact division by p^v; loses v digits of precision."""
@@ -423,11 +418,7 @@ def quadratic_roots(trace, norm, p, prec):
     disc = trace * trace - 4 * norm
     if disc == 0:
         raise NotSplit("repeated root")
-    v = 0
-    d = disc
-    while d % p == 0:
-        d //= p
-        v += 1
+    v, d = split_prime(disc, p)
     if v % 2 == 1:
         raise NotSplit("discriminant has odd valuation at %d" % p)
     work = prec + v // 2 + 2

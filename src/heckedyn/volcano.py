@@ -12,7 +12,7 @@ from .curves import (Curve, chain_trace, ell_subgroups, iso_scalars,
                      j_invariant, model_from_j, trace_of_frobenius, velu)
 from .errors import (BadDiscriminant, ExcludedJ, InvariantBreach, NotClosed,
                      SupersingularStart, UsageError)
-from .fields import embedding, is_prime, make_field
+from .fields import embedding, is_prime, make_field, split_prime
 from .markov import _bfs_dist, closed_walk_start
 from .padics import PadicNumber, quadratic_roots
 from .quadforms import fundamental_discriminant, kronecker, prime_class_order
@@ -202,11 +202,7 @@ class EmpiricalVolcano:
         self.frobenius_trace = t
         self.field_disc = d0
         self.frobenius_conductor = cond
-        vl = 0
-        m = cond
-        while m % ell == 0:
-            m //= ell
-            vl += 1
+        vl, m = split_prime(cond, ell)
         self.true_depth = vl
         self.rim_conductor = m
         self.rim_disc = m * m * d0

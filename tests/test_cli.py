@@ -155,6 +155,18 @@ def test_volcano_rejects_negative_depth(where, capsys, monkeypatch):
     assert "depth must be >= 0" in err and out == ""
 
 
+@pytest.mark.parametrize("flag", [["--dot", "x.dot"], ["-p", "11"],
+                                  ["--j", "5"]])
+def test_volcano_disc_rejects_empirical_flags(flag, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["volcano", "--disc", "-15", "-l", "2"] + flag,
+                         capsys)
+    assert code == 1
+    assert flag[0] in err and out == ""
+    assert not (tmp_path / "x.dot").exists()
+
+
 def test_volcano_empirical(capsys):
     code, out, err = run(["volcano", "-p", "11", "--j", "5", "-l", "2",
                           "--depth", "1"], capsys)

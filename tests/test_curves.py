@@ -8,22 +8,23 @@ from heckedyn.errors import (BadTorsionOrder, EqualCharacteristic,
                              UnsupportedCharacteristic)
 from heckedyn import curves
 from heckedyn.curves import (Curve, _binomial_roots, _div_B,
-                             _mult_by_k_fraction, _poly_invert_mod,
-                             action_matrix, all_points_of_order,
+                             _poly_invert_mod, action_matrix, all_points_of_order,
                              automorphism_scalars, canonical_ss_model,
                              count_points, ell_subgroups, is_supersingular,
                              iso_scalars, j_invariant, mat_mul, model_from_j,
                              scaled_point, supersingular_j_in_base,
                              supersingular_seed, torsion_basis, torsion_grid,
                              trace_of_frobenius, velu)
-from heckedyn.fields import (ExtFieldElement, Poly, embedding, factor,
-                             is_prime, make_field, poly_factor)
+from heckedyn.fields import (ExtFieldElement, Poly, distinct_degree_parts,
+                             embedding, factor, is_prime, make_field,
+                             poly_factor)
 from heckedyn.graphio import ssgraph_to_dict
 from heckedyn import ssgraph
 from heckedyn.ssgraph import build_ssgraph
 from heckedyn.volcano import build_empirical, walk_endo_empirical
 
 from duals import dual_isogeny
+from kernel_reference import cycle_kernel_polys, mult_by_k_fraction
 
 F11 = make_field(11, 1)
 F121 = make_field(11, 2)
@@ -690,6 +691,19 @@ def _degree_subsets(factors, dd):
     yield from rec(0, dd, [])
 
 
+def _closed_under_all_k(E, h):
+    """Whether the root set of h is closed under every [k], 2 <= k <= deg h."""
+    for k in range(2, h.degree() + 1):
+        num, den = mult_by_k_fraction(E, k)
+        xi = (num % h) * _poly_invert_mod(den % h, h) % h
+        acc = Poly(E.field, [])
+        for c in reversed(h.coeffs):
+            acc = (acc * xi + Poly(E.field, [c])) % h
+        if not acc.is_zero():
+            return False
+    return True
+
+
 def reference_kernel_polys(E, ell):
     """Products of factors of psi_ell of degree (ell-1)/2 whose root set is
     closed under every [k], 2 <= k <= (ell-1)/2."""
@@ -700,33 +714,57 @@ def reference_kernel_polys(E, ell):
         h = Poly(E.field, [1])
         for g in subset:
             h = h * g
-        closed = True
-        for k in range(2, dd + 1):
-            num, den = _mult_by_k_fraction(E, k)
-            xi = (num % h) * _poly_invert_mod(den % h, h) % h
-            acc = Poly(E.field, [])
-            for c in reversed(h.coeffs):
-                acc = (acc * xi + Poly(E.field, [c])) % h
-            closed = closed and acc.is_zero()
-        if closed:
+        if _closed_under_all_k(E, h):
             out.add(h.key())
     return sorted(out)
 
 
-@pytest.mark.parametrize("p, ell", [(13, 7), (29, 7), (23, 5)])
+def assert_kernels_match_references(E, ell, subset_search=True):
+    """ell_subgroups on a fresh copy of E against the [g]-cycle reference
+    and the subset search; returns the number of kernels.  Where the subset
+    search is too large, each kernel passes its closure test instead, and
+    ell + 1 kernels are all there are."""
+    E = Curve(E.field, E.a, E.b)
+    got = ell_subgroups(E, ell)
+    keys = [h.key() for h in got]
+    assert keys == [h.key() for h in cycle_kernel_polys(E, ell)]
+    if subset_search:
+        assert keys == reference_kernel_polys(E, ell)
+    else:
+        assert len(got) == ell + 1
+        for h in got:
+            assert (division_poly(E, ell) % h).is_zero()
+            assert h.degree() == (ell - 1) // 2 and _closed_under_all_k(E, h)
+    return len(got)
+
+
+# (23, 11) and (53, 13) split psi_ell into 60 and 84 linear factors, which
+# is C(60, 5) and C(84, 6) subsets for the subset search
+@pytest.mark.parametrize("p, ell", [(13, 7), (29, 7), (23, 5), (23, 11),
+                                    (53, 13), (37, 11), (101, 5), (1009, 7)])
 def test_ell_subgroups_match_all_k_closure(p, ell):
     E = canonical_ss_model(next(supersingular_j_in_base(p)))
-    got = [h.key() for h in ell_subgroups(E, ell)]
-    assert len(got) == ell + 1
-    assert got == reference_kernel_polys(E, ell)
+    subset_search = (p, ell) not in ((23, 11), (53, 13))
+    assert assert_kernels_match_references(E, ell, subset_search) == ell + 1
+
+
+# ordinary curves: three over F_23, then ones drawn with random.Random(31);
+# between them they have 0, 1, 2 and ell + 1 rational subgroups, the last at
+# (31, 6, 10)
+ORDINARY_KERNEL_CASES = ((23, 1, 1), (23, 2, 5), (23, 3, 7),
+                         (23, 3, 12), (23, 1, 4), (23, 7, 22), (23, 4, 4),
+                         (29, 7, 17), (29, 23, 14), (29, 16, 13),
+                         (31, 10, 6), (31, 6, 10), (31, 19, 30))
 
 
 def test_ell_subgroups_match_all_k_closure_ordinary():
-    F = make_field(23, 1)
-    for a, b in ((1, 1), (2, 5), (3, 7)):
-        E = Curve(F, a, b)
-        assert [h.key() for h in ell_subgroups(E, 5)] == reference_kernel_polys(E, 5)
-        assert [h.key() for h in ell_subgroups(E, 7)] == reference_kernel_polys(E, 7)
+    counts = set()
+    for p, a, b in ORDINARY_KERNEL_CASES:
+        E = Curve(make_field(p, 1), a, b)
+        assert not is_supersingular(E)
+        for ell in (3, 5, 7):
+            counts.add((ell, assert_kernels_match_references(E, ell)))
+    assert {n for _, n in counts} >= {0, 1, 2} and (3, 4) in counts
 
 
 @pytest.mark.parametrize("p, ell", [(13, 7), (29, 7), (23, 11), (53, 13)])
@@ -760,12 +798,60 @@ def test_ell_subgroups_match_subset_search_on_random_ordinary_curves():
         return E
 
     @hypothesis.settings(max_examples=20)
-    @hypothesis.given(ordinary_curves(), st.sampled_from((5, 7)))
+    @hypothesis.given(ordinary_curves(), st.sampled_from((3, 5, 7)))
     def check(E, ell):
-        got = [h.key() for h in ell_subgroups(E, ell)]
-        assert got == reference_kernel_polys(E, ell)
+        assert_kernels_match_references(E, ell)
 
     check()
+
+
+@pytest.mark.parametrize("p", [11, 23, 47, 59])
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_ell_subgroups_match_references_at_j_0_and_1728(p, ell):
+    F = make_field(p, 2)
+    for j in (0, 1728 % p):
+        E = canonical_ss_model(F.from_enc(j))
+        assert assert_kernels_match_references(E, ell) == ell + 1
+
+
+def test_ell_subgroups_match_references_on_a_volcano():
+    # the rim vertex of the (2003, 9, 7) volcano has all ell + 1 subgroups
+    # rational, each floor vertex one
+    vol = build_empirical(2003, 9, 7)
+    rim = vol.vertex_degree.index(8)
+    floor = [v for v, d in enumerate(vol.vertex_degree) if d == 1][:2]
+    assert len(floor) == 2
+    assert assert_kernels_match_references(vol.curves[rim], 7) == 8
+    for v in floor:
+        assert assert_kernels_match_references(vol.curves[v], 7) == 1
+
+
+@pytest.mark.parametrize("p, j, ell", [(37, None, 11), (2003, 9, 7),
+                                      (23, 2, 5), (23, 4, 7)])
+def test_distinct_degree_parts_of_psi_cut_off_at_half_ell(p, j, ell):
+    # the parts of degree <= (ell - 1)/2 are poly_factor's factors of psi_ell
+    # of those degrees multiplied together by degree; j = None is the
+    # canonical seed curve.  The cut-off drops two quartics of psi_5 at
+    # (23, 2), and at (23, 4) the irreducible degree-21 rest of psi_7.
+    dd = (ell - 1) // 2
+    F = make_field(p, 1)
+    E = (canonical_ss_model(supersingular_seed(p)) if j is None
+         else model_from_j(F, F.elt(j)))
+    psi = _div_B(E, ell)
+    parts = {}
+    for g, m in poly_factor(psi):
+        assert m == 1
+        if g.degree() <= dd:
+            parts[g.degree()] = parts.get(g.degree(), Poly(E.field, [1])) * g
+    assert distinct_degree_parts(psi, dd) == sorted(parts.items())
+
+
+def test_ell_subgroups_pole_raises_invariant_breach(monkeypatch):
+    # a division that fails mod f is reported, not returned
+    E = canonical_ss_model(supersingular_seed(13))
+    monkeypatch.setattr(curves, "_poly_invert_mod", lambda g, h: None)
+    with pytest.raises(InvariantBreach):
+        ell_subgroups(Curve(E.field, E.a, E.b), 7)
 
 
 @pytest.mark.parametrize("p", [11, 23])

@@ -5,9 +5,10 @@ import pytest
 
 from heckedyn.errors import (DegreeZero, NonPrime, UnsupportedCharacteristic,
                              ZeroPolynomial)
-from heckedyn.fields import (FieldDesc, Poly, _is_irreducible, embedding,
-                             encode, factor, is_prime, make_field,
-                             multiplicative_order, poly_factor, poly_roots,
+from heckedyn.fields import (FieldDesc, Poly, _is_irreducible,
+                             distinct_degree_parts, embedding, encode, factor,
+                             is_prime, make_field, multiplicative_order,
+                             poly_factor, poly_roots, split_prime,
                              squarefree_split, xgcd)
 
 from field_section import section
@@ -288,9 +289,64 @@ def test_poly_factor_reconstructs_input():
 def test_poly_factor_deterministic():
     F = make_field(13, 1)
     f = Poly(F, [3, 1, 4, 1, 5, 9, 2, 1])
-    a = [(g.key(), m) for g, m in poly_factor(f, seed=0)]
-    b = [(g.key(), m) for g, m in poly_factor(f, seed=0)]
+    a = [(g.key(), m) for g, m in poly_factor(f)]
+    b = [(g.key(), m) for g, m in poly_factor(f)]
     assert a == b
+
+
+def _parts_by_degree(f):
+    """poly_factor's factors of f multiplied together by degree."""
+    parts = {}
+    for g, m in poly_factor(f):
+        assert m == 1
+        parts[g.degree()] = parts.get(g.degree(), Poly(f.field, [1])) * g
+    return sorted(parts.items())
+
+
+def _random_squarefree(F, rng, degree):
+    f = Poly(F, [F.from_enc(rng.randrange(F.order)) for _ in range(degree)]
+             + [F.one()])
+    return f // f.gcd(f.derivative())
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (13, 1), (5, 2), (11, 2)])
+def test_distinct_degree_parts_match_poly_factor(p, k):
+    F = make_field(p, k)
+    rng = random.Random(p * k)
+    for _ in range(12):
+        f = _random_squarefree(F, rng, rng.randrange(1, 13))
+        parts = distinct_degree_parts(f)
+        assert parts == _parts_by_degree(f)
+        for top in (1, 2, 3):
+            assert distinct_degree_parts(f, top) == [
+                (d, g) for d, g in parts if d <= top]
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (5, 2)])
+def test_distinct_degree_parts_leftover_past_half_the_degree(p, k):
+    # (x - 1) g5 with g5 irreducible of degree 5 (the modulus of F_{p^5},
+    # still irreducible over F_{p^2}): the loop stops at d = 3, since
+    # 5 < 2 * 3, and the rest is the last part
+    F = make_field(p, k)
+    g5 = Poly(F, list(make_field(p, 5).modulus))
+    f = Poly(F, [-1, 1]) * g5
+    assert distinct_degree_parts(f) == [(1, Poly(F, [-1, 1])), (5, g5)]
+    assert distinct_degree_parts(f) == _parts_by_degree(f)
+    assert distinct_degree_parts(f, 4) == [(1, Poly(F, [-1, 1]))]
+    assert distinct_degree_parts(g5, 5) == [(5, g5)]
+
+
+def test_split_prime_matches_the_loop():
+    rng = random.Random(23)
+    for _ in range(500):
+        q = rng.choice((2, 3, 5, 7, 11, 4, 9))
+        n = rng.choice((1, -1)) * rng.randrange(1, 10 ** 6) * q ** rng.randrange(6)
+        v, m = 0, n
+        while m % q == 0:
+            m //= q
+            v += 1
+        assert split_prime(n, q) == (v, m)
+        assert n == m * q ** v and m % q != 0
 
 
 def test_frobenius_fixes_field():
