@@ -708,21 +708,14 @@ def velu(E, kernel):
     if d < 1:
         raise NotAKernel("kernel polynomial must be non-constant")
     kernel = kernel.monic()
-    f = E.rhs_poly()
     a, b = E.a, E.b
-    if d == 1:
-        x0 = -kernel.coeffs[0]
-        if f(x0).is_zero():
-            ell = 2
-            v = x0 * x0 * 3 + a
-            w = x0 * v
-            num = Poly(F, [v, -x0, F.one()])
-            den = kernel
-        else:
-            ell = 3
-            if not (_div_B(E, 3) % kernel).is_zero():
-                raise NotAKernel("x-coordinate is not 3-torsion")
-            num, den, v, w = _odd_velu_maps(E, kernel, 3)
+    x0 = -kernel.coeffs[0]
+    if d == 1 and E.rhs_poly()(x0).is_zero():
+        ell = 2
+        v = x0 * x0 * 3 + a
+        w = x0 * v
+        num = Poly(F, [v, -x0, F.one()])
+        den = kernel
     else:
         ell = 2 * d + 1
         if not (_div_B(E, ell) % kernel).is_zero():

@@ -137,6 +137,10 @@ class Reducible(UsageError):
     pass
 
 
+class NotStationary(UsageError):
+    pass
+
+
 class Bipartite(UsageError):
     pass
 

@@ -55,7 +55,7 @@ def ssgraph_to_dict(G):
             "vertices": vertices, "arrows": arrows}
 
 
-Vertex = namedtuple("Vertex", "id j point aut")
+Vertex = namedtuple("Vertex", "id j point aut_order")
 Arrow = namedtuple("Arrow", "src dst kernel mult")
 SSGraphStructure = namedtuple("SSGraphStructure", "p ell N vertices arrows")
 

@@ -1,11 +1,13 @@
 """Markov-chain analysis of the uniform walk on an out-regular graph.
 
-A chain is (D, out): D = ell + 1 and out[i] the list of (j, count) of the
-arrows i -> j, so row i of the transition matrix T is out[i] / D.
-Stationary distributions and TV series are exact rationals, computed with
-integers over these out-lists.  Only the second-eigenvalue modulus uses
-floating point (documented tolerance 1e-10).  The level process of a
-volcano walk is reduced to an exact birth-death chain on integer counts.
+A chain is (D, out, aut): D = ell + 1, out[i] the list of (j, count) of the
+arrows i -> j, so row i of the transition matrix T is out[i] / D, and aut[i]
+the automorphism count of vertex i.  The stationary vector is read off the
+weights 1/aut (Gross 1987, section 1) and certified by one exact step; TV
+series are exact rationals, computed with integers over the out-lists.
+Only the second-eigenvalue modulus uses floating point (documented
+tolerance 1e-10).  The level process of a volcano walk is reduced to an
+exact birth-death chain on integer counts.
 """
 
 import math
@@ -13,14 +15,15 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import (Bipartite, DepthTooSmall, NotClosed, NotOutRegular,
-                     Reducible, UsageError)
+                     NotStationary, Reducible, UsageError)
 
 
 def normalize(G):
-    """The chain (D, out) of the uniform walk on an out-regular graph G:
-    D = ell + 1 and out[i] the (j, count) of the arrows i -> j in
-    ascending j, parallel arrows merged.  Reads only G.ell, the number of
-    G.vertices and each arrow's src and dst."""
+    """The chain (D, out, aut) of the uniform walk on an out-regular graph
+    G: D = ell + 1, out[i] the (j, count) of the arrows i -> j in ascending
+    j, parallel arrows merged, and aut[i] vertex i's automorphism count.
+    Reads only G.ell, each vertex's aut_order and each arrow's src and
+    dst."""
     D = G.ell + 1
     rows = [Counter() for _ in G.vertices]
     for ar in G.arrows:
@@ -29,7 +32,8 @@ def normalize(G):
         if sum(row.values()) != D:
             raise NotOutRegular("row %d sums to %d, not ell+1 = %d"
                                 % (i, sum(row.values()), D))
-    return D, [sorted(row.items()) for row in rows]
+    return (D, [sorted(row.items()) for row in rows],
+            [v.aut_order for v in G.vertices])
 
 
 def _targets(out):
@@ -37,17 +41,17 @@ def _targets(out):
 
 
 def _irreducible_view(chain):
-    """The chain (D, out) and its out-neighbour lists; raises UsageError
-    for a weight that is not positive and Reducible unless the chain is
-    irreducible."""
-    D, out = chain
-    for i, arrows in enumerate(out):
-        if any(w <= 0 for _, w in arrows):
+    """The chain (D, out, aut) and its out-neighbour lists; raises
+    UsageError for a weight or an aut that is not positive and Reducible
+    unless the chain is irreducible."""
+    D, out, aut = chain
+    for i, (arrows, w) in enumerate(zip(out, aut)):
+        if w < 1 or any(c <= 0 for _, c in arrows):
             raise UsageError("row %d has a weight that is not positive" % i)
     succ = _targets(out)
     if not is_strongly_connected(succ):
         raise Reducible("chain is not irreducible")
-    return D, out, succ
+    return D, out, aut, succ
 
 
 def _bfs_dist(out, sources):
@@ -103,29 +107,6 @@ def closed_walk_start(arrows, walk):
     return v0
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over Fractions; rows is a square matrix."""
-    n = len(rows)
-    A = [list(r) + [v] for r, v in zip(rows, rhs)]
-    col = 0
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if A[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise Reducible("singular system")
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [A[i][n] for i in range(n)]
-
-
 def _step(row, out):
     """The integer row vector row * (D T)."""
     nxt = [0] * len(row)
@@ -136,39 +117,34 @@ def _step(row, out):
     return nxt
 
 
-def _stationary_ints(D, out):
+def _stationary_ints(D, out, aut):
     """(a, Q) with pi = a / Q the stationary vector of the irreducible chain
-    (D, out), all integers.
+    (D, out, aut), all integers.
 
-    The uniform vector is the candidate (T doubly stochastic).  It is
-    positive, so once a (D T) = D a holds exactly, Perron-Frobenius makes 1
-    a simple eigenvalue and a / n the unique stationary vector.  Otherwise
-    pi T = pi is solved with sum(pi) = 1 over the rationals, from n - 1 rows
-    of T^t - I.
+    The candidate is a_i = L / aut_i with L = lcm(aut): on a supersingular
+    graph aut_j B_ij = aut_i B_ji (Gross 1987, section 1), so pi is
+    proportional to 1/aut, and when every aut is equal a is the uniform
+    vector.  It is positive, so once a (D T) = D a holds exactly,
+    Perron-Frobenius makes 1 a simple eigenvalue and a / sum(a) the unique
+    stationary vector.  Raises NotStationary naming the first vertex where
+    the check fails.
     """
-    n = len(out)
-    if _step([1] * n, out) == [D] * n:
-        return [1] * n, n
-    rows = [[Fraction(-1 if i == j else 0) for i in range(n)]
-            for j in range(n - 1)]
-    for i, arrows in enumerate(out):
-        for j, w in arrows:
-            if j < n - 1:
-                rows[j][i] += Fraction(w, D)
-    rows.append([Fraction(1)] * n)
-    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
-    pi = _solve_exact(rows, rhs)
-    Q = math.lcm(*(x.denominator for x in pi))
-    a = [x.numerator * (Q // x.denominator) for x in pi]
-    if _step(a, out) != [D * x for x in a]:
-        raise Reducible("solution is not stationary")
-    return a, Q
+    L = math.lcm(*aut)
+    a = [L // w for w in aut]
+    nxt = _step(a, out)
+    if nxt != [D * x for x in a]:
+        i = next(i for i, (x, y) in enumerate(zip(nxt, a)) if x != D * y)
+        raise NotStationary(
+            "the weights lcm(aut)/aut are not stationary: at vertex %d, "
+            "a (D T) = %d but D a = %d" % (i, nxt[i], D * a[i]))
+    return a, sum(a)
 
 
 def stationary(chain):
-    """The unique exact stationary distribution of an irreducible chain."""
-    D, out, _ = _irreducible_view(chain)
-    a, Q = _stationary_ints(D, out)
+    """The unique exact stationary distribution of an irreducible chain,
+    which must be proportional to 1/aut."""
+    D, out, aut, _ = _irreducible_view(chain)
+    a, Q = _stationary_ints(D, out, aut)
     return tuple(Fraction(x, Q) for x in a)
 
 
@@ -181,12 +157,14 @@ def mixing_report(chain, eps, max_steps=10000):
 
     Row i of T^n is e_i (D T)^n / D^n with integer entries c_j, and
     pi = a / Q, so its TV distance to pi is sum |c_j Q - a_j D^n| / (2 Q D^n).
-    Raises Bipartite for periodic chains, where no convergence happens.
+    Raises Bipartite for periodic chains, where no convergence happens,
+    and NotStationary as stationary does.
     """
-    D, out, succ = _irreducible_view(chain)
+    D, out, aut, succ = _irreducible_view(chain)
     n = len(out)
     if n > 1 and out_period(succ) % 2 == 0:
         raise Bipartite("chain has even period; no mixing")
+    a, Q = _stationary_ints(D, out, aut)
     import numpy
     arr = numpy.zeros((n, n))
     for i, arrows in enumerate(out):
@@ -194,7 +172,6 @@ def mixing_report(chain, eps, max_steps=10000):
             arr[i, j] = w / D
     eigs = sorted(numpy.linalg.eigvals(arr), key=lambda z: -abs(z))
     second = abs(eigs[1]) if n > 1 else 0.0
-    a, Q = _stationary_ints(D, out)
     limit = Fraction(eps).limit_denominator(10 ** 12)
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     Dn = 1

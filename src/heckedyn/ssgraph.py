@@ -144,8 +144,7 @@ def build_ssgraph(p, ell, N=1):
     # quotient, the first isomorphism u0 onto E1 and the matrix of u0 phi
     seen = {}           # curve -> [(h, phi, E1, u0, matrix on E[N])]
     queue = [canonical_ss_model(supersingular_seed(p))]
-    while queue:
-        E = queue.pop(0)
+    for E in queue:
         if E in seen:
             continue
         isos = seen[E] = []

@@ -229,14 +229,9 @@ class EmpiricalVolcano:
     def _explore(self, j0, radius):
         F2 = make_field(self.p, 2)
         frontier = [self._vertex(j0)]
-        explored = set()
         truncated = False
         dist = {frontier[0]: 0}
-        while frontier:
-            v = frontier.pop(0)
-            if v in explored:
-                continue
-            explored.add(v)
+        for v in frontier:
             E = self.curves[v]
             kernels = ell_subgroups(E, self.ell)
             self.vertex_degree[v] = len(kernels)
@@ -267,7 +262,6 @@ class EmpiricalVolcano:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     frontier.append(w)
-        self.explored = explored
         self.complete = not truncated
 
     def _assign_levels(self):

@@ -37,7 +37,7 @@ def report(criterion, ok, detail=""):
 def test_criterion_01_reference_matrix_exact(g_11_5_1):
     t0 = time.monotonic()
     chain = normalize(g_11_5_1)
-    D, out = chain
+    D, out, _ = chain
     rows = sorted(sorted(w for _, w in arrows) for arrows in out)
     matrix_ok = D == 6 and rows == [[2, 4], [3, 3]]
     pi = stationary(chain)

@@ -278,6 +278,19 @@ def test_velu_rejects_non_kernel():
         velu(E, Poly(F11, [5, 3, 1]))
 
 
+def test_velu_rejects_linear_non_kernel():
+    # y^2 = x^3 + x over F_11: x = 0 is 2-torsion, x = 5 and 6 are the
+    # roots of psi_3, every other x is neither
+    E = Curve(F11, 1, 0)
+    for x0 in range(11):
+        h = Poly(F11, [-x0 % 11, 1])
+        if x0 == 0 or x0 in (5, 6):
+            assert velu(E, h).degree == (2 if x0 == 0 else 3)
+        else:
+            with pytest.raises(NotAKernel, match="3-division"):
+                velu(E, h)
+
+
 def test_velu_neighbor_multiset_stable():
     E = canonical_ss_model(F121.from_enc(0))
     runs = []

@@ -9,8 +9,10 @@ import pytest
 from heckedyn import markov
 from heckedyn.cli import main
 from heckedyn.errors import (Bipartite, DepthTooSmall, NotClosed,
-                             NotOutRegular, Reducible, UsageError)
-from heckedyn.graphio import Arrow, load_ssgraph
+                             NotOutRegular, NotStationary, Reducible,
+                             UsageError)
+from heckedyn.graphio import (Arrow, Vertex, dump_json, load_ssgraph,
+                              ssgraph_to_dict)
 from heckedyn.markov import (_targets, closed_walk_start,
                              is_strongly_connected, mixing_report, normalize,
                              out_period, stationary, tv_distance,
@@ -22,9 +24,13 @@ GRAPHS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "graphs")
 
 
-def _graph(ell, n, edges):
-    """A bare graph object: ell, n vertices and (src, dst) arrows."""
-    return SimpleNamespace(ell=ell, vertices=range(n),
+def _graph(ell, n, edges, aut=None):
+    """A bare graph object: ell, n vertices with automorphism counts aut
+    (all 1 by default) and (src, dst) arrows."""
+    aut = aut or [1] * n
+    return SimpleNamespace(ell=ell,
+                           vertices=[Vertex(i, None, None, aut[i])
+                                     for i in range(n)],
                            arrows=[Arrow(a, b, None, 1) for a, b in edges])
 
 
@@ -38,8 +44,8 @@ def period(chain):
 
 
 def _dense(chain):
-    """The transition matrix of the chain (D, out) as Fractions."""
-    D, out = chain
+    """The transition matrix of the chain (D, out, aut) as Fractions."""
+    D, out, _ = chain
     T = [[Fraction(0)] * len(out) for _ in out]
     for i, arrows in enumerate(out):
         for j, w in arrows:
@@ -59,8 +65,10 @@ def test_closed_walk_start():
 
 
 def test_normalize_reference_matrix(g_11_5_1):
-    D, out = normalize(g_11_5_1)
+    D, out, aut = normalize(g_11_5_1)
     assert D == 6
+    assert aut == [v.aut_order for v in g_11_5_1.vertices]
+    assert sorted(aut) == [4, 6]
     # the transition matrix is (1/6)[[3,3],[2,4]] up to labeling
     rows = sorted(sorted(w for _, w in arrows) for arrows in out)
     assert rows == [[2, 4], [3, 3]]
@@ -69,12 +77,13 @@ def test_normalize_reference_matrix(g_11_5_1):
 
 
 def test_normalize_single_vertex(g_13_5_1):
-    assert normalize(g_13_5_1) == (6, [[(0, 6)]])
+    assert normalize(g_13_5_1) == (6, [[(0, 6)]],
+                                    [g_13_5_1.vertices[0].aut_order])
 
 
 def test_normalize_merges_parallel_arrows_in_target_order():
-    G = _graph(2, 2, [(0, 1), (0, 0), (0, 1), (1, 1), (1, 0), (1, 1)])
-    assert normalize(G) == (3, [[(0, 1), (1, 2)], [(0, 1), (1, 2)]])
+    G = _graph(2, 2, [(0, 1), (0, 0), (0, 1), (1, 1), (1, 0), (1, 1)], [2, 1])
+    assert normalize(G) == (3, [[(0, 1), (1, 2)], [(0, 1), (1, 2)]], [2, 1])
 
 
 def test_normalize_rejects_irregular():
@@ -84,7 +93,7 @@ def test_normalize_rejects_irregular():
 
 
 def test_stationary_reference_value(g_11_5_1):
-    D, out = chain = normalize(g_11_5_1)
+    D, out, _ = chain = normalize(g_11_5_1)
     pi = stationary(chain)
     assert set(pi) == {Fraction(2, 5), Fraction(3, 5)}
     # exact fixed point
@@ -96,7 +105,7 @@ def test_stationary_reference_value(g_11_5_1):
 
 
 def test_stationary_uniform_for_bistochastic(g_11_3_4):
-    D, out = chain = normalize(g_11_3_4)
+    D, out, _ = chain = normalize(g_11_3_4)
     n = len(out)
     # rigid: column sums are 1 as well
     col = [0] * n
@@ -108,7 +117,7 @@ def test_stationary_uniform_for_bistochastic(g_11_3_4):
 
 
 def test_stationary_periodic_two_cycle():
-    chain = (1, [[(1, 1)], [(0, 1)]])
+    chain = (1, [[(1, 1)], [(0, 1)]], [1, 1])
     assert stationary(chain) == (Fraction(1, 2), Fraction(1, 2))
     assert period(chain) == 2
     with pytest.raises(Bipartite):
@@ -116,7 +125,7 @@ def test_stationary_periodic_two_cycle():
 
 
 def test_stationary_rejects_reducible():
-    chain = (1, [[(0, 1)], [(1, 1)]])
+    chain = (1, [[(0, 1)], [(1, 1)]], [1, 1])
     with pytest.raises(Reducible):
         stationary(chain)
     assert not is_irreducible(chain)
@@ -263,13 +272,13 @@ def _ref_escape(ell, kron, start_level, n):
 # the matrix [[0, 1/2, 1/2], [1/3, 0, 2/3], [1/2, 1/4, 1/4]]: aperiodic
 # (T[2][2] > 0), not doubly stochastic (column 0 sums to 5/6) and not
 # reversible (0->1->2->0 has weight 1/6, its reverse 1/24)
-_CHAIN3 = (12, [[(1, 6), (2, 6)], [(0, 4), (2, 8)], [(0, 6), (1, 3), (2, 3)]])
+_CHAIN3 = (12, [[(1, 6), (2, 6)], [(0, 4), (2, 8)], [(0, 6), (1, 3), (2, 3)]],
+           [1, 1, 1])
 
 
-@pytest.mark.parametrize("name", ["g_11_5_1", "g_11_3_1", "g_11_3_4", "chain3"])
+@pytest.mark.parametrize("name", ["g_11_5_1", "g_11_3_1", "g_11_3_4"])
 def test_exact_kernels_match_dense_reference(name, request):
-    chain = (_CHAIN3 if name == "chain3"
-             else normalize(request.getfixturevalue(name)))
+    chain = normalize(request.getfixturevalue(name))
     T = _dense(chain)
     pi = _ref_stationary(T)
     assert stationary(chain) == pi
@@ -298,6 +307,37 @@ def _ref_irreducible_period(T):
     return all(x > 0 for row in reach for x in row), g
 
 
+def _check_against_dense(G):
+    """stationary and mixing_report of the chain of G against the dense
+    references.  Returns whether the dense stationary vector is uniform
+    (the weights of G are all 1), None for a reducible chain."""
+    chain = normalize(G)
+    T = _dense(chain)
+    irreducible, per = _ref_irreducible_period(T)
+    if not irreducible:
+        with pytest.raises(Reducible):
+            stationary(chain)
+        with pytest.raises(Reducible):
+            mixing_report(chain, 0.05)
+        return None
+    pi = _ref_stationary(T)
+    if pi != tuple([Fraction(1, len(T))] * len(T)):
+        with pytest.raises(NotStationary):
+            stationary(chain)
+        return False
+    assert stationary(chain) == pi
+    if per % 2 == 0:
+        with pytest.raises(Bipartite):
+            mixing_report(chain, 0.05)
+        return True
+    rep = mixing_report(chain, 0.05, max_steps=60)
+    steps, tv = _ref_mixing(T, 0.05, max_steps=60)
+    assert rep["stationary"] == pi
+    assert rep["tv_series"] == tv
+    assert rep["steps_to_eps"] == steps
+    return True
+
+
 def test_chain_kernels_match_dense_reference_on_random_multigraphs():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -314,26 +354,27 @@ def test_chain_kernels_match_dense_reference_on_random_multigraphs():
 
     @hypothesis.given(out_regular())
     def check(G):
-        chain = normalize(G)
-        T = _dense(chain)
-        irreducible, per = _ref_irreducible_period(T)
-        if not irreducible:
-            with pytest.raises(Reducible):
-                stationary(chain)
-            with pytest.raises(Reducible):
-                mixing_report(chain, 0.05)
-            return
-        pi = _ref_stationary(T)
-        assert stationary(chain) == pi
-        if per % 2 == 0:
-            with pytest.raises(Bipartite):
-                mixing_report(chain, 0.05)
-            return
-        rep = mixing_report(chain, 0.05, max_steps=60)
-        steps, tv = _ref_mixing(T, 0.05, max_steps=60)
-        assert rep["stationary"] == pi
-        assert rep["tv_series"] == tv
-        assert rep["steps_to_eps"] == steps
+        _check_against_dense(G)
+
+    check()
+
+
+def test_chain_kernels_match_dense_reference_on_permutation_unions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def permutation_union(draw):
+        """The arrows i -> s(i) of D <= 5 permutations s of n <= 6
+        vertices: in- and out-degree D, so T is doubly stochastic."""
+        n = draw(st.integers(1, 6))
+        D = draw(st.integers(1, 5))
+        perms = [draw(st.permutations(range(n))) for _ in range(D)]
+        return _graph(D - 1, n, [(i, s[i]) for s in perms for i in range(n)])
+
+    @hypothesis.given(permutation_union())
+    def check(G):
+        assert _check_against_dense(G) is not False
 
     check()
 
@@ -352,28 +393,42 @@ def test_loading_builds_no_curve(monkeypatch):
     assert stationary(normalize(L)) == want
 
 
-def test_non_reversible_chain_uses_elimination(monkeypatch):
-    calls = []
-    real = markov._solve_exact
-
-    def spy(rows, rhs):
-        calls.append(len(rows))
-        return real(rows, rhs)
-
-    monkeypatch.setattr(markov, "_solve_exact", spy)
+def test_non_stationary_weights_are_rejected():
     # by hand: 7 = 6/3 + 10/2, 6 = 7/2 + 10/4, 10 = 7/2 + 2*6/3 + 10/4
-    assert stationary(_CHAIN3) == (Fraction(7, 23), Fraction(6, 23),
-                                   Fraction(10, 23))
-    assert calls == [3]
+    assert _ref_stationary(_dense(_CHAIN3)) == (
+        Fraction(7, 23), Fraction(6, 23), Fraction(10, 23))
+    # column 0 of D T sums to 10, not D = 12
+    with pytest.raises(NotStationary, match="at vertex 0, a .D T. = 10 "
+                       "but D a = 12"):
+        stationary(_CHAIN3)
+    with pytest.raises(NotStationary):
+        mixing_report(_CHAIN3, 1e-3)
 
 
-def test_level_graphs_never_eliminate(monkeypatch, g_11_3_4):
-    def refuse(rows, rhs):
-        raise AssertionError("elimination reached")
+@pytest.mark.parametrize("p,ell,N", [(11, 5, 1), (11, 3, 1), (11, 3, 2),
+                                     (11, 5, 2), (23, 11, 1)])
+def test_brandt_graphs_match_dense_reference(p, ell, N):
+    G = build_ssgraph(p, ell, N)
+    chain = normalize(G)
+    pi = stationary(chain)
+    assert pi == _ref_stationary(_dense(chain))
+    assert len(set(chain[2])) > 1 and len(set(pi)) > 1
+    if N == 1:
+        # Eichler's mass formula: sum 1/aut_v = (p - 1)/24
+        assert pi == tuple(Fraction(24, (p - 1) * v.aut_order)
+                           for v in G.vertices)
 
-    monkeypatch.setattr(markov, "_solve_exact", refuse)
-    n = len(g_11_3_4.vertices)
-    assert stationary(normalize(g_11_3_4)) == tuple([Fraction(1, n)] * n)
+
+def test_markov_cli_rejects_swapped_aut(tmp_path, capsys):
+    d = ssgraph_to_dict(build_ssgraph(11, 5, 1))
+    vs = d["vertices"]
+    assert vs[0]["aut"] != vs[1]["aut"]
+    vs[0]["aut"], vs[1]["aut"] = vs[1]["aut"], vs[0]["aut"]
+    path = str(tmp_path / "swapped.json")
+    dump_json(d, path)
+    assert main(["markov", "--graph", path, "--stationary"]) == 1
+    err = capsys.readouterr().err
+    assert "not stationary: at vertex 0" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("ell,discs", [(2, (-23, -11, -20)), (3, (-11, -7, -15))])
@@ -399,9 +454,11 @@ def test_volcano_escape_rejects_negative(start, n):
 
 
 def test_negative_entries_rejected():
-    chain = (1, [[(0, 2), (1, -1)], [(0, 1)]])
+    chain = (1, [[(0, 2), (1, -1)], [(0, 1)]], [1, 1])
     with pytest.raises(UsageError):
         stationary(chain)
+    with pytest.raises(UsageError, match="not positive"):
+        stationary((1, [[(1, 1)], [(0, 1)]], [1, 0]))
 
 
 @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1", "4e-13", "5e-13"])
