@@ -274,11 +274,15 @@ def _ref_escape(ell, kron, start_level, n):
 # reversible (0->1->2->0 has weight 1/6, its reverse 1/24)
 _CHAIN3 = (12, [[(1, 6), (2, 6)], [(0, 4), (2, 8)], [(0, 6), (1, 3), (2, 3)]],
            [1, 1, 1])
+# the same matrix with automorphism counts 210/(7, 6, 10): its law
+# (7, 6, 10)/23 is proportional to 1/aut, so the weights certify it
+_CHAIN3_WEIGHTED = (_CHAIN3[0], _CHAIN3[1], [30, 35, 21])
 
 
-@pytest.mark.parametrize("name", ["g_11_5_1", "g_11_3_1", "g_11_3_4"])
+@pytest.mark.parametrize("name", ["g_11_5_1", "g_11_3_1", "g_11_3_4", "chain3"])
 def test_exact_kernels_match_dense_reference(name, request):
-    chain = normalize(request.getfixturevalue(name))
+    chain = (_CHAIN3_WEIGHTED if name == "chain3"
+             else normalize(request.getfixturevalue(name)))
     T = _dense(chain)
     pi = _ref_stationary(T)
     assert stationary(chain) == pi
