@@ -3,9 +3,10 @@
 Short Weierstrass models only; the package excludes characteristics 2 and 3
 throughout the curve layer.  Supersingularity is read off the Hasse
 invariant, and the supersingular side never counts points: the first j
-comes from Deuring's criterion, and a canonical model is the twist by -1 of
-a model over F_p, whose squared Frobenius is -p (only a j outside F_p needs
-the order of one point).  Traces of Frobenius
+comes from Deuring's criterion, its canonical model is the twist by -1 of a
+model over F_p, whose squared Frobenius is -p (only a j outside F_p needs
+the order of one point), and ``canonical_of`` reads every other one off an
+isogeny's target, which keeps the count (p-1)^2.  Traces of Frobenius
 over F_p come from Shanks-Mestre baby-step giant-step for p > 229 and from
 the exhaustive count below that; a caller that knows a count by base change
 passes it to ``Curve``.
@@ -28,6 +29,7 @@ torsion bases of its source and target; a chain's trace mod m is the trace
 of its matrix.
 """
 
+import functools
 import math
 
 from .errors import (BadTorsionOrder, EqualCharacteristic, InvariantBreach,
@@ -381,26 +383,20 @@ def _unique_in_progression(lo, hi, L, Lt, total):
     return N if N + M > hi else None
 
 
-_HASSE_COEFFS = {}
-
-
+@functools.cache
 def _hasse_coeffs(p):
     """The multinomial coefficients m! / (i! (2m-3i)! (2i-m)!) mod p,
     m = (p-1)/2, for i from ceil(m/2) to floor(2m/3)."""
-    got = _HASSE_COEFFS.get(p)
-    if got is None:
-        m = (p - 1) // 2
-        fact = [1] * (m + 1)
-        for i in range(1, m + 1):
-            fact[i] = fact[i - 1] * i % p
-        inv = [1] * (m + 1)
-        inv[m] = pow(fact[m], -1, p)
-        for i in range(m, 0, -1):
-            inv[i - 1] = inv[i] * i % p
-        got = tuple(fact[m] * inv[i] * inv[2 * m - 3 * i] * inv[2 * i - m] % p
-                    for i in range((m + 1) // 2, 2 * m // 3 + 1))
-        _HASSE_COEFFS[p] = got
-    return got
+    m = (p - 1) // 2
+    fact = [1] * (m + 1)
+    for i in range(1, m + 1):
+        fact[i] = fact[i - 1] * i % p
+    inv = [1] * (m + 1)
+    inv[m] = pow(fact[m], -1, p)
+    for i in range(m, 0, -1):
+        inv[i - 1] = inv[i] * i % p
+    return tuple(fact[m] * inv[i] * inv[2 * m - 3 * i] * inv[2 * i - m] % p
+                 for i in range((m + 1) // 2, 2 * m // 3 + 1))
 
 
 def is_supersingular(E):
@@ -409,29 +405,28 @@ def is_supersingular(E):
     over every finite field of characteristic p.
 
     The invariant collects the terms x^(3i) (ax)^(2m-3i) b^(2i-m),
-    m = (p-1)/2, so it equals a^(2m-3h) b^(2l-m) sum_t c_t (a^3)^(n-t) (b^2)^t
-    with l, h the least and greatest i and n = h - l; the sum runs by
-    Horner's rule with a running power of b^2."""
+    m = (p-1)/2.  At ab != 0 it is a^(2m-3l) b^(2l-m) sum_i c_i s^(i-l) with
+    s = b^2/a^3 and l the least i, one Horner sequence in s.  At a = 0 only
+    i = 2m/3 survives and at b = 0 only i = m/2, so j = 0 is supersingular
+    iff p = 2 mod 3 and j = 1728 iff p = 3 mod 4 (Deuring)."""
     p = E.field.p
-    m = (p - 1) // 2
-    lo, hi = (m + 1) // 2, 2 * m // 3
-    a3 = E.a * E.a * E.a
-    b2 = E.b * E.b
-    acc = E.field.zero()
-    bt = E.field.one()
-    for c in _hasse_coeffs(p):
-        acc = acc * a3 + bt * c
-        bt = bt * b2
-    return (acc * E.a ** (2 * m - 3 * hi) * E.b ** (2 * lo - m)).is_zero()
+    if E.a.is_zero():
+        return p % 3 == 2
+    if E.b.is_zero():
+        return p % 4 == 3
+    mul, s = E.field._mulc, (E.b * E.b / (E.a * E.a * E.a)).coeffs
+    acc = E.field.zero().coeffs
+    for c in reversed(_hasse_coeffs(p)):
+        acc = mul(acc, s)
+        acc = ((acc[0] + c) % p,) + acc[1:]
+    return not any(acc)
 
 
 def supersingular_j_in_base(p):
     """The supersingular j in F_p, yielded lazily in encoding order."""
     F = make_field(p, 1)
-    for e in range(p):
-        j = F.from_enc(e)
-        if is_supersingular(model_from_j(F, j)):
-            yield j
+    return (j for j in map(F.from_enc, range(p))
+            if is_supersingular(model_from_j(F, j)))
 
 
 # (D, j(O_D)) for the nine imaginary quadratic fields of class number 1
@@ -468,49 +463,50 @@ def _is_canonical(E):
 
 
 def canonical_ss_model(j):
-    """The canonical supersingular model over F_{p^2}: the lex-smallest
-    coefficient vector with #E(F_{p^2}) = (p-1)^2, i.e. squared Frobenius
-    acting as the scalar p.  A model over F_p has trace 0, so its squared
-    Frobenius is -p.  The model (0, z) resp. (z, 0) is the twist of (0, 1)
-    resp. (1, 0) by the automorphism z^((q-1)/e), e = 6 resp. 4, so it is
-    canonical iff that value is -1; at any other j in F_p the quadratic
-    twist is.  ``_is_canonical`` decides only for j outside F_p, and
-    certifies the chosen model."""
+    """The canonical model of j over F_{p^2} (``canonical_of``) after the
+    Hasse guard.  A model over F_p has squared Frobenius -p, so its quadratic
+    twist is canonical, at j = 0 and 1728 too; ``_is_canonical`` decides the
+    twist only for j outside F_p."""
     p = j.field.p
     Fp2 = make_field(p, 2)
     if j.field.k == 1:
         j = embedding(j.field, Fp2)(j)
     elif j.field is not Fp2:
         raise ValueError("j must live in F_p or the canonical F_{p^2}")
-    key = (p, j.enc())
-    got = _CANONICAL_CACHE.get(key)
-    if got is not None:
-        return got
-    if not is_supersingular(model_from_j(Fp2, j)):
+    E = model_from_j(Fp2, j)
+    if not is_supersingular(E):
         raise NotSupersingular("j = %d is not supersingular at p = %d" % (j.enc(), p))
-    if j.is_zero() or j == 1728:
-        z = Fp2.first_in_class(6 if j.is_zero() else 4, Fp2.elt(-1))
-        best = Curve(Fp2, Fp2.zero(), z) if j.is_zero() else Curve(Fp2, z, Fp2.zero())
-    else:
-        base = model_from_j(Fp2, j)
-        if j.coeffs[1] == 0 or not _is_canonical(base):
-            # the twist by the first non-residue turns -p into p
-            d = Fp2.nonresidue()
-            base = Curve(Fp2, base.a * d * d, base.b * d * d * d)
-        # the models are (a u^4, b u^6): the least a' is the first element of
-        # the class of a mod 4th powers, which fixes u up to a 4th root of
-        # unity, so b' is one of the two square roots of b^2 (a'/a)^3, a
-        # square as a'/a is a 4th power
-        a, b = base.a, base.b
-        z = Fp2.first_in_class(4, a ** ((Fp2.order - 1) // 4))
-        r = (b * b * z * z * z / (a * a * a)).sqrt()
-        best = Curve(Fp2, z, min(r, -r, key=lambda t: t.enc()))
-    if not _is_canonical(best):
-        raise InvariantBreach("the model chosen for j = %d is not canonical"
-                              % j.enc())
-    best.canonical_ss = True
-    _CANONICAL_CACHE[key] = best
-    return best
+    if j.coeffs[1] == 0 or not _is_canonical(E):
+        d = Fp2.nonresidue()
+        E = Curve(Fp2, E.a * d * d, E.b * d * d * d)
+    return canonical_of(E)
+
+
+def canonical_of(E):
+    """The canonical model of the supersingular E over F_{p^2} with
+    #E = (p-1)^2: the lex-smallest (a u^4, b u^6).  Its a' is the first
+    element of the class of a mod 4th powers, which fixes u up to a 4th
+    root of unity, and b' the lesser root of b'^2 = b^2 (a'/a)^3 (at a = 0,
+    the first element of the class of b mod 6th powers).  Cached per j;
+    InvariantBreach when E lies outside the canonical twist class."""
+    F, a, b = E.field, E.a, E.b
+    key = (F.p, j_invariant(E).enc())
+    got = _CANONICAL_CACHE.get(key)
+    if got is None:
+        if a.is_zero():
+            got = Curve(F, a, F.first_in_class(6, b ** ((F.order - 1) // 6)))
+        else:
+            z = F.first_in_class(4, a ** ((F.order - 1) // 4))
+            r = (b * b * z * z * z / (a * a * a)).sqrt()
+            got = Curve(F, z, min(r, -r, key=ExtFieldElement.enc))
+        if not _is_canonical(got):
+            raise InvariantBreach("the model chosen for j = %d is not canonical"
+                                  % key[1])
+        got.canonical_ss = True
+        _CANONICAL_CACHE[key] = got
+    elif not iso_scalars(E, got):
+        raise InvariantBreach("%r is not in the canonical twist class" % (E,))
+    return got
 
 
 _CANONICAL_CACHE = {}

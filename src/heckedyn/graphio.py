@@ -6,14 +6,14 @@ The JSON schema is the interchange format consumed by the markov command:
  "mult":...}]}.  Field element coordinates are coefficient lists over F_p.
 
 load_ssgraph reads structure only: the vertex j, marked points and kernels
-are kept as their integer encodings, and no curve, extension field or
-polynomial is built.  A file that breaks the schema raises UsageError
-naming the defect: an unreadable file or invalid JSON; a missing key or a
-value of the wrong kind; p not a prime >= 11, ell < 2 or N < 1; a vertex
-id that is not its position; a coefficient outside [0, p), or more of them
-than the field degree (2 for j and kernel coefficients, ext_degree for
-points); an arrow end that is not a vertex index; aut or mult below 1.
-Each distinct j must pass the Hasse test, else NotSupersingular.
+are kept as their integer encodings, and only the Hasse check builds curves,
+one per distinct j.  A file that breaks the schema raises UsageError naming
+the defect: an unreadable file or invalid JSON; a missing key or a value of
+the wrong kind; p not a prime >= 11, ell < 2 or N < 1; a vertex id that is
+not its position; a coefficient outside [0, p), or more of them than the
+field degree (2 for j and kernel coefficients, ext_degree for points); an
+arrow end that is not a vertex index; aut or mult below 1.  Each distinct j
+must pass the Hasse test, else NotSupersingular.
 """
 
 import json
@@ -91,8 +91,8 @@ def _enc(p, coeffs, k, what):
 
 def load_ssgraph(path):
     """The structure of a graph JSON file, equal to ssgraph_structure of
-    the graph it was written from.  No curve is rebuilt; the file is
-    validated as described in the module docstring."""
+    the graph it was written from, validated as described in the module
+    docstring."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)

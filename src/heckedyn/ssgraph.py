@@ -9,15 +9,19 @@ composition fixes marked points exactly.  Level structure is integer
 linear algebra: P is read as coordinates (i, j) on the torsion basis, and
 every automorphism and every arrow acts on them as a 2x2 matrix mod N, so
 orbits and arrow targets are matrix products (at N = 1 all are zero).
+The curves are found by a BFS under ell-isogenies that runs the Hasse test
+once per build, on the seed; it reads each further canonical model off an
+isogeny's target, and Eichler's mass formula certifies the finished set.
 """
 
 import math
+from fractions import Fraction
 
-from .curves import (action_matrix, automorphism_scalars, canonical_ss_model,
-                     chain_eval, ell_subgroups, iso_scalars, j_invariant,
-                     mat_mul, scaled_point, supersingular_seed,
-                     torsion_coordinates, torsion_grid, torsion_index,
-                     trace_from_residues, velu)
+from .curves import (action_matrix, automorphism_scalars, canonical_of,
+                     canonical_ss_model, chain_eval, ell_subgroups,
+                     iso_scalars, j_invariant, mat_mul, scaled_point,
+                     supersingular_seed, torsion_coordinates, torsion_grid,
+                     torsion_index, trace_from_residues, velu)
 from .errors import (BudgetExhausted, EvenEll, InvariantBreach,
                      ScaleExceeded, SharedCharacteristic, UsageError)
 from .fields import is_prime, squarefree_split
@@ -150,14 +154,11 @@ def build_ssgraph(p, ell, N=1):
         isos = seen[E] = []
         for h in ell_subgroups(E, ell):
             phi = velu(E, h)
-            E1 = canonical_ss_model(j_invariant(phi.target))
+            E1 = canonical_of(phi.target)
             us = iso_scalars(phi.target, E1)
-            if not us:
-                raise InvariantBreach("quotient not isomorphic to a representative")
             M = action_matrix(lambda P: scaled_point(phi(P), us[0], E1), E, N)
             isos.append((h, phi, E1, us[0], M))
-            if E1 not in seen:
-                queue.append(E1)
+            queue.append(E1)
     curves = sorted(seen, key=lambda E: j_invariant(E).enc())
     curve_index = {E: i for i, E in enumerate(curves)}
 
@@ -206,6 +207,9 @@ def build_ssgraph(p, ell, N=1):
         if G.out_degree(v.id) != ell + 1:
             raise InvariantBreach("out-degree %d != ell+1 at vertex %d"
                                   % (G.out_degree(v.id), v.id))
+    # Eichler's mass formula sum 1/|Aut E| = (p-1)/24 (Gross 1987, section 1)
+    if sum(Fraction(24, len(auts)) for auts in aut_mats) != p - 1:
+        raise InvariantBreach("the curves miss Eichler's mass (p-1)/24")
     return G
 
 

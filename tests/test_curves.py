@@ -9,9 +9,10 @@ from heckedyn.errors import (BadTorsionOrder, EqualCharacteristic,
 from heckedyn import curves
 from heckedyn.curves import (Curve, _binomial_roots, _div_B,
                              _poly_invert_mod, action_matrix, all_points_of_order,
-                             automorphism_scalars, canonical_ss_model,
-                             count_points, ell_subgroups, is_supersingular,
-                             iso_scalars, j_invariant, mat_mul, model_from_j,
+                             automorphism_scalars, canonical_of,
+                             canonical_ss_model, count_points, ell_subgroups,
+                             is_supersingular, iso_scalars, j_invariant,
+                             mat_mul, model_from_j,
                              scaled_point, supersingular_j_in_base,
                              supersingular_seed, torsion_basis, torsion_grid,
                              trace_of_frobenius, velu)
@@ -581,6 +582,104 @@ def test_hasse_invariant_on_every_base_field_model(p):
                 continue
             t = p + 1 - brute_count(p, a, b)
             assert is_supersingular(Curve(F, a, b)) == (t % p == 0)
+
+
+def reference_hasse_two_powers(E):
+    """The Hasse invariant test as two running powers: Horner's rule in a^3
+    with a running power of b^2, then the correction a^(2m-3h) b^(2l-m) for
+    l, h the least and greatest i; the sum that one Horner sequence in
+    b^2/a^3 replaced."""
+    p = E.field.p
+    m = (p - 1) // 2
+    lo, hi = (m + 1) // 2, 2 * m // 3
+    a3 = E.a * E.a * E.a
+    b2 = E.b * E.b
+    acc = E.field.zero()
+    bt = E.field.one()
+    for c in curves._hasse_coeffs(p):
+        acc = acc * a3 + bt * c
+        bt = bt * b2
+    return (acc * E.a ** (2 * m - 3 * hi) * E.b ** (2 * lo - m)).is_zero()
+
+
+def test_hasse_horner_matches_two_powers_on_every_base_field_model():
+    cases = 0
+    for p in filter(is_prime, range(5, 60)):
+        F = make_field(p, 1)
+        for a in range(p):
+            for b in range(p):
+                if (4 * a ** 3 + 27 * b ** 2) % p:
+                    E = Curve(F, a, b)
+                    assert is_supersingular(E) == reference_hasse_two_powers(E)
+                    cases += 1
+    assert cases > 15000
+
+
+def test_hasse_horner_matches_two_powers_over_p2():
+    rng = random.Random(20)
+    for p in list(filter(is_prime, range(5, 60))) + [1009, 10007]:
+        F = make_field(p, 2)
+        for _ in range(200 if p < 60 else 20):
+            a, b = (F.from_enc(rng.randrange(F.order)) for _ in "ab")
+            if (a * a * a * 4 + b * b * 27).is_zero():
+                continue
+            E = Curve(F, a, b)
+            assert is_supersingular(E) == reference_hasse_two_powers(E), (p, E)
+
+
+@pytest.mark.parametrize("p", [1009, 1013, 1063, 1019])
+def test_hasse_at_j_0_and_1728_follows_deuring(p):
+    # one prime in each class p mod 12 in {1, 5, 7, 11}: j = 0 is
+    # supersingular iff p = 2 mod 3, j = 1728 iff p = 3 mod 4, on every
+    # model (0, b) resp. (a, 0) tried, over F_p and over F_{p^2}
+    rng = random.Random(p)
+    for k in (1, 2):
+        F = make_field(p, k)
+        for _ in range(5):
+            z = F.from_enc(rng.randrange(1, F.order))
+            E0, E1728 = Curve(F, F.zero(), z), Curve(F, z, F.zero())
+            assert is_supersingular(E0) == reference_hasse_two_powers(E0) \
+                == (p % 3 == 2)
+            assert is_supersingular(E1728) == reference_hasse_two_powers(E1728) \
+                == (p % 4 == 3)
+
+
+@pytest.mark.parametrize("p", [p for p in range(11, 120) if is_prime(p)])
+def test_canonical_of_every_rescaling_is_the_canonical_model(p, monkeypatch):
+    # seeded rescalings (a u^4, b u^6) of each canonical model give the
+    # cached object, and from an empty cache a model with the same key
+    rng = random.Random(p)
+    F = make_field(p, 2)
+    js = [j_invariant(E) for E in build_ssgraph(p, 3, 1).curves]
+    assert len(js) == ss_count(p)
+    for j in js:
+        E = canonical_ss_model(j)
+        key = E.key()
+        for _ in range(6):
+            u2 = F.from_enc(rng.randrange(1, F.order)) ** 2
+            M = Curve(F, E.a * u2 * u2, E.b * u2 * u2 * u2)
+            assert canonical_of(M) is E
+            monkeypatch.setattr(curves, "_CANONICAL_CACHE", {})
+            E = canonical_of(M)
+            assert (E.key(), E.canonical_ss) == (key, True)
+            assert canonical_ss_model(j) is E
+
+
+@pytest.mark.parametrize("p", [11, 13, 47, 101, 1009])
+def test_canonical_of_refuses_the_other_twist(p, monkeypatch):
+    # the quadratic twist of a canonical model has squared Frobenius -p: it
+    # is refused against the cached model and, from an empty cache, by the
+    # certificate
+    F = make_field(p, 2)
+    d = F.nonresidue()
+    for E in build_ssgraph(p, 3, 1).curves:
+        assert canonical_of(E).key() == E.key()
+        twist = Curve(F, E.a * d * d, E.b * d * d * d)
+        with pytest.raises(InvariantBreach, match="twist class"):
+            canonical_of(twist)
+        monkeypatch.setattr(curves, "_CANONICAL_CACHE", {})
+        with pytest.raises(InvariantBreach, match="not canonical"):
+            canonical_of(twist)
 
 
 def reference_companion_order(t, q, m):

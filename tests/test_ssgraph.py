@@ -740,3 +740,29 @@ def test_one_isogeny_per_curve_and_kernel(p, ell, N, monkeypatch):
     G = build_ssgraph(p, ell, N)
     assert len(calls) == (ell + 1) * len(G.curves)
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_one_hasse_test_per_build(p, monkeypatch):
+    # only the seed is tested and built from its j; every other canonical
+    # model is read off an isogeny's target
+    from heckedyn import curves
+    calls = []
+    for name in ("is_supersingular", "model_from_j"):
+        def spy(E, *rest, name=name, fn=getattr(curves, name)):
+            calls.append(name)
+            return fn(E, *rest)
+        monkeypatch.setattr(curves, name, spy)
+    monkeypatch.setattr(curves, "_CANONICAL_CACHE", {})
+    G = build_ssgraph(p, 3, 1)
+    assert len(G.curves) > 1
+    assert sorted(calls) == ["is_supersingular", "model_from_j"]
+
+
+@pytest.mark.parametrize("p", [11, 101])
+def test_mass_check_catches_a_missing_automorphism(p, monkeypatch):
+    import heckedyn.ssgraph as ssgraph_module
+    monkeypatch.setattr(ssgraph_module, "automorphism_scalars",
+                        lambda E: automorphism_scalars(E)[1:])
+    with pytest.raises(InvariantBreach, match="mass"):
+        build_ssgraph(p, 3, 1)
