@@ -205,14 +205,13 @@ def cmd_dyn_walk_measure(args):
     gens = [discdyn.identity_unit(args.p, M)]
     seen = set()
     for w in walks:
-        e = ssgraph.walk_char_poly(G, w)
-        key = (e.trace, e.norm)
-        if key in seen:
+        t, n = e = ssgraph.walk_char_poly(G, w)
+        if e in seen:
             continue
-        seen.add(key)
-        if e.is_scalar():
+        seen.add(e)
+        if t * t == 4 * n:
             continue
-        gens.append(discdyn.quat_embed(e.trace, e.norm, args.p, M))
+        gens.append(discdyn.quat_embed(t, n, args.p, M))
     x0 = discdyn.DiscPoint(wq(args.p, M, args.p, 0))
     cps = [args.steps // 16, args.steps // 8, args.steps // 4,
            args.steps // 2, args.steps]

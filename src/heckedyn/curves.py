@@ -6,7 +6,8 @@ invariant, and the supersingular side never counts points: the first j
 comes from Deuring's criterion, its canonical model is the twist by -1 of a
 model over F_p, whose squared Frobenius is -p (only a j outside F_p needs
 the order of one point), and ``canonical_of`` reads every other one off an
-isogeny's target, which keeps the count (p-1)^2.  Traces of Frobenius
+isogeny's target, which keeps the count (p-1)^2, together with the
+isomorphism onto it.  Traces of Frobenius
 over F_p come from Shanks-Mestre baby-step giant-step for p > 229 and from
 the exhaustive count below that; a caller that knows a count by base change
 passes it to ``Curve``.
@@ -25,8 +26,11 @@ with its denominator inverted in one batch, and half of the grid is the
 negation of the other half.  The grid is cached on the curve together with
 its inverse ``torsion_index``, so ``torsion_coordinates`` is one lookup.
 ``action_matrix`` reads a map on E[m] as a 2x2 matrix mod m against the
-torsion bases of its source and target; a chain's trace mod m is the trace
-of its matrix.
+torsion bases of its source and target.  Both isogeny graphs, supersingular
+and ordinary, are made of ``IsogenyArrow``: an isogeny, then the
+isomorphism onto the target's representative.  ``chain_trace`` takes an
+endomorphism as a map on points, such as arrows applied along a closed
+walk, and reads its trace mod m off its matrix on E[m].
 """
 
 import functools
@@ -479,15 +483,16 @@ def canonical_ss_model(j):
     if j.coeffs[1] == 0 or not _is_canonical(E):
         d = Fp2.nonresidue()
         E = Curve(Fp2, E.a * d * d, E.b * d * d * d)
-    return canonical_of(E)
+    return canonical_of(E)[0]
 
 
 def canonical_of(E):
-    """The canonical model of the supersingular E over F_{p^2} with
-    #E = (p-1)^2: the lex-smallest (a u^4, b u^6).  Its a' is the first
-    element of the class of a mod 4th powers, which fixes u up to a 4th
-    root of unity, and b' the lesser root of b'^2 = b^2 (a'/a)^3 (at a = 0,
-    the first element of the class of b mod 6th powers).  Cached per j;
+    """(M, u): the canonical model M of the supersingular E over F_{p^2},
+    with #M = (p-1)^2, and the least u of ``iso_scalars(E, M)`` by encoding.
+    M is the lex-smallest (a u^4, b u^6).  Its a' is the first element of
+    the class of a mod 4th powers, which fixes u up to a 4th root of unity,
+    and b' the lesser root of b'^2 = b^2 (a'/a)^3 (at a = 0, the first
+    element of the class of b mod 6th powers).  M is cached per j;
     InvariantBreach when E lies outside the canonical twist class."""
     F, a, b = E.field, E.a, E.b
     key = (F.p, j_invariant(E).enc())
@@ -504,9 +509,10 @@ def canonical_of(E):
                                   % key[1])
         got.canonical_ss = True
         _CANONICAL_CACHE[key] = got
-    elif not iso_scalars(E, got):
+    us = iso_scalars(E, got)
+    if not us:
         raise InvariantBreach("%r is not in the canonical twist class" % (E,))
-    return got
+    return got, us[0]
 
 
 _CANONICAL_CACHE = {}
@@ -742,6 +748,21 @@ def _odd_velu_maps(E, h, ell):
     num = (x_poly(F).scale(ell) - Poly(F, [s1 * 2])) * h2 \
         - (df * dh * h).scale(2) - (f * (ddh * h - dh * dh)).scale(4)
     return num, h2, v, w
+
+
+class IsogenyArrow:
+    """An arrow src -> dst of an isogeny graph: the isogeny, then the
+    isomorphism (x, y) -> (u^2 x, u^3 y), u = post_scalar, onto the model
+    that represents dst.  Its kernel is ``isogeny.kernel_poly``."""
+
+    __slots__ = ("index", "src", "dst", "isogeny", "post_scalar")
+
+    def __init__(self, index, src, dst, isogeny, post_scalar):
+        self.index = index
+        self.src = src
+        self.dst = dst
+        self.isogeny = isogeny
+        self.post_scalar = post_scalar
 
 
 def scaled_point(P, u, target):
@@ -1050,26 +1071,15 @@ def mat_mul(M, K, m):
 # ---------------------------------------------------------------------------
 # traces of isogeny chains via torsion action
 
-def chain_eval(steps, P):
-    """Evaluate a list of steps; each step is an Isogeny or (curve, u) scale."""
-    for s in steps:
-        if isinstance(s, Isogeny):
-            P = s(P)
-        else:
-            target, u = s
-            P = scaled_point(P, u, target)
-    return P
+def chain_trace(f, E, ell, d, candidate_traces=None):
+    """Trace of the endomorphism f of E, a map on points of degree ell^d.
 
-
-def chain_trace(steps, E, ell, d, candidate_traces=None):
-    """Trace of the endomorphism given by a closed chain of degree ell^d.
-
-    The residue mod m is the trace of the chain's matrix on E[m] (the chain
-    must end on E itself); ``trace_from_residues`` picks the primes, every
-    auxiliary prime but ell and p, and lifts.
+    The residue mod m is the trace of the matrix of f on E[m];
+    ``trace_from_residues`` picks the primes, every auxiliary prime but ell
+    and p, and lifts.
     """
     def residue(m):
-        a, _, _, dd = action_matrix(lambda P: chain_eval(steps, P), E, m)
+        a, _, _, dd = action_matrix(f, E, m)
         return (a + dd) % m
 
     return trace_from_residues(E, ell, d, residue, candidate_traces)

@@ -4,6 +4,8 @@ The JSON schema is the interchange format consumed by the markov command:
 {"p":..., "ell":..., "N":..., "vertices":[{"id":..., "j":[c0,c1],
  "point":..., "aut":...}], "arrows":[{"src":..., "dst":..., "kernel":[...],
  "mult":...}]}.  Field element coordinates are coefficient lists over F_p.
+An arrow's kernel is its isogeny's kernel polynomial, and its mult is the
+aut of its target vertex.
 
 load_ssgraph reads structure only: the vertex j, marked points and kernels
 are kept as their integer encodings, and only the Hasse check builds curves,
@@ -28,17 +30,22 @@ from .fields import encode, make_field
 
 
 def atomic_write(path, text):
-    """Write via a temporary file and rename, so readers never see partials."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write via a temporary file and rename, so readers never see partials.
+    A path that cannot be written raises UsageError; the temporary file is
+    removed on every failure."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s"
+                         % (path, exc.strerror or exc)) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def ssgraph_to_dict(G):
@@ -49,8 +56,8 @@ def ssgraph_to_dict(G):
                      "y": list(v.point.y.coeffs)},
                  "aut": v.aut_order} for v in G.vertices]
     arrows = [{"src": ar.src, "dst": ar.dst,
-               "kernel": [list(c.coeffs) for c in ar.kernel.coeffs],
-               "mult": ar.label_orbit_size} for ar in G.arrows]
+               "kernel": [list(c.coeffs) for c in ar.isogeny.kernel_poly.coeffs],
+               "mult": G.vertices[ar.dst].aut_order} for ar in G.arrows]
     return {"p": G.p, "ell": G.ell, "N": G.N,
             "vertices": vertices, "arrows": arrows}
 
@@ -67,8 +74,8 @@ def ssgraph_structure(G):
         [Vertex(v.id, j_invariant(v.curve).enc(),
                 None if v.point.inf else v.point.key(), v.aut_order)
          for v in G.vertices],
-        [Arrow(ar.src, ar.dst, ar.kernel.key(), ar.label_orbit_size)
-         for ar in G.arrows])
+        [Arrow(ar.src, ar.dst, ar.isogeny.kernel_poly.key(),
+               G.vertices[ar.dst].aut_order) for ar in G.arrows])
 
 
 def _int(x, what, lo, hi=None):
@@ -146,8 +153,8 @@ def ssgraph_to_dot(G):
         j = j_invariant(v.curve)
         lines.append('  v%d [label="j=%d aut=%d"];' % (v.id, j.enc(), v.aut_order))
     for ar in G.arrows:
-        lines.append('  v%d -> v%d [label="%d"];' % (ar.src, ar.dst,
-                                                     ar.label_orbit_size))
+        lines.append('  v%d -> v%d [label="%d"];'
+                     % (ar.src, ar.dst, G.vertices[ar.dst].aut_order))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -173,7 +180,7 @@ def volcano_to_dict(vol):
         arrows.append({
             "src": ar.src,
             "dst": ar.dst,
-            "kernel": [[c.enc()] for c in ar.kernel.coeffs],
+            "kernel": [[c.enc()] for c in ar.isogeny.kernel_poly.coeffs],
             "mult": 1,
         })
     return {

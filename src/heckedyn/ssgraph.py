@@ -2,10 +2,11 @@
 
 Vertices are pairs (E, P) with E a canonical model over F_{p^2} (squared
 Frobenius acting as the scalar p) and P a chosen representative of an
-automorphism orbit of points of exact order N.  Arrows are kernel-labeled:
-one per cyclic subgroup of order ell, targeted at the unique representative
-of the quotient pair, with the connecting isomorphism stored so that walk
-composition fixes marked points exactly.  Level structure is integer
+automorphism orbit of points of exact order N.  Arrows are
+``IsogenyArrow``s, one per cyclic subgroup of order ell: the isogeny, then
+the isomorphism onto the unique representative of the quotient pair, so
+that walk composition fixes marked points exactly.  A closed walk's
+endomorphism is the pair (trace, norm).  Level structure is integer
 linear algebra: P is read as coordinates (i, j) on the torsion basis, and
 every automorphism and every arrow acts on them as a 2x2 matrix mod N, so
 orbits and arrow targets are matrix products (at N = 1 all are zero).
@@ -17,11 +18,11 @@ isogeny's target, and Eichler's mass formula certifies the finished set.
 import math
 from fractions import Fraction
 
-from .curves import (action_matrix, automorphism_scalars, canonical_of,
-                     canonical_ss_model, chain_eval, ell_subgroups,
-                     iso_scalars, j_invariant, mat_mul, scaled_point,
-                     supersingular_seed, torsion_coordinates, torsion_grid,
-                     torsion_index, trace_from_residues, velu)
+from .curves import (IsogenyArrow, action_matrix, automorphism_scalars,
+                     canonical_of, canonical_ss_model, ell_subgroups,
+                     j_invariant, mat_mul, scaled_point, supersingular_seed,
+                     torsion_coordinates, torsion_grid, torsion_index,
+                     trace_from_residues, velu)
 from .errors import (BudgetExhausted, EvenEll, InvariantBreach,
                      ScaleExceeded, SharedCharacteristic, UsageError)
 from .fields import is_prime, squarefree_split
@@ -29,61 +30,17 @@ from .markov import closed_walk_start, is_strongly_connected, out_period
 
 
 class SSVertex:
-    __slots__ = ("id", "curve", "point", "aut_order", "curve_index")
+    __slots__ = ("id", "curve", "point", "aut_order")
 
-    def __init__(self, vid, curve, point, aut_order, curve_index):
+    def __init__(self, vid, curve, point, aut_order):
         self.id = vid
         self.curve = curve
         self.point = point
         self.aut_order = aut_order
-        self.curve_index = curve_index
 
     def __repr__(self):
         return "SSVertex(%d: j=%d, aut=%d)" % (
             self.id, j_invariant(self.curve).enc(), self.aut_order)
-
-
-class SSArrow:
-    __slots__ = ("index", "src", "dst", "kernel", "isogeny", "post_scalar",
-                 "label_orbit_size")
-
-    def __init__(self, index, src, dst, kernel, isogeny, post_scalar, orbit):
-        self.index = index
-        self.src = src
-        self.dst = dst
-        self.kernel = kernel
-        self.isogeny = isogeny
-        self.post_scalar = post_scalar
-        self.label_orbit_size = orbit
-
-
-class WalkEndo:
-    """(trace, norm) of the endomorphism composed along a closed walk."""
-
-    __slots__ = ("trace", "norm")
-
-    def __init__(self, trace, norm):
-        self.trace = trace
-        self.norm = norm
-
-    def disc(self):
-        return self.trace * self.trace - 4 * self.norm
-
-    def is_scalar(self):
-        return self.disc() == 0
-
-    def squarefree_disc_kernel(self):
-        d = self.disc()
-        if d == 0:
-            return 0
-        core, _ = squarefree_split(abs(d))
-        return core if d > 0 else -core
-
-    def __repr__(self):
-        return "WalkEndo(t=%d, n=%d)" % (self.trace, self.norm)
-
-    def __eq__(self, other):
-        return (self.trace, self.norm) == (other.trace, other.norm)
 
 
 class SSGraph:
@@ -145,8 +102,8 @@ def build_ssgraph(p, ell, N=1):
     # discover every supersingular curve by closing under ell-isogenies; the
     # graph is connected, so one seed reaches all of them.  Once per (curve,
     # kernel) it makes the isogeny phi, the canonical model E1 of the
-    # quotient, the first isomorphism u0 onto E1 and the matrix of u0 phi
-    seen = {}           # curve -> [(h, phi, E1, u0, matrix on E[N])]
+    # quotient, the isomorphism u0 onto E1 and the matrix of u0 phi
+    seen = {}           # curve -> [(phi, E1, u0, matrix on E[N])]
     queue = [canonical_ss_model(supersingular_seed(p))]
     for E in queue:
         if E in seen:
@@ -154,13 +111,12 @@ def build_ssgraph(p, ell, N=1):
         isos = seen[E] = []
         for h in ell_subgroups(E, ell):
             phi = velu(E, h)
-            E1 = canonical_of(phi.target)
-            us = iso_scalars(phi.target, E1)
-            M = action_matrix(lambda P: scaled_point(phi(P), us[0], E1), E, N)
-            isos.append((h, phi, E1, us[0], M))
+            E1, u0 = canonical_of(phi.target)
+            M = action_matrix(lambda P: scaled_point(phi(P), u0, E1), E, N)
+            isos.append((phi, E1, u0, M))
             queue.append(E1)
     curves = sorted(seen, key=lambda E: j_invariant(E).enc())
-    curve_index = {E: i for i, E in enumerate(curves)}
+    index_of = {E: i for i, E in enumerate(curves)}
 
     # vertex set: one per Aut-orbit of exact order-N points, all read as
     # coordinates (i, j) on the torsion basis, so orbits are matrix products
@@ -178,7 +134,7 @@ def build_ssgraph(p, ell, N=1):
             if math.gcd(N, *c) != 1 or (ci, c) in vertex_at:
                 continue
             orbit = {_apply(W, c, N) for _, W in auts}
-            v = SSVertex(len(vertices), E, grid[c], len(auts) // len(orbit), ci)
+            v = SSVertex(len(vertices), E, grid[c], len(auts) // len(orbit))
             vertices.append(v)
             coords.append(c)
             for o in orbit:
@@ -187,8 +143,8 @@ def build_ssgraph(p, ell, N=1):
     # arrows: one per cyclic subgroup of each source vertex
     arrows = []
     for v in vertices:
-        for h, phi, E1, u0, M in seen[v.curve]:
-            ci2 = curve_index[E1]
+        for phi, E1, u0, M in seen[v.curve]:
+            ci2 = index_of[E1]
             # adjust by an automorphism w of E1 so the image is the stored
             # representative; the composite u0 w is then a genuine label
             img = _apply(M, coords[v.id], N)
@@ -199,8 +155,7 @@ def build_ssgraph(p, ell, N=1):
                     break
             else:
                 raise InvariantBreach("image point matches no representative")
-            arrows.append(SSArrow(len(arrows), v.id, dst, h, phi, u0 * w,
-                                  vertices[dst].aut_order))
+            arrows.append(IsogenyArrow(len(arrows), v.id, dst, phi, u0 * w))
 
     G = SSGraph(p, ell, N, vertices, arrows, curves)
     for v in vertices:
@@ -307,25 +262,17 @@ def graph_report(G):
 # ---------------------------------------------------------------------------
 # walks and their endomorphisms
 
-def _walk_steps(G, walk):
-    steps = []
-    for ai in walk:
-        ar = G.arrows[ai]
-        steps.append(ar.isogeny)
-        steps.append((G.vertices[ar.dst].curve, ar.post_scalar))
-    return steps
-
-
 def _arrow_matrix(G, ai, m):
     """The ``action_matrix`` of the arrow ai on E[m], cached on G.  The
     canonical models all have Frobenius_{p^2} = [p], so E[m] of every curve
     lies over the same field and the bases can be compared."""
     M = G.arrow_matrices.get((ai, m))
     if M is None:
-        steps = _walk_steps(G, [ai])
-        E = G.vertices[G.arrows[ai].src].curve
+        ar = G.arrows[ai]
+        E1 = G.vertices[ar.dst].curve
         M = G.arrow_matrices[(ai, m)] = action_matrix(
-            lambda P: chain_eval(steps, P), E, m)
+            lambda P: scaled_point(ar.isogeny(P), ar.post_scalar, E1),
+            G.vertices[ar.src].curve, m)
     return M
 
 
@@ -343,16 +290,18 @@ def _walk_matrix(G, walk, m):
 
 
 def walk_char_poly(G, walk):
-    """WalkEndo of a closed labeled walk (list of arrow indices).
+    """(trace, norm) of the endomorphism of a closed labeled walk (list of
+    arrow indices); its characteristic polynomial is x^2 - trace x + norm.
 
     One walk matrix serves the trace and the level structure.  Each arrow
     acts on E[m] as a 2x2 matrix mod m, cached on G, and the walk acts as
     their product.  Its trace a + d mod auxiliary primes m is lifted by CRT
-    as in ``chain_trace``.  The walk fixes the marked point P = i P1 + j P2
-    exactly when its matrix mod N fixes (i, j); at N = 1 both are zero.
+    in ``trace_from_residues``.  The walk fixes the marked point
+    P = i P1 + j P2 exactly when its matrix mod N fixes (i, j); at N = 1
+    both are zero.
     """
     if not walk:
-        return WalkEndo(2, 1)
+        return (2, 1)
     v0 = closed_walk_start(G.arrows, walk)
 
     def residue(m):
@@ -363,7 +312,7 @@ def walk_char_poly(G, walk):
     c = torsion_coordinates(G.vertices[v0].point, G.N)
     if _apply(_walk_matrix(G, walk, G.N), c, G.N) != c:
         raise InvariantBreach("composed walk does not fix the marked point")
-    return WalkEndo(t, G.ell ** len(walk))
+    return (t, G.ell ** len(walk))
 
 
 def closed_walks(G, base, max_len, cap=20000):
@@ -428,9 +377,11 @@ def monoid_certificates(G, budget=4, base=0):
     pair = None
     fields_seen = {}
     for w, e in endos:
-        k = e.squarefree_disc_kernel()
-        if k == 0:
+        t, n = e
+        d = t * t - 4 * n
+        if d == 0:
             continue
+        k = squarefree_split(abs(d))[0] * (1 if d > 0 else -1)
         for k2, (w2, e2) in fields_seen.items():
             if k2 != k:
                 pair = ((w2, e2), (w, e))

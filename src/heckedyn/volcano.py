@@ -8,10 +8,11 @@ from local degree patterns.  The two are compared in the acceptance suite.
 
 import math
 
-from .curves import (Curve, chain_trace, ell_subgroups, iso_scalars,
-                     j_invariant, model_from_j, trace_of_frobenius, velu)
+from .curves import (Curve, IsogenyArrow, chain_trace, ell_subgroups,
+                     iso_scalars, j_invariant, model_from_j, scaled_point,
+                     trace_of_frobenius, velu)
 from .errors import (BadDiscriminant, ExcludedJ, InvariantBreach, NotClosed,
-                     SupersingularStart, UsageError)
+                     ScaleExceeded, SupersingularStart, UsageError)
 from .fields import embedding, is_prime, make_field, split_prime
 from .markov import _bfs_dist, closed_walk_start
 from .padics import PadicNumber, quadratic_roots
@@ -32,6 +33,11 @@ class RimWalk:
     def __repr__(self):
         return "RimWalk(%s, len %d, t=%d, n=%d)" % (
             self.direction, self.length, self.trace, self.norm)
+
+
+# level sizes are written as JSON integers, and Python converts at most 4300
+# digits of an int to text; 2^14000 has 4215
+MAX_LEVEL_BITS = 14000
 
 
 class SyntheticVolcano:
@@ -70,6 +76,12 @@ class SyntheticVolcano:
             else:
                 self.rim_type = "split-cycle"
         a = self.rim_size
+        # the deepest level, a (ell - kron) ell^(depth-1) >= 2^(depth-1), is
+        # the largest, so a deeper volcano than MAX_LEVEL_BITS needs no power
+        if depth and (depth > MAX_LEVEL_BITS or MAX_LEVEL_BITS < (
+                a * (ell - self.kron) * ell ** (depth - 1)).bit_length()):
+            raise ScaleExceeded("level sizes at depth %d exceed 2^%d"
+                                % (depth, MAX_LEVEL_BITS))
         self.level_sizes = [a]
         for i in range(1, depth + 1):
             self.level_sizes.append(a * (ell - self.kron) * ell ** (i - 1))
@@ -156,18 +168,6 @@ def build_synthetic(disc, ell, depth):
 
 # ---------------------------------------------------------------------------
 # empirical volcano over F_p
-
-class EmpiricalArrow:
-    __slots__ = ("index", "src", "dst", "kernel", "isogeny", "post_scalar")
-
-    def __init__(self, index, src, dst, kernel, isogeny, post_scalar):
-        self.index = index
-        self.src = src
-        self.dst = dst
-        self.kernel = kernel
-        self.isogeny = isogeny
-        self.post_scalar = post_scalar
-
 
 class EmpiricalVolcano:
     """Rational ell-isogeny graph over F_p explored from an ordinary j.
@@ -257,8 +257,7 @@ class EmpiricalVolcano:
                     if not us:
                         raise InvariantBreach("same j but no isomorphism found")
                     u = us[0]
-                self.arrows.append(EmpiricalArrow(
-                    len(self.arrows), v, w, h, phi, u))
+                self.arrows.append(IsogenyArrow(len(self.arrows), v, w, phi, u))
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     frontier.append(w)
@@ -326,13 +325,15 @@ def walk_endo_empirical(vol, walk):
         t, p = vol.frobenius_trace, vol.p
         E2 = vol.f2_models[v0] = Curve(F2, emb(E.a), emb(E.b),
                                        count=p * p + 1 - (t * t - 2 * p))
-    steps = []
-    for ai in walk:
-        ar = vol.arrows[ai]
-        steps.append(ar.isogeny)
-        steps.append((vol.curves[ar.dst], ar.post_scalar))
-    # the last step lands on E2, so images are read on E2's torsion basis
-    steps[-1] = (E2, steps[-1][1])
+    arrows = [vol.arrows[ai] for ai in walk]
+    # the last arrow lands on E2, so images are read on E2's torsion basis
+    targets = [vol.curves[ar.dst] for ar in arrows[:-1]] + [E2]
+
+    def endo(P):
+        for ar, E1 in zip(arrows, targets):
+            P = scaled_point(ar.isogeny(P), ar.post_scalar, E1)
+        return P
+
     d = len(walk)
     norm = vol.ell ** d
     # the endomorphism lies in the CM field: t^2 - 4 norm = c^2 * field_disc
@@ -346,7 +347,7 @@ def walk_endo_empirical(vol, walk):
         if s * s == rest:
             candidates.extend({s, -s})
         c += 1
-    t = chain_trace(steps, E2, vol.ell, d, candidate_traces=candidates)
+    t = chain_trace(endo, E2, vol.ell, d, candidate_traces=candidates)
     return (t, norm)
 
 

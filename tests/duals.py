@@ -1,16 +1,40 @@
-"""Dual isogenies and the backtrack endomorphism, kept as test references.
+"""Dual isogenies, the backtrack endomorphism and step lists, kept as test
+references.
 
 ``dual_isogeny`` finds the dual of a Velu isogeny among the rational
 subgroups of its target and normalises it so that the composite is exactly
 [deg]; ``backtrack_endo`` reads the trace of an arrow followed by that dual,
-which must be the scalar ell.  No code in the package needs them.
+which must be the scalar ell.  A step list spells a chain out as isogenies
+and (curve, u) rescalings, and ``chain_eval`` applies it to a point; the
+package applies its arrows directly instead.  No code in the package needs
+any of them.
 """
 
-from heckedyn.curves import (_div_B, chain_trace, ell_subgroups, iso_scalars,
-                             scaled_point, velu)
+from heckedyn.curves import (Isogeny, _div_B, chain_trace, ell_subgroups,
+                             iso_scalars, scaled_point, velu)
 from heckedyn.errors import InvariantBreach
 from heckedyn.fields import Poly, make_field
-from heckedyn.ssgraph import WalkEndo
+
+
+def chain_eval(steps, P):
+    """Evaluate a list of steps; each step is an Isogeny or (curve, u) scale."""
+    for s in steps:
+        if isinstance(s, Isogeny):
+            P = s(P)
+        else:
+            target, u = s
+            P = scaled_point(P, u, target)
+    return P
+
+
+def arrow_steps(arrows, curves, walk):
+    """The step list of a walk: each arrow's isogeny, then its rescaling onto
+    the model curves[dst] of its target."""
+    steps = []
+    for ai in walk:
+        ar = arrows[ai]
+        steps += [ar.isogeny, (curves[ar.dst], ar.post_scalar)]
+    return steps
 
 
 def dual_kernel_poly(phi):
@@ -76,8 +100,9 @@ def dual_isogeny(phi):
 
 
 def backtrack_endo(G, arrow_index):
-    """WalkEndo of an arrow followed by its exact dual label: multiplication
-    by ell, recovered independently through the torsion action.
+    """(trace, norm) of an arrow followed by its exact dual label:
+    multiplication by ell, recovered independently through the torsion
+    action.
 
     The stored label of the dual arrow can differ from the exact dual by an
     automorphism at j in {0, 1728}; this helper always uses the exact dual.
@@ -86,5 +111,5 @@ def backtrack_endo(G, arrow_index):
     E = G.vertices[ar.src].curve
     psi, u2 = dual_isogeny(ar.isogeny)
     steps = [ar.isogeny, psi, (E, u2)]
-    t = chain_trace(steps, E, G.ell, 2)
-    return WalkEndo(t, G.ell ** 2)
+    t = chain_trace(lambda P: chain_eval(steps, P), E, G.ell, 2)
+    return (t, G.ell ** 2)

@@ -292,14 +292,14 @@ def test_criterion_08_walk_endomorphisms(g_11_3_1):
     walks = closed_walks(G, 0, 4) + closed_walks(G, 1, 4)
     n_walks = 0
     for w in walks:
-        e = walk_char_poly(G, w)
-        ok = ok and e.norm == 3 ** len(w)
-        ok = ok and e.trace * e.trace <= 4 * e.norm
+        t, n = walk_char_poly(G, w)
+        ok = ok and n == 3 ** len(w)
+        ok = ok and t * t <= 4 * n
         n_walks += 1
     # dual-return composites are scalar
     for ar in G.arrows:
-        e = backtrack_endo(G, ar.index)
-        ok = ok and e.trace * e.trace == 4 * e.norm and e.norm == 9
+        t, n = backtrack_endo(G, ar.index)
+        ok = ok and t * t == 4 * n and n == 9
     report("8", ok, "%d closed walks (len<=4) + %d dual returns"
            % (n_walks, len(G.arrows)))
 
@@ -360,11 +360,11 @@ def test_criterion_10_measure_simulation(g_11_5_1):
     gens = [identity_unit(p, M)]
     seen = set()
     for w in closed_walks(G, 0, 3):
-        e = walk_char_poly(G, w)
-        if (e.trace, e.norm) in seen or e.is_scalar():
+        t, n = e = walk_char_poly(G, w)
+        if e in seen or t * t == 4 * n:
             continue
-        seen.add((e.trace, e.norm))
-        gens.append(quat_embed(e.trace, e.norm, p, M))
+        seen.add(e)
+        gens.append(quat_embed(t, n, p, M))
     x0 = DiscPoint(wq(p, M, p, 0))
     cps = [steps // 16, steps // 8, steps // 4, steps // 2, steps]
     measure, snaps = random_walk(gens, x0, steps, seed, k=1, checkpoints=cps)

@@ -167,6 +167,41 @@ def test_volcano_disc_rejects_empirical_flags(flag, tmp_path, capsys,
     assert not (tmp_path / "x.dot").exists()
 
 
+def test_volcano_beyond_the_level_size_bound_exits_1(capsys):
+    # level sizes past 2^14000 would break the JSON writer; the bench's
+    # escape volcano, whose deepest level has 92 digits, stays inside
+    code, out, err = run(["volcano", "--disc", "-15", "-l", "2",
+                          "--depth", "20000"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: level sizes at depth 20000 exceed 2^14000\n"
+    code, out, err = run(["volcano", "--disc", "-23", "-l", "2",
+                          "--depth", "302"], capsys)
+    assert code == 0
+    assert len(str(json.loads(out)["level_sizes"][-1])) == 92
+
+
+@pytest.mark.parametrize("argv", [
+    ["ssgraph", "-p", "11", "-l", "3", "--out"],
+    ["ssgraph", "-p", "11", "-l", "3", "--dot"],
+    ["ssgraph", "-p", "11", "-l", "3", "--report"],
+    ["volcano", "--disc", "-15", "-l", "2", "--out"],
+    ["dyn", "walk-measure", "-p", "11", "-l", "3", "--steps", "20",
+     "--tv-csv"]])
+def test_unwritable_output_path_exits_1(argv, tmp_path, capsys,
+                                        monkeypatch):
+    # a path under a missing directory, and a path that is a directory,
+    # where the temporary file is made and must be removed again
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("taken")
+    for path in (str(tmp_path / "missing" / "x"), "taken"):
+        code, out, err = run(argv + [path], capsys)
+        assert code == 1
+        assert err.startswith("error: cannot write %s: " % path), err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["taken"]
+        assert os.listdir("taken") == []
+
+
 def test_volcano_empirical(capsys):
     code, out, err = run(["volcano", "-p", "11", "--j", "5", "-l", "2",
                           "--depth", "1"], capsys)

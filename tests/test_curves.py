@@ -658,9 +658,9 @@ def test_canonical_of_every_rescaling_is_the_canonical_model(p, monkeypatch):
         for _ in range(6):
             u2 = F.from_enc(rng.randrange(1, F.order)) ** 2
             M = Curve(F, E.a * u2 * u2, E.b * u2 * u2 * u2)
-            assert canonical_of(M) is E
+            assert canonical_of(M)[0] is E
             monkeypatch.setattr(curves, "_CANONICAL_CACHE", {})
-            E = canonical_of(M)
+            E = canonical_of(M)[0]
             assert (E.key(), E.canonical_ss) == (key, True)
             assert canonical_ss_model(j) is E
 
@@ -673,13 +673,40 @@ def test_canonical_of_refuses_the_other_twist(p, monkeypatch):
     F = make_field(p, 2)
     d = F.nonresidue()
     for E in build_ssgraph(p, 3, 1).curves:
-        assert canonical_of(E).key() == E.key()
+        assert canonical_of(E)[0].key() == E.key()
         twist = Curve(F, E.a * d * d, E.b * d * d * d)
         with pytest.raises(InvariantBreach, match="twist class"):
             canonical_of(twist)
         monkeypatch.setattr(curves, "_CANONICAL_CACHE", {})
         with pytest.raises(InvariantBreach, match="not canonical"):
             canonical_of(twist)
+
+
+@pytest.mark.parametrize("p", [11, 13, 1009, 1063])
+def test_canonical_of_returns_the_least_isomorphism(p):
+    # every j of the (p, 3, 1) graph (j = 0 and 1728 at p = 11, j = 1728 at
+    # p = 1063) and seeded models (a v^4, b v^6) of it: canonical_of gives
+    # the cached model M and the least u of iso_scalars(E, M) by encoding,
+    # which carries E onto M; the quadratic twist of E is refused
+    rng = random.Random(p)
+    F = make_field(p, 2)
+    d = F.nonresidue()
+    models = build_ssgraph(p, 3, 1).curves
+    js = {j_invariant(M).enc() for M in models}
+    assert (0 in js, 1728 % p in js) == (p % 3 == 2, p % 4 == 3)
+    for M in models:
+        rescaled = [M]
+        for _ in range(3):
+            v2 = F.from_enc(rng.randrange(1, F.order)) ** 2
+            rescaled.append(Curve(F, M.a * v2 * v2, M.b * v2 * v2 * v2))
+        for E in rescaled:
+            got, u = canonical_of(E)
+            assert got is M
+            assert u == min(iso_scalars(E, M), key=ExtFieldElement.enc)
+            u2 = u * u
+            assert (E.a * u2 * u2, E.b * u2 * u2 * u2) == (M.a, M.b)
+            with pytest.raises(InvariantBreach, match="twist class"):
+                canonical_of(Curve(F, E.a * d * d, E.b * d * d * d))
 
 
 def reference_companion_order(t, q, m):

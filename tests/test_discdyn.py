@@ -276,11 +276,11 @@ def _walk_inverses(G, p, M):
     gens = [identity_unit(p, M)]
     seen = set()
     for w in closed_walks(G, 0, 3):
-        e = walk_char_poly(G, w)
-        if (e.trace, e.norm) in seen or e.is_scalar():
+        t, n = e = walk_char_poly(G, w)
+        if e in seen or t * t == 4 * n:
             continue
-        seen.add((e.trace, e.norm))
-        gens.append(quat_embed(e.trace, e.norm, p, M))
+        seen.add(e)
+        gens.append(quat_embed(t, n, p, M))
     return [g.inverse() for g in gens]
 
 

@@ -6,22 +6,23 @@ import pytest
 
 from heckedyn.errors import (EvenEll, InvariantBreach, NotClosed,
                              ScaleExceeded, UsageError)
-from heckedyn.curves import (Isogeny, all_points_of_order,
+from heckedyn.curves import (Isogeny, IsogenyArrow, all_points_of_order,
                              automorphism_scalars, canonical_ss_model,
-                             chain_eval, ell_subgroups, iso_scalars,
-                             j_invariant, scaled_point, torsion_basis,
-                             torsion_coordinates, trace_from_residues, velu)
-from heckedyn.fields import embedding, multiplicative_order as alpha_of_level
+                             ell_subgroups, iso_scalars, j_invariant,
+                             scaled_point, torsion_basis, torsion_coordinates,
+                             trace_from_residues, velu)
+from heckedyn.fields import (embedding, multiplicative_order as alpha_of_level,
+                             squarefree_split)
 from heckedyn.padics import PadicNumber, sat_membership
 from heckedyn.quadforms import (class_number, fundamental_discriminant,
                                 kronecker)
-from heckedyn.ssgraph import (SSArrow, SSGraph, SSVertex, WalkEndo,
-                              _is_self_dual, _walk_steps, build_ssgraph,
-                              closed_walks, graph_report, is_rigid, is_solid,
-                              monoid_certificates, odd_closed_walk,
-                              self_dual_loop_count, walk_char_poly)
+from heckedyn.ssgraph import (SSGraph, SSVertex, _is_self_dual,
+                              build_ssgraph, closed_walks, graph_report,
+                              is_rigid, is_solid, monoid_certificates,
+                              odd_closed_walk, self_dual_loop_count,
+                              walk_char_poly)
 
-from duals import backtrack_endo
+from duals import arrow_steps, backtrack_endo, chain_eval
 from field_section import section
 
 
@@ -77,9 +78,7 @@ def test_validation_errors():
 def test_vertex_counts_match_orbit_formula():
     # level-N vertex count = sum over curves of (orbit count of order-N pts)
     G = build_ssgraph(11, 3, 5)
-    by_curve = {}
-    for v in G.vertices:
-        by_curve[v.curve_index] = by_curve.get(v.curve_index, 0) + 1
+    by_curve = Counter(v.curve.key() for v in G.vertices)
     # j = 0 has 6 automorphisms, j = 1728 has 4; 24 points of order 5
     counts = sorted(by_curve.values())
     assert counts == [4, 6]
@@ -88,12 +87,12 @@ def test_vertex_counts_match_orbit_formula():
 
 def test_walk_char_poly_trivial_cases(g_11_3_1):
     G = g_11_3_1
-    assert walk_char_poly(G, []) == WalkEndo(2, 1)
+    assert walk_char_poly(G, []) == (2, 1)
     # arrow followed by its exact dual label: the scalar ell
     for ar in G.arrows[:4]:
-        e = backtrack_endo(G, ar.index)
-        assert e.norm == 9
-        assert e.trace * e.trace == 4 * e.norm
+        t, n = backtrack_endo(G, ar.index)
+        assert n == 9
+        assert t * t == 4 * n
 
 
 def test_walk_char_poly_length_two_bounds(g_11_3_1):
@@ -102,10 +101,10 @@ def test_walk_char_poly_length_two_bounds(g_11_3_1):
     for w in walks:
         if len(w) != 2:
             continue
-        e = walk_char_poly(G, w)
-        assert e.norm == 9
-        assert e.trace * e.trace <= 4 * e.norm
-        disc = e.trace ** 2 - 36
+        t, n = walk_char_poly(G, w)
+        assert n == 9
+        assert t * t <= 4 * n
+        disc = t ** 2 - 36
         assert disc == 0 or disc < 0
 
 
@@ -130,7 +129,17 @@ def test_monoid_certificates_11_5_1(g_11_5_1):
     assert certs["alpha_check"]
     assert certs["noncommuting_pair"] is not None
     (w1, e1), (w2, e2) = certs["noncommuting_pair"]
-    assert e1.squarefree_disc_kernel() != e2.squarefree_disc_kernel()
+    assert _quadratic_field(e1) != _quadratic_field(e2)
+
+
+def _quadratic_field(e):
+    """The signed squarefree part of t^2 - 4n for e = (t, n) of a walk whose
+    endomorphism is not a scalar."""
+    t, n = e
+    d = t * t - 4 * n
+    assert d != 0
+    core, _ = squarefree_split(abs(d))
+    return core if d > 0 else -core
 
 
 def test_monoid_certificates_alpha_reported_at_level_5():
@@ -146,8 +155,7 @@ def test_monoid_certificates_alpha_reported_at_level_5():
     loops = [ar.index for ar in G.arrows if ar.src == ar.dst]
     assert loops
     for ai in loops:
-        e = walk_char_poly(G, [ai])
-        assert e.norm == 3
+        assert walk_char_poly(G, [ai])[1] == 3
 
 
 def test_closure_fixes_marked_point():
@@ -155,22 +163,19 @@ def test_closure_fixes_marked_point():
     walks = closed_walks(G, 0, 4)
     assert walks
     # walk_char_poly verifies the marked-point closure internally
-    e = walk_char_poly(G, walks[0])
-    assert e.norm == 3 ** len(walks[0])
+    assert walk_char_poly(G, walks[0])[1] == 3 ** len(walks[0])
 
 
 def test_second_walk_trace_evaluates_no_point(monkeypatch):
     # one warm-up pass caches every arrow matrix the (11, 3, 5) walks need,
     # the matrices mod N of the marked-point closure included, so tracing
-    # them again evaluates no isogeny and no chain
-    import heckedyn.ssgraph
+    # them again evaluates no isogeny
     G = build_ssgraph(11, 3, 5)
     walks = closed_walks(G, 0, 4)
     first = [walk_char_poly(G, w) for w in walks]
 
     def refuse(*args):
         raise AssertionError("a point was evaluated")
-    monkeypatch.setattr(heckedyn.ssgraph, "chain_eval", refuse)
     monkeypatch.setattr(Isogeny, "__call__", refuse)
     assert [walk_char_poly(G, w) for w in walks] == first
 
@@ -194,7 +199,7 @@ def test_self_dual_loops_cross_checked_by_traces(g_13_5_1):
     zero_traces = 0
     for ar in G.arrows:
         if ar.src == ar.dst and G.vertices[ar.src].aut_order == 2:
-            if walk_char_poly(G, [ar.index]).trace == 0:
+            if walk_char_poly(G, [ar.index])[0] == 0:
                 zero_traces += 1
     assert s == zero_traces == 2
 
@@ -241,7 +246,8 @@ def test_self_dual_loops_match_dual_kernel_reference(p, ell):
     G = build_ssgraph(p, ell, 1)
     loops = [ar for ar in G.arrows if ar.src == ar.dst]
     verdicts = [_is_self_dual(G, ar.index) for ar in loops]
-    assert verdicts == [arrow_dual_kernel(G, ar) == ar.kernel for ar in loops]
+    assert verdicts == [arrow_dual_kernel(G, ar) == ar.isogeny.kernel_poly
+                        for ar in loops]
     assert graph_report(G)["self_dual_loops"] == sum(verdicts)
 
 
@@ -250,9 +256,9 @@ def test_dual_kernel_is_involutive(g_13_5_1):
     G = g_13_5_1
     for ar in G.arrows[:6]:
         dk = arrow_dual_kernel(G, ar)
-        back = next(a for a in G.arrows
-                    if a.src == ar.dst and a.dst == ar.src and a.kernel == dk)
-        assert arrow_dual_kernel(G, back) == ar.kernel
+        back = next(a for a in G.arrows if a.src == ar.dst
+                    and a.dst == ar.src and a.isogeny.kernel_poly == dk)
+        assert arrow_dual_kernel(G, back) == ar.isogeny.kernel_poly
 
 
 def test_sat_membership_examples():
@@ -329,8 +335,8 @@ def test_level_one_stationary_is_aut_weighted():
 
 def _hand_graph(n, edges, N=5):
     """A bare SSGraph with n vertices and the given (src, dst) arrows."""
-    vertices = [SSVertex(i, None, None, 1, i) for i in range(n)]
-    arrows = [SSArrow(k, a, b, None, None, None, 1)
+    vertices = [SSVertex(i, None, None, 1) for i in range(n)]
+    arrows = [IsogenyArrow(k, a, b, None, None)
               for k, (a, b) in enumerate(edges)]
     return SSGraph(11, 3, N, vertices, arrows, [None] * n)
 
@@ -397,7 +403,8 @@ def reference_chain_trace(steps, E, ell, d, candidate_traces=None):
 
 def _reference_trace(G, w):
     E = G.vertices[G.arrows[w[0]].src].curve
-    return reference_chain_trace(_walk_steps(G, w), E, G.ell, len(w))
+    steps = arrow_steps(G.arrows, [v.curve for v in G.vertices], w)
+    return reference_chain_trace(steps, E, G.ell, len(w))
 
 
 @pytest.mark.parametrize("case", ["11_3_1", "11_5_1", "13_5_1", "11_3_5"])
@@ -420,9 +427,8 @@ def test_matrix_traces_equal_chain_trace(case, g_11_3_1, g_11_5_1, g_13_5_1):
         walks = closed_walks(G, 0, 4)
     assert walks
     for w in walks:
-        e = walk_char_poly(G, w)
-        assert e.trace == _reference_trace(G, w), w
-        assert e.norm == G.ell ** len(w)
+        assert walk_char_poly(G, w) == (_reference_trace(G, w),
+                                        G.ell ** len(w)), w
     if G.N > 1:
         assert {(ai, 5) for w in walks for ai in w} <= set(G.arrow_matrices)
 
@@ -445,10 +451,7 @@ def test_volcano_traces_equal_relation_search(p, j0, ell):
     assert len(walks) >= 8
     for w in walks:
         t, n = walk_endo_empirical(vol, w)
-        steps = []
-        for ai in w:
-            ar = vol.arrows[ai]
-            steps += [ar.isogeny, (vol.curves[ar.dst], ar.post_scalar)]
+        steps = arrow_steps(vol.arrows, vol.curves, w)
         # the F_{p^2} model of the base vertex that the walk traced on
         E2 = vol.f2_models[vol.arrows[w[0]].src]
         assert t == reference_chain_trace(steps, E2, ell, len(w)), w
@@ -624,7 +627,7 @@ def reference_level_graph(curves, ell, N):
     for ci, E in enumerate(curves):
         auts = automorphism_scalars(E)
         if N == 1:
-            v = SSVertex(len(vertices), E, E.infinity(), len(auts), ci)
+            v = SSVertex(len(vertices), E, E.infinity(), len(auts))
             vertices.append(v)
             point_index[(ci, (-1, -1))] = v.id
             continue
@@ -644,7 +647,7 @@ def reference_level_graph(curves, ell, N):
                     assigned[img.key()] = True
             rep = min(orbit, key=lambda Q: Q.key())
             stab = len(auts) // len({Q.key() for Q in orbit})
-            v = SSVertex(len(vertices), E, rep, stab, ci)
+            v = SSVertex(len(vertices), E, rep, stab)
             vertices.append(v)
             for Q in orbit:
                 point_index[(ci, Q.key())] = v.id
@@ -657,7 +660,7 @@ def reference_level_graph(curves, ell, N):
     for v in vertices:
         E = v.curve
         for h in ell_subgroups(E, ell):
-            cache_key = (v.curve_index, h.key())
+            cache_key = (E.key(), h.key())
             got = iso_cache.get(cache_key)
             if got is None:
                 phi = velu(E, h)
@@ -673,7 +676,6 @@ def reference_level_graph(curves, ell, N):
             if N == 1:
                 dst = point_index[(ci2, (-1, -1))]
                 post = u0
-                orbit = vertices[dst].aut_order
             else:
                 P1 = scaled_point(phi(v.point), u0, E1)
                 # adjust by an automorphism of E1 so the image is the stored
@@ -691,8 +693,7 @@ def reference_level_graph(curves, ell, N):
                         break
                 if dst is None:
                     raise InvariantBreach("image point matches no representative")
-                orbit = vertices[dst].aut_order
-            arrows.append(SSArrow(len(arrows), v.id, dst, h, phi, post, orbit))
+            arrows.append(IsogenyArrow(len(arrows), v.id, dst, phi, post))
     return vertices, arrows
 
 
@@ -702,8 +703,8 @@ def reference_level_graph(curves, ell, N):
 def test_level_structure_matches_point_matching(p, ell, N):
     G = build_ssgraph(p, ell, N)
     vertices, arrows = reference_level_graph(G.curves, ell, N)
-    assert ([(v.point.key(), v.aut_order, v.curve_index) for v in G.vertices]
-            == [(v.point.key(), v.aut_order, v.curve_index) for v in vertices])
+    assert ([(v.point.key(), v.aut_order, v.curve.key()) for v in G.vertices]
+            == [(v.point.key(), v.aut_order, v.curve.key()) for v in vertices])
     assert ([(ar.src, ar.dst, ar.post_scalar.enc()) for ar in G.arrows]
             == [(ar.src, ar.dst, ar.post_scalar.enc()) for ar in arrows])
 
@@ -757,6 +758,24 @@ def test_one_hasse_test_per_build(p, monkeypatch):
     G = build_ssgraph(p, 3, 1)
     assert len(G.curves) > 1
     assert sorted(calls) == ["is_supersingular", "model_from_j"]
+
+
+@pytest.mark.parametrize("p,calls", [(101, 46), (1009, 421)])
+def test_one_isomorphism_search_per_arrow(p, calls, monkeypatch):
+    # from an empty cache: one iso_scalars call for each (curve, kernel),
+    # which canonical_of makes and returns, one for each curve's
+    # automorphisms and one for the seed; (1009, 3, 1) has 84 curves
+    from heckedyn import curves
+    seen = []
+    search = curves.iso_scalars
+
+    def counting(E1, E2):
+        seen.append(1)
+        return search(E1, E2)
+    monkeypatch.setattr(curves, "iso_scalars", counting)
+    monkeypatch.setattr(curves, "_CANONICAL_CACHE", {})
+    G = build_ssgraph(p, 3, 1)
+    assert len(seen) == calls == 5 * len(G.curves) + 1
 
 
 @pytest.mark.parametrize("p", [11, 101])

@@ -2,13 +2,14 @@ import pytest
 
 from heckedyn import curves
 from heckedyn.errors import (BadDiscriminant, ExcludedJ, NotClosed, NotSplit,
-                             SupersingularStart)
+                             ScaleExceeded, SupersingularStart)
 from heckedyn.curves import is_supersingular, model_from_j
 from heckedyn.fields import make_field
 from heckedyn.quadforms import class_number, kronecker
-from heckedyn.volcano import (build_empirical, build_synthetic,
-                              lambda_of_endo, quad_power, reduce_walk,
-                              walk_endo_empirical, walk_endo_synthetic)
+from heckedyn.volcano import (MAX_LEVEL_BITS, build_empirical,
+                              build_synthetic, lambda_of_endo, quad_power,
+                              reduce_walk, walk_endo_empirical,
+                              walk_endo_synthetic)
 
 
 def test_synthetic_example_disc_minus_15():
@@ -22,6 +23,17 @@ def test_synthetic_example_disc_minus_15():
     assert class_number(-15) == 2 == V.level_sizes[0]
     assert class_number(-60) == 2 == V.level_sizes[1]
     assert class_number(-240) == 4 == V.level_sizes[2]
+
+
+def test_synthetic_level_sizes_stop_at_the_bit_bound():
+    # at (-15, 2) the deepest level is 2^depth, of depth + 1 bits: depth
+    # 13999 reaches the bound and still prints, one level more is refused
+    V = build_synthetic(-15, 2, MAX_LEVEL_BITS - 1)
+    assert V.level_sizes[-1] == 2 ** (MAX_LEVEL_BITS - 1)
+    assert len(str(V.level_sizes[-1])) <= 4300
+    for depth in (MAX_LEVEL_BITS, MAX_LEVEL_BITS + 1, 10 ** 9):
+        with pytest.raises(ScaleExceeded):
+            build_synthetic(-15, 2, depth)
 
 
 def test_synthetic_inert():
