@@ -16,6 +16,11 @@ Products in F_{p^k}, k >= 3, use Kronecker substitution: both coefficient
 vectors are packed into one integer with slots of 8 to 64 bits (wider ones
 for p near 2**31 and above) that hold 2k(p-1)^2, multiplied once, and the
 k-1 high slots are folded back with packed rows x^j mod modulus.
+``Poly.pow_mod`` runs in one residue ring per modulus m of degree n, whose
+elements are packed the same way: over F_p the ring F_p[x]/(m) is
+``FieldDesc(p, n, m)`` itself, and over F_{p^k}, k >= 2, ``_PolyRing``
+packs the coefficient of t^i x^j into slot (2k-1) j + i.  Products, gcds
+and division of polynomials stay schoolbook.
 """
 
 import math
@@ -138,6 +143,29 @@ def _unpack_shift(n, bits, count):
     return [(n >> (bits * i)) & mask for i in range(count)]
 
 
+def _slot_code(bound):
+    """The Kronecker slot for values up to ``bound``: (bits, code), with
+    code the narrowest ``struct`` format of 8, 16, 32 or 64 bits that holds
+    it, or None and bits = bound.bit_length() for packing by shifts.  Both
+    give the same integer for the same bits."""
+    bits = bound.bit_length()
+    for code in "BHIQ":
+        if bits <= 8 * struct.calcsize(code):
+            return 8 * struct.calcsize(code), code
+    return bits, None
+
+
+def _codec(bits, code, count):
+    """(pack, unpack) between ``count`` slot values and one integer, in the
+    layout that ``_slot_code`` chose."""
+    if code is None:
+        return (lambda a: _pack_shift(a, bits),
+                lambda n: _unpack_shift(n, bits, count))
+    s = struct.Struct("<%d%s" % (count, code))
+    return (lambda a: int.from_bytes(s.pack(*a), "little"),
+            lambda n: s.unpack(n.to_bytes(s.size, "little")))
+
+
 def encode(p, coeffs):
     """The canonical integer encoding sum(c_i p^i) of a coefficient list
     over F_p; a total order on field elements."""
@@ -150,11 +178,12 @@ def encode(p, coeffs):
 class FieldDesc:
     """F_{p^k} in polynomial basis over the monic irreducible ``modulus``.
 
-    Do not construct directly; go through :func:`make_field`, which verifies
-    primality and picks the canonical modulus.  Instances are immutable and
-    shared, so identity comparison is safe.  The arithmetic is that of
-    F_p[x]/(modulus) for any monic modulus, with ZeroDivisionError on a
-    non-unit; the modulus search relies on this to test its candidates.
+    Do not construct a field directly; go through :func:`make_field`, which
+    verifies primality and picks the canonical modulus.  Instances are
+    immutable and shared, so identity comparison is safe.  The arithmetic is
+    that of F_p[x]/(modulus) for any monic modulus, with ZeroDivisionError
+    on a non-unit; the modulus search relies on this to test its
+    candidates, and ``Poly.pow_mod`` over F_p to power in F_p[x]/(m).
     ``first_in_class`` (the first element of a class mod e-th powers) is
     the one class scan; it skips F_p when F_p^x cannot meet the class.
     """
@@ -231,20 +260,14 @@ class FieldDesc:
         most (2k-1)(p-1)^2 < 2k(p-1)^2.  Slots of 8, 16, 32 or 64 bits are
         packed by ``struct``; wider ones (p near 2^31 and above) by shifts."""
         p, k = self.p, self.k
-        bits = (2 * k * (p - 1) ** 2).bit_length()
-        code = next((c for c in "BHIQ" if bits <= 8 * struct.calcsize(c)), None)
-        if code is None:
-            self._structs = None
-            rows = [_pack_shift(self._red[j], bits) for j in range(k, 2 * k - 1)]
-        else:
-            bits = 8 * struct.calcsize(code)
-            pk = struct.Struct("<%d%s" % (k, code))
-            self._structs = (pk, struct.Struct("<%d%s" % (2 * k - 1, code)))
-            rows = [int.from_bytes(pk.pack(*self._red[j]), "little")
-                    for j in range(k, 2 * k - 1)]
+        bits, code = _slot_code(2 * k * (p - 1) ** 2)
+        self._structs = None if code is None else (
+            struct.Struct("<%d%s" % (k, code)),
+            struct.Struct("<%d%s" % (2 * k - 1, code)))
         self._slot = bits
         self._low_mask = (1 << (bits * k)) - 1
-        self._red_packed = tuple(rows)
+        self._red_packed = tuple(_pack_shift(self._red[j], bits)
+                                 for j in range(k, 2 * k - 1))
 
     def _mulc(self, a, b):
         k = self.k
@@ -592,7 +615,7 @@ class Poly:
     ``coeffs`` property materializes ExtFieldElement views.
     """
 
-    __slots__ = ("field", "_c")
+    __slots__ = ("field", "_c", "_ring")
 
     def __init__(self, field, coeffs, raw=False):
         self.field = field
@@ -721,15 +744,28 @@ class Poly:
         return Poly(F, r, raw=True)
 
     def pow_mod(self, e, m):
+        """self^e mod m for e >= 0, by square-and-multiply in the residue
+        ring of m (built once per modulus and kept on m): ``FieldDesc(p, n,
+        m)`` over F_p, a ``_PolyRing`` over F_{p^k}.  A zero m raises
+        ZeroDivisionError, and a constant m gives the zero polynomial."""
         F = self.field
-        result = Poly(F, [1])
         base = self % m
-        while e:
-            if e & 1:
-                result = (result * base) % m
-            base = (base * base) % m
-            e >>= 1
-        return result
+        n = m.degree()
+        if n == 0:
+            return Poly(F, [], raw=True)
+        ring = getattr(m, "_ring", None)
+        if ring is None:
+            mc = m.monic()._c
+            if F.k == 1:
+                ring = FieldDesc(F.p, n, [c[0] for c in mc])
+            else:
+                ring = _PolyRing(F, mc)
+            m._ring = ring
+        if F.k > 1:
+            return Poly(F, ring.powc(base._c, e), raw=True)
+        a = [c[0] for c in base._c]
+        a += [0] * (n - len(a))
+        return Poly(F, [(c,) for c in ring._powc(tuple(a), e)], raw=True)
 
     def __call__(self, x):
         """Evaluate at an element of this field or an extension."""
@@ -754,6 +790,96 @@ class Poly:
 
 def x_poly(field):
     return Poly(field, [0, 1])
+
+
+class _PolyRing:
+    """F_{p^k}[x]/(m) for k >= 2 and m monic of degree n >= 1, each element
+    one packed integer.  With t the generator of F_{p^k}, the coefficient
+    of t^i x^j sits in slot (2k-1) j + i, so the product of two reduced
+    elements (i < k, j < n) is one integer product whose slots hold every
+    term without a carry.  The slots past i < k or j < n fold back through
+    packed rows t^i x^j mod m: for j < n the field's rows t^i mod its
+    modulus, for j >= n rows built from x^n = -(m - x^n) by shifting one
+    x-slot at a time.  One unpack then reduces each slot mod p."""
+
+    __slots__ = ("p", "k", "n", "_w", "_pack", "_unpack", "_unpack_product",
+                 "_mask", "_rows")
+
+    def __init__(self, F, m):
+        p, k, n = F.p, F.k, len(m) - 1
+        w = 2 * k - 1
+        # a low slot gathers at most n k product terms and one term from
+        # each of the (n - 1) w rows past x^n and the k - 1 rows past t^k,
+        # each term below p^2
+        bits, code = _slot_code((n * k + (n - 1) * w + k - 1) * (p - 1) ** 2)
+        self.p, self.k, self.n, self._w = p, k, n, w
+        self._pack, self._unpack = _codec(bits, code, n * w)
+        self._unpack_product = _codec(bits, code, (2 * n - 1) * w)[1]
+        group = bits * w
+        top = (1 << bits) - 1
+        self._mask = self._pack([top if i < k else 0
+                                 for _ in range(n) for i in range(w)])
+        # t^i x^n = -t^i (m - x^n) for every i < 2k - 1
+        t_pow = [(0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k)]
+        t_pow += [F._red[i] for i in range(k, w)]
+        neg_m = [F._negc(c) for c in m[:n]]
+        base = [self._packc([F._mulc(t, c) for c in neg_m]) for t in t_pow]
+        low = (1 << (group * n)) - 1
+
+        def times_x(r):
+            # the top x-slot of x r, of t-degree < k, folds through base
+            r <<= group
+            hi, r = r >> (group * n), r & low
+            for i in range(k):
+                c = (hi >> (bits * i)) & top
+                if c:
+                    r += c * base[i]
+            return self._pack([v % p for v in self._unpack(r)])
+
+        rows, row = [], base
+        for j in range(n, 2 * n - 1):
+            rows += row
+            if j < 2 * n - 2:
+                row = [times_x(r) for r in row]
+        # slot (j, i) with j < n, i >= k: the field's row t^i mod modulus
+        for i in range(k, w):
+            r = _pack_shift(F._red[i], bits)
+            rows += [r << (group * j) for j in range(n)]
+        self._rows = rows
+
+    def _packc(self, coeffs):
+        """The packed element with at most n coefficient tuples."""
+        pad = (0,) * (self.k - 1)
+        flat = [v for c in coeffs for v in c + pad]
+        return self._pack(flat + [0] * (self.n * self._w - len(flat)))
+
+    def _mul(self, a, b):
+        p, k, w = self.p, self.k, self._w
+        nw = self.n * w
+        c = a * a if a is b else a * b
+        vals = self._unpack_product(c)
+        high = vals[nw:]
+        for i in range(k, w):
+            high += vals[i:nw:w]
+        acc = c & self._mask
+        for v, row in zip(high, self._rows):
+            v %= p
+            if v:
+                acc += v * row
+        return self._pack([v % p for v in self._unpack(acc)])
+
+    def powc(self, a, e):
+        """a^e for a list of at most n coefficient tuples, as n tuples."""
+        k, w = self.k, self._w
+        base = self._packc(a)
+        result = self._packc([(1,) + (0,) * (k - 1)])
+        while e:
+            if e & 1:
+                result = self._mul(result, base)
+            base = self._mul(base, base)
+            e >>= 1
+        v = self._unpack(result)
+        return [tuple(v[j:j + k]) for j in range(0, self.n * w, w)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,13 @@ generator of its principal power from one Gauss reduction.
 
 from fractions import Fraction
 
-from .errors import BadDiscriminant, InertPrime, PositiveDiscriminant
+from .errors import (BadDiscriminant, InertPrime, PositiveDiscriminant,
+                     ScaleExceeded)
 from .fields import is_prime, squarefree_split, xgcd
+
+# volcano level sizes and rim witness norms are written as JSON integers,
+# and Python converts at most 4300 digits of an int to text; 2^14000 has 4215
+MAX_LEVEL_BITS = 14000
 
 
 class QuadForm:
@@ -286,12 +291,15 @@ def prime_class_order(D, ell):
     discriminant D generating L^a (or its conjugate); returned as a
     (trace, norm) pair.  Raises InertPrime when ell is inert.
 
-    The unreduced powers I = L^k / g of the prime form are composed until
-    one reduces to the principal form; g is the content the compositions
-    divide out (ell at k = 2 for ramified ell, else 1).  The reduction's
-    column (x, y) has I(x, y) = 1, so alpha = g (x A + y (B + sqrt D)/2)
-    generates L^a.  Every generator of L^a or its conjugate is alpha or
-    alpha-bar times a unit; the witness is the one of least (|t|, t).
+    The order comes from composing reduced forms, red <- red L, until the
+    principal form.  Then the unreduced power I = L^a / g is built once,
+    g the content the compositions divide out (ell at a = 2 for ramified
+    ell, else 1), and reduced once: the reduction's column (x, y) has
+    I(x, y) = 1, so alpha = g (x A + y (B + sqrt D)/2) generates L^a.
+    Every generator of L^a or its conjugate is alpha or alpha-bar times a
+    unit; the witness is the one of least (|t|, t).  Raises ScaleExceeded
+    when ell^a passes MAX_LEVEL_BITS, since its norm could not be written
+    as a JSON integer.
     """
     _check_disc(D)
     if not is_prime(ell):
@@ -301,13 +309,18 @@ def prime_class_order(D, ell):
         raise BadDiscriminant("ell divides the conductor of %d" % D)
     L = _prime_ideal_form(D, ell)
     one = principal_form(D)
-    power, g, a = L, 1, 1
-    red, (x, y) = _gauss(power)
+    red, a = reduce_form(L), 1
     while red != one:
+        red = compose(red, L)
+        a += 1
+    if (ell ** a).bit_length() > MAX_LEVEL_BITS:
+        raise ScaleExceeded("the witness norm %d^%d exceeds 2^%d"
+                            % (ell, a, MAX_LEVEL_BITS))
+    power, g = L, 1
+    for _ in range(a - 1):
         power, d1 = _dirichlet(power, L)
         g *= d1
-        a += 1
-        red, (x, y) = _gauss(power)
+    _, (x, y) = _gauss(power)
     # alpha = (t + s sqrt D) / 2; the unit multiples at D = -4 and -3
     t, s = g * (2 * x * power.a + y * power.b), g * y
     traces = [t]

@@ -16,7 +16,8 @@ from .errors import (BadDiscriminant, ExcludedJ, InvariantBreach, NotClosed,
 from .fields import embedding, is_prime, make_field, split_prime
 from .markov import _bfs_dist, closed_walk_start
 from .padics import PadicNumber, quadratic_roots
-from .quadforms import fundamental_discriminant, kronecker, prime_class_order
+from .quadforms import (MAX_LEVEL_BITS, fundamental_discriminant, kronecker,
+                         prime_class_order)
 
 
 class RimWalk:
@@ -33,11 +34,6 @@ class RimWalk:
     def __repr__(self):
         return "RimWalk(%s, len %d, t=%d, n=%d)" % (
             self.direction, self.length, self.trace, self.norm)
-
-
-# level sizes are written as JSON integers, and Python converts at most 4300
-# digits of an int to text; 2^14000 has 4215
-MAX_LEVEL_BITS = 14000
 
 
 class SyntheticVolcano:

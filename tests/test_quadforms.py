@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from heckedyn.errors import BadDiscriminant, InertPrime
+from heckedyn.errors import BadDiscriminant, InertPrime, ScaleExceeded
 from heckedyn.fields import xgcd
-from heckedyn.quadforms import (QuadForm, class_group, class_number, compose,
-                                fundamental_discriminant,
+from heckedyn.quadforms import (MAX_LEVEL_BITS, QuadForm, class_group,
+                                class_number, compose, fundamental_discriminant,
                                 hurwitz_class_number, kronecker,
                                 prime_class_order, principal_form,
                                 reduce_form, reduced_forms)
@@ -246,3 +246,30 @@ def test_prime_class_order_at_class_number_83():
     assert a == 83 == class_number(-3911) and n == 7 ** 83
     q, r = divmod(t * t - 4 * n, -3911)
     assert r == 0 and math.isqrt(q) ** 2 == q
+
+
+def test_prime_class_order_matches_the_unreduced_powers():
+    # every (D, ell) with -D <= 3000, ell split or ramified
+    kinds = {0: 0, 1: 0}
+    for D in _discriminants(3000):
+        for ell in (2, 3, 5, 7):
+            try:
+                got = prime_class_order(D, ell)
+            except (BadDiscriminant, InertPrime) as exc:
+                with pytest.raises(type(exc)) as ref_exc:
+                    reference.prime_class_order_by_unreduced_powers(D, ell)
+                assert str(ref_exc.value) == str(exc)
+                continue
+            want = reference.prime_class_order_by_unreduced_powers(D, ell)
+            assert got == want, (D, ell)
+            kinds[kronecker(D, ell)] += 1
+    assert kinds == {0: 1134, 1: 2118}
+
+
+def test_prime_class_order_past_the_witness_bound():
+    # a = 26629 at D = -1000000007: 2^a has more than 4300 digits
+    with pytest.raises(ScaleExceeded):
+        prime_class_order(-1000000007, 2)
+    a, (t, n) = prime_class_order(-100000007, 2)
+    assert a == 7253 and n == 2 ** a and n.bit_length() <= MAX_LEVEL_BITS
+
