@@ -12,15 +12,15 @@ by the one loop ``distinct_degree_parts``, then equal-degree.
 
 Scale: odd p < 2**31 with plain Python integers.  Products in F_{p^2} use a
 closed form in the reduction row x^2 = r0 + r1 x, and inverses the norm.
-Products in F_{p^k}, k >= 3, use Kronecker substitution: both coefficient
-vectors are packed into one integer with slots of 8 to 64 bits (wider ones
-for p near 2**31 and above) that hold 2k(p-1)^2, multiplied once, and the
-k-1 high slots are folded back with packed rows x^j mod modulus.
-``Poly.pow_mod`` runs in one residue ring per modulus m of degree n, whose
-elements are packed the same way: over F_p the ring F_p[x]/(m) is
-``FieldDesc(p, n, m)`` itself, and over F_{p^k}, k >= 2, ``_PolyRing``
-packs the coefficient of t^i x^j into slot (2k-1) j + i.  Products, gcds
-and division of polynomials stay schoolbook.
+Every other product runs in the one packed ring ``_PolyRing``: F[x]/(m)
+for F = F_{p^k} and m monic of degree n, each element one integer whose
+slot (2k-1) j + i holds the coefficient of t^i x^j.  A product there is one
+integer product whose high slots fold back through packed rows t^i x^j mod
+m, then one reduction mod p.  F_{p^k}, k >= 3, is that ring over F_p with
+m its modulus.  ``Poly.pow_mod`` powers in the residue ring of its modulus
+m: over F_p that is ``FieldDesc(p, n, m)`` itself, and over F_{p^k},
+k >= 2, the packed ring.  Products, gcds and division of polynomials stay
+schoolbook.
 """
 
 import math
@@ -143,29 +143,6 @@ def _unpack_shift(n, bits, count):
     return [(n >> (bits * i)) & mask for i in range(count)]
 
 
-def _slot_code(bound):
-    """The Kronecker slot for values up to ``bound``: (bits, code), with
-    code the narrowest ``struct`` format of 8, 16, 32 or 64 bits that holds
-    it, or None and bits = bound.bit_length() for packing by shifts.  Both
-    give the same integer for the same bits."""
-    bits = bound.bit_length()
-    for code in "BHIQ":
-        if bits <= 8 * struct.calcsize(code):
-            return 8 * struct.calcsize(code), code
-    return bits, None
-
-
-def _codec(bits, code, count):
-    """(pack, unpack) between ``count`` slot values and one integer, in the
-    layout that ``_slot_code`` chose."""
-    if code is None:
-        return (lambda a: _pack_shift(a, bits),
-                lambda n: _unpack_shift(n, bits, count))
-    s = struct.Struct("<%d%s" % (count, code))
-    return (lambda a: int.from_bytes(s.pack(*a), "little"),
-            lambda n: s.unpack(n.to_bytes(s.size, "little")))
-
-
 def encode(p, coeffs):
     """The canonical integer encoding sum(c_i p^i) of a coefficient list
     over F_p; a total order on field elements."""
@@ -184,13 +161,15 @@ class FieldDesc:
     that of F_p[x]/(modulus) for any monic modulus, with ZeroDivisionError
     on a non-unit; the modulus search relies on this to test its
     candidates, and ``Poly.pow_mod`` over F_p to power in F_p[x]/(m).
+    The product is chosen once per field: F_p and the closed form of F_{p^2}
+    here, and for k >= 3 the packed ring ``_PolyRing`` over F_p with this
+    modulus, whose rows x^j mod modulus also fill ``_red``.
     ``first_in_class`` (the first element of a class mod e-th powers) is
     the one class scan; it skips F_p when F_p^x cannot meet the class.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_red", "_square_set",
-                 "_root_cache", "_nonresidue", "_structs", "_slot",
-                 "_low_mask", "_red_packed")
+    __slots__ = ("p", "k", "modulus", "order", "_red", "_mulc", "_square_set",
+                 "_root_cache", "_nonresidue")
 
     def __init__(self, p, k, modulus):
         self.p = p
@@ -198,23 +177,14 @@ class FieldDesc:
         self.modulus = tuple(modulus)  # length k+1, monic
         self.order = p ** k
         # reduction rows: x^j mod modulus for j in [k, 2k-2]
-        red = {}
-        red[k] = tuple((-c) % p for c in modulus[:k])
-        for j in range(k + 1, 2 * k - 1):
-            # multiply the previous row by x and reduce the overflow term
-            prev = red[j - 1]
-            row = [0] * k
-            for i in range(k - 1):
-                row[i + 1] = prev[i]
-            top = prev[k - 1]
-            if top:
-                base = red[k]
-                for i in range(k):
-                    row[i] = (row[i] + top * base[i]) % p
-            red[j] = tuple(row)
-        self._red = red
+        self._red = {k: tuple((-c) % p for c in modulus[:k])}
         if k >= 3:
-            self._init_kronecker()
+            ring = _PolyRing(FieldDesc(p, 1, (0, 1)), [(c,) for c in modulus])
+            for j, row in enumerate(ring._rows[1:], k + 1):
+                self._red[j] = tuple(ring._unpack(row))
+            self._mulc = ring.mulc
+        else:
+            self._mulc = self._mul_quadratic if k == 2 else self._mul_prime
         self._square_set = None
         self._root_cache = {}  # (e, enc(r)) -> sorted roots of x^e - r
         self._nonresidue = None
@@ -254,56 +224,17 @@ class FieldDesc:
 
     # ---- coefficient-level arithmetic ------------------------------------
 
-    def _init_kronecker(self):
-        """Slot layout of the packed product (k >= 3).  A slot holds a
-        product coefficient plus the k-1 reduction rows folded onto it, at
-        most (2k-1)(p-1)^2 < 2k(p-1)^2.  Slots of 8, 16, 32 or 64 bits are
-        packed by ``struct``; wider ones (p near 2^31 and above) by shifts."""
-        p, k = self.p, self.k
-        bits, code = _slot_code(2 * k * (p - 1) ** 2)
-        self._structs = None if code is None else (
-            struct.Struct("<%d%s" % (k, code)),
-            struct.Struct("<%d%s" % (2 * k - 1, code)))
-        self._slot = bits
-        self._low_mask = (1 << (bits * k)) - 1
-        self._red_packed = tuple(_pack_shift(self._red[j], bits)
-                                 for j in range(k, 2 * k - 1))
+    def _mul_prime(self, a, b):
+        return (a[0] * b[0] % self.p,)
 
-    def _mulc(self, a, b):
-        k = self.k
-        if k == 2:
-            # (a0 + a1 x)(b0 + b1 x) with x^2 = r0 + r1 x
-            p = self.p
-            a0, a1 = a
-            b0, b1 = b
-            t = a1 * b1
-            r0, r1 = self._red[2]
-            return ((a0 * b0 + t * r0) % p, (a0 * b1 + a1 * b0 + t * r1) % p)
-        if k == 1:
-            return (a[0] * b[0] % self.p,)
-        # Kronecker substitution: one integer product; the k-1 high slots
-        # are reduced mod p and folded back with the packed rows x^j mod
-        # modulus, j = k, ..., 2k-2
+    def _mul_quadratic(self, a, b):
+        # (a0 + a1 x)(b0 + b1 x) with x^2 = r0 + r1 x
         p = self.p
-        S = self._structs
-        if S is None:
-            bits = self._slot
-            A = _pack_shift(a, bits)
-            C = A * A if a is b else A * _pack_shift(b, bits)
-            high = _unpack_shift(C >> (bits * k), bits, k - 1)
-        else:
-            pk, pk2 = S
-            A = int.from_bytes(pk.pack(*a), "little")
-            C = A * A if a is b else A * int.from_bytes(pk.pack(*b), "little")
-            high = pk2.unpack(C.to_bytes(pk2.size, "little"))[k:]
-        low = C & self._low_mask
-        for c, row in zip(high, self._red_packed):
-            c %= p
-            if c:
-                low += c * row
-        if S is None:
-            return tuple([v % p for v in _unpack_shift(low, bits, k)])
-        return tuple([v % p for v in pk.unpack(low.to_bytes(pk.size, "little"))])
+        a0, a1 = a
+        b0, b1 = b
+        t = a1 * b1
+        r0, r1 = self._red[2]
+        return ((a0 * b0 + t * r0) % p, (a0 * b1 + a1 * b0 + t * r1) % p)
 
     def _addc(self, a, b):
         p = self.p
@@ -768,9 +699,10 @@ class Poly:
         return Poly(F, [(c,) for c in ring._powc(tuple(a), e)], raw=True)
 
     def __call__(self, x):
-        """Evaluate at an element of this field or an extension."""
+        """Evaluate at an element of this polynomial's field.  An element
+        of any other field, an extension included, raises ValueError: map
+        the coefficients into its field with ``embed_poly`` first."""
         if isinstance(x, ExtFieldElement) and x.field is not self.field:
-            # caller must pre-embed coefficients; see embed_poly
             raise ValueError("evaluate via embed_poly for extension fields")
         F = self.field
         acc = F.zero().coeffs
@@ -793,28 +725,47 @@ def x_poly(field):
 
 
 class _PolyRing:
-    """F_{p^k}[x]/(m) for k >= 2 and m monic of degree n >= 1, each element
-    one packed integer.  With t the generator of F_{p^k}, the coefficient
-    of t^i x^j sits in slot (2k-1) j + i, so the product of two reduced
-    elements (i < k, j < n) is one integer product whose slots hold every
-    term without a carry.  The slots past i < k or j < n fold back through
-    packed rows t^i x^j mod m: for j < n the field's rows t^i mod its
+    """F[x]/(m) for F = F_{p^k} and m monic of degree n >= 1, each element
+    packed into one integer for its products; the package's one packed
+    product.  With t the generator of F, the coefficient of t^i x^j sits in
+    slot (2k-1) j + i, so the product of two reduced elements (i < k,
+    j < n) is one integer product whose slots hold every term without a
+    carry.  ``mulc`` folds the slots past i < k or j < n back through
+    packed rows t^i x^j mod m (for j < n the field's rows t^i mod its
     modulus, for j >= n rows built from x^n = -(m - x^n) by shifting one
-    x-slot at a time.  One unpack then reduces each slot mod p."""
+    x-slot at a time) and reduces each slot mod p.  Over F_p (k = 1) the
+    slots are the coefficients of x^j, and ``mulc`` is the product of
+    F_{p^n} with modulus m, n >= 3."""
 
-    __slots__ = ("p", "k", "n", "_w", "_pack", "_unpack", "_unpack_product",
-                 "_mask", "_rows")
+    __slots__ = ("p", "k", "n", "_w", "_bits", "_structs", "_read",
+                 "_folded", "_mask", "_rows")
 
     def __init__(self, F, m):
         p, k, n = F.p, F.k, len(m) - 1
         w = 2 * k - 1
+        nw = n * w
         # a low slot gathers at most n k product terms and one term from
         # each of the (n - 1) w rows past x^n and the k - 1 rows past t^k,
-        # each term below p^2
-        bits, code = _slot_code((n * k + (n - 1) * w + k - 1) * (p - 1) ** 2)
-        self.p, self.k, self.n, self._w = p, k, n, w
-        self._pack, self._unpack = _codec(bits, code, n * w)
-        self._unpack_product = _codec(bits, code, (2 * n - 1) * w)[1]
+        # each term below p^2; slots of 8, 16, 32 or 64 bits are packed by
+        # ``struct``, wider ones (p near 2^31 and above) by shifts
+        bits = ((n * k + (n - 1) * w + k - 1) * (p - 1) ** 2).bit_length()
+        code = next((c for c in "BHIQ" if bits <= 8 * struct.calcsize(c)),
+                    None)
+        self._structs = None
+        if code is not None:
+            bits = 8 * struct.calcsize(code)
+            self._structs = tuple(struct.Struct("<%d%s" % (count, code))
+                                  for count in (nw, 2 * nw - w))
+        self.p, self.k, self.n, self._w, self._bits = p, k, n, w, bits
+        # ``mulc`` reads a product's slots from slot ``first`` on: a slot
+        # packed by shifts costs a shift to read, so when only the slots
+        # past x^n fold (k = 1) the rest are skipped.  ``_folded`` slices
+        # out the slots that fold, in the order of the rows: those past
+        # x^n, then those past t^k below x^n
+        first = nw if k == 1 and code is None else 0
+        self._read = (bits * first, 2 * nw - w - first)
+        self._folded = (slice(nw - first, None),
+                        tuple(slice(i, nw, w) for i in range(k, w)))
         group = bits * w
         top = (1 << bits) - 1
         self._mask = self._pack([top if i < k else 0
@@ -823,7 +774,8 @@ class _PolyRing:
         t_pow = [(0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k)]
         t_pow += [F._red[i] for i in range(k, w)]
         neg_m = [F._negc(c) for c in m[:n]]
-        base = [self._packc([F._mulc(t, c) for c in neg_m]) for t in t_pow]
+        base = [self._pack(self._flat([F._mulc(t, c) for c in neg_m]))
+                for t in t_pow]
         low = (1 << (group * n)) - 1
 
         def times_x(r):
@@ -847,39 +799,68 @@ class _PolyRing:
             rows += [r << (group * j) for j in range(n)]
         self._rows = rows
 
-    def _packc(self, coeffs):
-        """The packed element with at most n coefficient tuples."""
+    def _pack(self, vals):
+        """The integer with the n w slot values ``vals``."""
+        S = self._structs
+        if S is None:
+            return _pack_shift(vals, self._bits)
+        return int.from_bytes(S[0].pack(*vals), "little")
+
+    def _unpack(self, c):
+        """The n w slot values of a packed element."""
+        S = self._structs
+        if S is None:
+            return _unpack_shift(c, self._bits, self.n * self._w)
+        return S[0].unpack(c.to_bytes(S[0].size, "little"))
+
+    def _flat(self, coeffs):
+        """The n w slot values of at most n coefficient tuples."""
         pad = (0,) * (self.k - 1)
         flat = [v for c in coeffs for v in c + pad]
-        return self._pack(flat + [0] * (self.n * self._w - len(flat)))
+        return tuple(flat + [0] * (self.n * self._w - len(flat)))
 
-    def _mul(self, a, b):
-        p, k, w = self.p, self.k, self._w
-        nw = self.n * w
-        c = a * a if a is b else a * b
-        vals = self._unpack_product(c)
-        high = vals[nw:]
-        for i in range(k, w):
-            high += vals[i:nw:w]
+    def mulc(self, a, b):
+        """The product of two reduced elements given as their n w slot
+        values, as a tuple: one integer product, then the slots past t^k
+        and x^n, each reduced mod p, fold back through the rows."""
+        p, S = self.p, self._structs
+        if S is None:
+            bits = self._bits
+            A = _pack_shift(a, bits)
+            c = A * A if a is b else A * _pack_shift(b, bits)
+            skip, count = self._read
+            vals = _unpack_shift(c >> skip, bits, count)
+        else:
+            pk, pk2 = S
+            A = int.from_bytes(pk.pack(*a), "little")
+            c = A * A if a is b else A * int.from_bytes(pk.pack(*b), "little")
+            vals = pk2.unpack(c.to_bytes(pk2.size, "little"))
+        past_x, past_t = self._folded
+        high = vals[past_x]
+        for s in past_t:
+            high += vals[s]
         acc = c & self._mask
         for v, row in zip(high, self._rows):
             v %= p
             if v:
                 acc += v * row
-        return self._pack([v % p for v in self._unpack(acc)])
+        if S is None:
+            vals = _unpack_shift(acc, bits, len(a))
+        else:
+            vals = pk.unpack(acc.to_bytes(pk.size, "little"))
+        return tuple([v % p for v in vals])
 
     def powc(self, a, e):
         """a^e for a list of at most n coefficient tuples, as n tuples."""
-        k, w = self.k, self._w
-        base = self._packc(a)
-        result = self._packc([(1,) + (0,) * (k - 1)])
+        k, w, mul = self.k, self._w, self.mulc
+        base = self._flat(a)
+        result = self._flat([(1,) + (0,) * (k - 1)])
         while e:
             if e & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
+                result = mul(result, base)
+            base = mul(base, base)
             e >>= 1
-        v = self._unpack(result)
-        return [tuple(v[j:j + k]) for j in range(0, self.n * w, w)]
+        return [result[j:j + k] for j in range(0, len(result), w)]
 
 
 # ---------------------------------------------------------------------------

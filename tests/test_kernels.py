@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from heckedyn.curves import (Curve, all_points_of_order, canonical_ss_model,
                              torsion_basis)
-from heckedyn.fields import ExtFieldElement, make_field
+from heckedyn.fields import ExtFieldElement, FieldDesc, _PolyRing, make_field
 
 # k in {1, 2, 3, 4, 6, 24} at small p (8- and 16-bit slots), 32-bit slots at
 # p = 4001, and p = 2^31 - 1, whose k = 3 slot is wider than 64 bits
@@ -21,19 +21,31 @@ FIELD_SHAPES = ((11, 1), (11, 2), (11, 3), (11, 4), (11, 6), (11, 24),
                 (2 ** 31 - 1, 2), (2 ** 31 - 1, 3))
 
 
-def schoolbook_mulc(F, a, b):
-    """The product in F_{p^k} coefficient by coefficient, then reduced by
-    the rows x^j mod modulus from the top down."""
-    p, k = F.p, F.k
-    prod = [0] * (2 * k - 1)
+def long_division(F, prod):
+    """prod, a coefficient list over F_p, reduced mod p and by long division
+    by F.modulus from the top down."""
+    p, k, m = F.p, F.k, F.modulus
+    prod = list(prod) + [0] * (k - len(prod))
+    for j in range(len(prod) - 1, k - 1, -1):
+        c = prod[j] % p
+        for i in range(k + 1):
+            prod[j - k + i] -= c * m[i]
+    return tuple(v % p for v in prod[:k])
+
+
+def schoolbook_product(a, b):
+    """The unreduced coefficients of the product of two coefficient lists."""
+    prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             prod[i + j] += ai * bj
-    for j in range(2 * k - 2, k - 1, -1):
-        c = prod[j] % p
-        for i in range(k):
-            prod[i] += c * F._red[j][i]
-    return tuple(v % p for v in prod[:k])
+    return prod
+
+
+def schoolbook_mulc(F, a, b):
+    """The product in F_{p^k} coefficient by coefficient, then reduced by
+    long division by the modulus."""
+    return long_division(F, schoolbook_product(a, b))
 
 
 def three_power_sqrt(a):
@@ -90,13 +102,66 @@ def elements(draw, count, shapes=FIELD_SHAPES):
     return [ExtFieldElement(F, tuple(draw(coeffs))) for _ in range(count)]
 
 
+def packed_ring(F):
+    """The packed ring that F_{p^k}, k >= 3, multiplies in."""
+    ring = F._mulc.__self__
+    assert isinstance(ring, _PolyRing) and ring.k == 1 and ring.n == F.k
+    return ring
+
+
 def test_slots_hold_the_product_bound():
     # a low slot collects up to (2k-1)(p-1)^2 before its final reduction
     for p, k in FIELD_SHAPES:
         if k >= 3:
-            assert 2 * k * (p - 1) ** 2 < 1 << make_field(p, k)._slot
-    assert make_field(11, 24)._structs is not None
-    assert make_field(2 ** 31 - 1, 3)._structs is None
+            assert 2 * k * (p - 1) ** 2 < 1 << packed_ring(make_field(p, k))._bits
+    assert packed_ring(make_field(11, 24))._structs is not None
+    assert packed_ring(make_field(2 ** 31 - 1, 3))._structs is None
+
+
+def slot_width(bound):
+    """Bits of the narrowest slot that holds bound: 8, 16, 32 or 64, or
+    exactly as many as bound has past 64."""
+    bits = bound.bit_length()
+    return next((w for w in (8, 16, 32, 64) if bits <= w), bits)
+
+
+def fold_peak(F, a, b):
+    """The largest low coefficient of a b after each high coefficient,
+    reduced mod p, is folded back through x^j mod modulus and before the
+    final reduction: the most a slot of the packed product must hold."""
+    p, k = F.p, F.k
+    prod = schoolbook_product(a, b)
+    low = prod[:k]
+    for j in range(k, 2 * k - 1):
+        row = long_division(F, [0] * j + [1])
+        for i in range(k):
+            low[i] += prod[j] % p * row[i]
+    return max(low)
+
+
+# (p, modulus, a): a^2 drives a slot past the width that the product
+# terms k (p-1)^2 alone would ask for, while (2k-1)(p-1)^2 asks for a wider
+# one; 8 bits against 16 at F_{3^63}, F_{5^15} and F_{7^7}, 64 bits against
+# a shift slot at F_{(2^31-1)^4}, whose rows x^4, x^5, x^6 all end in p - 1
+P31 = 2 ** 31 - 1
+PAST_THE_PRODUCT_TERMS = [
+    (3, (1,) * 64, (2,) * 63),
+    (5, (1,) * 16, (4,) * 15),
+    (7, (1,) * 8, (6,) * 7),
+    (P31, (1, 4, 2, 1, 1), (P31 - 1, P31 - 1, P31 - 1, P31 - 4)),
+]
+
+
+@pytest.mark.parametrize("p, modulus, a", PAST_THE_PRODUCT_TERMS)
+def test_mulc_past_the_product_terms(p, modulus, a):
+    k = len(a)
+    F = FieldDesc(p, k, modulus)
+    terms, true = k * (p - 1) ** 2, (2 * k - 1) * (p - 1) ** 2
+    assert slot_width(terms) < slot_width(true)
+    assert 1 << slot_width(terms) <= fold_peak(F, a, a) <= true
+    other = tuple(list(a))          # equal, but not the same object
+    assert F._mulc(a, a) == schoolbook_mulc(F, a, a)
+    assert F._mulc(a, other) == schoolbook_mulc(F, a, a)
 
 
 @pytest.mark.parametrize("shape", FIELD_SHAPES)

@@ -108,9 +108,11 @@ def test_pow_mod_keeps_one_ring_per_modulus(k):
 
 @pytest.mark.parametrize("p, k, n", [(11, 1, 5), (11, 2, 3), (11, 24, 2),
                                      (2 ** 31 - 1, 1, 5), (2 ** 31 - 1, 2, 3),
-                                     (2 ** 31 - 1, 3, 4)])
+                                     (2 ** 31 - 1, 3, 4), (3, 2, 31)])
 def test_pow_mod_extreme_coefficients(p, k, n):
-    # slots near their bound: every coordinate p - 1 in f and in x^n mod m
+    # slots near their bound: every coordinate p - 1 in f and in x^n mod m;
+    # over F_9 at n = 31 the product terms n k (p-1)^2 fit 8 bits and the
+    # folded slot does not
     F = make_field(p, k)
     top = (p - 1,) * k
     m = Poly(F, [(1,) * k] * n + [1])
