@@ -42,7 +42,7 @@ from .errors import (BadTorsionOrder, EqualCharacteristic, InvariantBreach,
 from .fields import (ExtFieldElement, Poly, distinct_degree_parts,
                      embed_poly, embedding, factor, make_field,
                      multiplicative_order, order_from_multiple, poly_roots,
-                     split_equal_degree, split_prime, x_poly)
+                     power, split_equal_degree, split_prime, x_poly)
 
 AUX_TRACE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 # largest degree over F_p of the field of E[m] for an auxiliary prime m
@@ -830,16 +830,9 @@ def _companion_order(t, q, m):
     for l, e in factor(m):
         n *= l ** (4 * e - 3) * (l - 1) ** 2 * (l + 1)
 
-    def trivial(e):
-        R, C = (1, 0, 0, 1), (0, (-q) % m, 1, t % m)
-        while e:
-            if e & 1:
-                R = mat_mul(R, C, m)
-            C = mat_mul(C, C, m)
-            e >>= 1
-        return R == (1, 0, 0, 1)
-
-    return order_from_multiple(n, trivial)
+    one, C = (1, 0, 0, 1), (0, (-q) % m, 1, t % m)
+    mul = functools.partial(mat_mul, m=m)
+    return order_from_multiple(n, lambda e: power(mul, one, C, e) == one)
 
 
 def torsion_field_degree(E, m):

@@ -3,12 +3,14 @@
 Everything is exact and deterministic.  The modulus of F_{p^k} is the first
 monic irreducible of degree k in the canonical coefficient order.  The
 first p candidates are the binomials x^k + c, whose irreducibility is
-decided in closed form (Lidl-Niederreiter, Thm 3.75); past them Rabin's
+decided in closed form (Lidl-Niederreiter, Thm 3.75); past them Ben-Or's
 test runs in the candidate ring F_p[x]/(f) itself.  Elements
 carry an integer encoding used for every lex tie-break in the package, and
 the equal-degree splitting seeds its own random.Random(0), so repeated runs
 produce identical output.  Factorization is squarefree, then distinct-degree
-by the one loop ``distinct_degree_parts``, then equal-degree.
+by the one loop ``distinct_degree_parts``, then equal-degree.  ``power`` is
+the package's one square-and-multiply loop, here and in the curve and
+volcano layers.
 
 Scale: odd p < 2**31 with plain Python integers.  Products in F_{p^2} use a
 closed form in the reduction row x^2 = r0 + r1 x, and inverses the norm.
@@ -129,6 +131,20 @@ def multiplicative_order(a, m):
     return order_from_multiple(phi, lambda e: pow(a, e, m) == 1 % m)
 
 
+def power(mul, one, a, e):
+    """a^e for an integer e >= 0 by square-and-multiply, with ``mul`` the
+    product and ``one`` its identity: the package's one such loop.  It
+    squares with mul(a, a), so a product may shortcut equal arguments."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return result
+
+
 def _pack_shift(a, bits):
     """sum_i a_i 2^(bits i): the Kronecker packing for slots too wide
     for ``struct``."""
@@ -192,16 +208,8 @@ class FieldDesc:
     # ---- element constructors -------------------------------------------
 
     def elt(self, value):
-        """Element from an integer (constant) or a coefficient sequence."""
-        if isinstance(value, int):
-            c = [0] * self.k
-            c[0] = value % self.p
-            return ExtFieldElement(self, tuple(c))
-        c = [v % self.p for v in value]
-        if len(c) > self.k:
-            raise ValueError("too many coefficients")
-        c += [0] * (self.k - len(c))
-        return ExtFieldElement(self, tuple(c))
+        """The constant element given by an integer."""
+        return ExtFieldElement(self, (value % self.p,) + (0,) * (self.k - 1))
 
     def zero(self):
         return self.elt(0)
@@ -255,17 +263,12 @@ class FieldDesc:
     def _powc(self, a, e):
         if e < 0:
             return self._powc(self._invc(a), -e)
-        result = self.one().coeffs
-        base = a
-        while e:
-            if e & 1:
-                result = self._mulc(result, base)
-            base = self._mulc(base, base)
-            e >>= 1
-        return result
+        return power(self._mulc, self.one().coeffs, a, e)
 
     def _invc(self, a):
-        # extended Euclid in F_p[x] against the modulus
+        """The inverse of a in F_p[x]/(modulus): the closed forms at k <= 2,
+        else one elimination loop; ZeroDivisionError on zero or any other
+        non-unit, at every k."""
         if not any(a):
             raise ZeroDivisionError("inversion of zero field element")
         p = self.p
@@ -281,46 +284,31 @@ class FieldDesc:
                 raise ZeroDivisionError("element not invertible")
             inv = pow(norm, -1, p)
             return ((a0 + r1 * a1) * inv % p, -a1 * inv % p)
-        r0 = list(self.modulus)
-        r1 = [c for c in a]
-        while r1 and r1[-1] == 0:
+        # Euclid against the modulus, one top term at a time: s0 a = r0 and
+        # s1 a = r1 mod the modulus, deg r0 >= deg r1 and deg s0, s1 < k, so
+        # s0 - c x^sh s1 cut to k terms loses nothing
+        k = self.k
+        r0, r1 = list(self.modulus), list(a)
+        while not r1[-1]:
             r1.pop()
-        t0, t1 = [0], [1]
-        while True:
-            if len(r1) == 1:
-                inv = pow(r1[0], -1, p)
-                res = [c * inv % p for c in t1]
-                res += [0] * (self.k - len(res))
-                return tuple(res[: self.k])
-            # divide r0 by r1
-            q = [0] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            inv_lead = pow(r1[-1], -1, p)
-            for sh in range(len(rem) - len(r1), -1, -1):
-                coef = rem[sh + len(r1) - 1] * inv_lead % p
-                if coef:
-                    q[sh] = coef
-                    for i, c in enumerate(r1):
-                        rem[sh + i] = (rem[sh + i] - coef * c) % p
-            while rem and rem[-1] == 0:
-                rem.pop()
-            # t0, t1 = t1, t0 - q*t1
-            qt = [0] * (len(q) + len(t1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, tj in enumerate(t1):
-                        qt[i + j] = (qt[i + j] + qi * tj) % p
-            nt = [0] * max(len(t0), len(qt))
-            for i, c in enumerate(t0):
-                nt[i] = c
-            for i, c in enumerate(qt):
-                nt[i] = (nt[i] - c) % p
-            while nt and nt[-1] == 0:
-                nt.pop()
-            r0, r1 = r1, rem
-            t0, t1 = t1, nt if nt else [0]
-            if not r1:
-                raise ZeroDivisionError("element not invertible")
+        s0, s1 = [0] * k, [1] + [0] * (k - 1)
+        inv = pow(r1[-1], -1, p)
+        while len(r1) > 1:
+            # r0 - c x^sh r1 drops the top term of r0
+            c = r0.pop() * inv % p
+            sh = len(r0) - len(r1) + 1
+            for i, v in enumerate(r1[:-1], sh):
+                r0[i] = (r0[i] - c * v) % p
+            for i in range(sh, k):
+                s0[i] = (s0[i] - c * s1[i - sh]) % p
+            while r0 and not r0[-1]:
+                r0.pop()
+            if len(r0) < len(r1):
+                if not r0:
+                    raise ZeroDivisionError("element not invertible")
+                r0, r1, s0, s1 = r1, r0, s1, s0
+                inv = pow(r1[-1], -1, p)
+        return tuple([c * inv % p for c in s1])
 
     # ---- cached per-field tables ------------------------------------------
 
@@ -472,26 +460,21 @@ _FIELD_LOCK = threading.Lock()
 
 
 def _is_irreducible(F):
-    """Rabin's test for the modulus f of a candidate FieldDesc, run in
-    F_p[x]/(f) with the field's own arithmetic (valid for any monic f): f is
-    irreducible iff x^(p^k) = x and x^(p^(k/t)) - x is a unit for every
-    prime t | k.  A factor of degree 1 (x^p - x not a unit) or, for k >= 3,
-    of degree 2 (x^(p^2) - x not a unit) rejects most candidates with a
-    short power before x^(p^k) is taken."""
+    """Ben-Or's test for the modulus f of a candidate FieldDesc, run in
+    F_p[x]/(f) with the field's own arithmetic (valid for any monic f): f
+    has a factor of degree e iff it shares one with x^(p^e) - x, so f is
+    irreducible iff x^(p^e) - x is a unit for every e <= k/2.  Each
+    x^(p^e) is the p-th power of the one before, and a factor of small
+    degree rejects f after as few powers."""
     p, k = F.p, F.k
-    x = (0, 1) + (0,) * (k - 2)
-
-    def unit(e):
+    x = y = (0, 1) + (0,) * (k - 2)
+    for _ in range(k // 2):
+        y = F._powc(y, p)
         try:
-            F._invc(F._subc(F._powc(x, p ** e), x))
+            F._invc(F._subc(y, x))
         except ZeroDivisionError:
             return False
-        return True
-
-    short = (1, 2) if k >= 3 else (1,)
-    if not all(unit(e) for e in short) or F._powc(x, p ** k) != x:
-        return False
-    return all(unit(k // t) for t, _ in factor(k) if k // t not in short)
+    return True
 
 
 def _binomial_constant(p, k):
@@ -512,7 +495,7 @@ def make_field(p, k):
     The modulus is the first monic irreducible of degree k when the vector
     of lower coefficients (c_0,...,c_{k-1}) is enumerated in encoding order,
     so the same (p, k) always yields the same field.  ``_binomial_constant``
-    decides the first p, the binomials x^k + c; Rabin's test scans the rest.
+    decides the first p, the binomials x^k + c; Ben-Or's test scans the rest.
     """
     if not is_prime(p):
         raise NonPrime("p = %r is not prime" % (p,))
@@ -677,8 +660,11 @@ class Poly:
     def pow_mod(self, e, m):
         """self^e mod m for e >= 0, by square-and-multiply in the residue
         ring of m (built once per modulus and kept on m): ``FieldDesc(p, n,
-        m)`` over F_p, a ``_PolyRing`` over F_{p^k}.  A zero m raises
-        ZeroDivisionError, and a constant m gives the zero polynomial."""
+        m)`` over F_p, a ``_PolyRing`` over F_{p^k}.  A negative e raises
+        ValueError, a zero m ZeroDivisionError, and a constant m gives the
+        zero polynomial."""
+        if e < 0:
+            raise ValueError("pow_mod needs e >= 0, got %d" % e)
         F = self.field
         base = self % m
         n = m.degree()
@@ -852,15 +838,10 @@ class _PolyRing:
 
     def powc(self, a, e):
         """a^e for a list of at most n coefficient tuples, as n tuples."""
-        k, w, mul = self.k, self._w, self.mulc
-        base = self._flat(a)
-        result = self._flat([(1,) + (0,) * (k - 1)])
-        while e:
-            if e & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            e >>= 1
-        return [result[j:j + k] for j in range(0, len(result), w)]
+        k = self.k
+        result = power(self.mulc, self._flat([(1,) + (0,) * (k - 1)]),
+                       self._flat(a), e)
+        return [result[j:j + k] for j in range(0, len(result), self._w)]
 
 
 # ---------------------------------------------------------------------------

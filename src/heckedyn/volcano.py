@@ -13,7 +13,7 @@ from .curves import (Curve, IsogenyArrow, chain_trace, ell_subgroups,
                      trace_of_frobenius, velu)
 from .errors import (BadDiscriminant, ExcludedJ, InvariantBreach, NotClosed,
                      ScaleExceeded, SupersingularStart, UsageError)
-from .fields import embedding, is_prime, make_field, split_prime
+from .fields import embedding, is_prime, make_field, power, split_prime
 from .markov import _bfs_dist, closed_walk_start
 from .padics import PadicNumber, quadratic_roots
 from .quadforms import (MAX_LEVEL_BITS, fundamental_discriminant, kronecker,
@@ -446,15 +446,15 @@ def reduce_walk(vol, walk, start):
 
 
 def quad_power(trace, norm, e):
-    """(trace, norm) of f^e for f a root of x^2 - trace x + norm; e >= 0."""
-    rc, rd = 1, 0   # accumulator c + d f
-    bc, bd = 0, 1   # base
-    while e:
-        if e & 1:
-            rc, rd = rc * bc - rd * bd * norm, rc * bd + rd * bc + rd * bd * trace
-        bc, bd = bc * bc - bd * bd * norm, 2 * bc * bd + bd * bd * trace
-        e >>= 1
-    return (2 * rc + rd * trace, rc * rc + rc * rd * trace + rd * rd * norm)
+    """(trace, norm) of f^e for f a root of x^2 - trace x + norm; e >= 0.
+    f^e = c + d f is a power of pairs (c, d), multiplied with
+    f^2 = trace f - norm."""
+    def mul(u, v):
+        (a, b), (c, d) = u, v
+        return (a * c - b * d * norm, a * d + b * c + b * d * trace)
+
+    c, d = power(mul, (1, 0), (0, 1), e)
+    return (2 * c + d * trace, c * c + c * d * trace + d * d * norm)
 
 
 def walk_endo_synthetic(vol, walk, start):

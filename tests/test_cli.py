@@ -214,6 +214,25 @@ def test_volcano_empirical(capsys):
     assert deg == 1 + kronecker(payload["field_disc"], 2)
 
 
+@pytest.mark.parametrize("argv, json_digest, dot_digest", [
+    (["-p", "1009", "--j", "55", "-l", "5"],
+     "a71276477c7aa9c92220719fc56fffb801894b6a30acb15303b2829e94cceb99",
+     "76cafdb29c4962ac17932c047315c08ee3b7a663d76af44880e0f409b8137bf0"),
+    (["-p", "4001", "--j", "5", "-l", "2"],
+     "981d60c81934eb3d669c050cec272a8769a963a664d495ffc4fce749f7045807",
+     "6f9f595a8a3ce80669bc2afa300b5904383eb6812ca9c2ba5c81b1bba8242eb7"),
+], ids=["1009-55-5", "4001-5-2"])
+def test_volcano_writers_match_the_pinned_bytes(tmp_path, capsys, argv,
+                                                json_digest, dot_digest):
+    # the JSON arrow list and the DOT writer, pinned like the CI volcanoes
+    out, dot = tmp_path / "v.json", tmp_path / "v.dot"
+    code, _, err = run(["volcano"] + argv + ["--out", str(out),
+                                             "--dot", str(dot)], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json_digest
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_digest
+
+
 def test_dyn_orbit_valuations(capsys):
     code, out, err = run(["dyn", "orbit", "-p", "5", "--lam", "2",
                           "--t", "5", "-n", "10", "-M", "6"], capsys)

@@ -8,7 +8,7 @@ from heckedyn.errors import (DegreeZero, NonPrime, UnsupportedCharacteristic,
 from heckedyn.fields import (FieldDesc, Poly, _is_irreducible,
                              distinct_degree_parts, embedding, encode, factor,
                              is_prime, make_field, multiplicative_order,
-                             poly_factor, poly_roots, split_prime,
+                             poly_factor, poly_roots, power, split_prime,
                              squarefree_split, xgcd)
 
 from field_section import section
@@ -108,6 +108,77 @@ def test_make_field_moduli_match_recorded_search():
         assert F.modulus[k] == 1 and encode(p, F.modulus[:k]) == n
 
 
+def reference_invc(F, a):
+    """The inverse of a in F_p[x]/(F.modulus), k >= 3, by extended Euclid
+    with a quotient per division step: the loop that the one elimination
+    loop of ``FieldDesc._invc`` replaced."""
+    if not any(a):
+        raise ZeroDivisionError("inversion of zero field element")
+    p = F.p
+    r0 = list(F.modulus)
+    r1 = [c for c in a]
+    while r1 and r1[-1] == 0:
+        r1.pop()
+    t0, t1 = [0], [1]
+    while True:
+        if len(r1) == 1:
+            inv = pow(r1[0], -1, p)
+            res = [c * inv % p for c in t1]
+            res += [0] * (F.k - len(res))
+            return tuple(res[: F.k])
+        # divide r0 by r1
+        q = [0] * (len(r0) - len(r1) + 1)
+        rem = list(r0)
+        inv_lead = pow(r1[-1], -1, p)
+        for sh in range(len(rem) - len(r1), -1, -1):
+            coef = rem[sh + len(r1) - 1] * inv_lead % p
+            if coef:
+                q[sh] = coef
+                for i, c in enumerate(r1):
+                    rem[sh + i] = (rem[sh + i] - coef * c) % p
+        while rem and rem[-1] == 0:
+            rem.pop()
+        # t0, t1 = t1, t0 - q*t1
+        qt = [0] * (len(q) + len(t1) - 1)
+        for i, qi in enumerate(q):
+            if qi:
+                for j, tj in enumerate(t1):
+                    qt[i + j] = (qt[i + j] + qi * tj) % p
+        nt = [0] * max(len(t0), len(qt))
+        for i, c in enumerate(t0):
+            nt[i] = c
+        for i, c in enumerate(qt):
+            nt[i] = (nt[i] - c) % p
+        while nt and nt[-1] == 0:
+            nt.pop()
+        r0, r1 = r1, rem
+        t0, t1 = t1, nt if nt else [0]
+        if not r1:
+            raise ZeroDivisionError("element not invertible")
+
+
+def reference_is_irreducible(F):
+    """Rabin's test, the one Ben-Or's loop replaced, with the inverse of
+    ``reference_invc`` for k >= 3: f is irreducible iff x^(p^k) = x and
+    x^(p^(k/t)) - x is a unit for every prime t | k, each power taken
+    from x."""
+    p, k = F.p, F.k
+    x = (0, 1) + (0,) * (k - 2)
+    invc = F._invc if k < 3 else lambda a: reference_invc(F, a)
+
+    def unit(e):
+        try:
+            invc(F._subc(F._powc(x, p ** e), x))
+        except ZeroDivisionError:
+            return False
+        return True
+
+    short = (1, 2) if k >= 3 else (1,)
+    if not all(unit(e) for e in short) or F._powc(x, p ** k) != x:
+        return False
+    return all(unit(k // t) for t, _ in factor(k) if k // t not in short)
+
+
 def reference_scan_modulus(p, k):
     """The modulus by Rabin's test on every candidate in encoding order,
     the binomial block included: the search that the closed form for the
@@ -120,7 +191,7 @@ def reference_scan_modulus(p, k):
             m, r = divmod(m, p)
             c.append(r)
         cand = FieldDesc(p, k, tuple(c + [1]))
-        if _is_irreducible(cand):
+        if reference_is_irreducible(cand):
             field = cand
             break
     if field is None:  # pragma: no cover - cannot happen
@@ -159,8 +230,8 @@ def test_make_field_rejects_characteristic_2(k):
 
 
 def test_modulus_search_rejects_a_root_in_fp_with_one_short_power():
-    # Rabin's verdict against trial division on every monic quartic over
-    # F_7; a candidate with a root in F_7 takes x^7 only, never x^(7^4)
+    # Ben-Or's verdict against trial division on every monic quartic over
+    # F_7; a candidate with a root in F_7 takes x^7 only, never x^(7^2)
     p, k = 7, 4
 
     class Recording(FieldDesc):
@@ -190,6 +261,101 @@ def test_field_inverse_of_zero_divisor_raises_zero_division():
         F = FieldDesc(7, len(a), modulus)
         with pytest.raises(ZeroDivisionError):
             F._invc(a)
+
+
+def random_modulus(rng, p, k):
+    """A monic modulus of degree k, reducible or not: random, or a product
+    of two random monic factors, so that zero divisors are common."""
+    if rng.random() < 0.5:
+        return tuple(rng.randrange(p) for _ in range(k)) + (1,)
+    d = rng.randrange(1, k)
+    f, g = (Poly(make_field(p, 1), [rng.randrange(p) for _ in range(n)] + [1])
+            for n in (d, k - d))
+    return tuple(c.coeffs[0] for c in (f * g).coeffs)
+
+
+def inverse_or_error(invc, a):
+    try:
+        return invc(a)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def test_invc_matches_the_quotient_loop():
+    # reducible and irreducible moduli, p <= 13 and 3 <= k <= 8, units and
+    # zero divisors alike: the same inverse or the same ZeroDivisionError
+    rng = random.Random(30)
+    raised = 0
+    for _ in range(1000):
+        p, k = rng.choice((3, 5, 7, 11, 13)), rng.randrange(3, 9)
+        F = FieldDesc(p, k, random_modulus(rng, p, k))
+        for _ in range(8):
+            a = tuple(rng.randrange(p) for _ in range(k))
+            if rng.random() < 0.2:  # a sparse element, often a zero divisor
+                a = tuple(c if rng.random() < 0.3 else 0 for c in a)
+            got = inverse_or_error(F._invc, a)
+            assert got == inverse_or_error(
+                lambda b: reference_invc(F, b), a), (F.modulus, a)
+            if got is ZeroDivisionError:
+                raised += 1
+            else:
+                assert F._mulc(a, got) == (1,) + (0,) * (k - 1)
+    assert 1000 < raised < 7000
+
+
+@pytest.mark.parametrize("p, k", [(11, 24), (1009, 4), (3, 40)])
+def test_invc_matches_the_quotient_loop_in_the_field(p, k):
+    F = make_field(p, k)
+    rng = random.Random(p + k)
+    for _ in range(50):
+        a = tuple(rng.randrange(p) for _ in range(k))
+        assert F._invc(a) == reference_invc(F, a)
+
+
+def moebius(n):
+    """The Moebius function from the factorization of n."""
+    primes = factor(n)
+    return 0 if any(e > 1 for _, e in primes) else (-1) ** len(primes)
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
+                                  (5, 3), (5, 4), (5, 5), (7, 3), (7, 4),
+                                  (11, 3), (13, 3)])
+def test_irreducible_count_is_gauss(p, k):
+    # (1/k) sum_{d | k} mu(d) p^(k/d) monic irreducibles of degree k
+    count = sum(_is_irreducible(FieldDesc(
+                    p, k, tuple(n // p ** i % p for i in range(k)) + (1,)))
+                for n in range(p ** k))
+    gauss = sum(moebius(d) * p ** (k // d)
+                for d in range(1, k + 1) if k % d == 0)
+    assert count * k == gauss
+
+
+@pytest.mark.parametrize("p, k", [(3, 6), (5, 4), (7, 3)])
+def test_is_irreducible_matches_rabin(p, k):
+    for n in range(p ** k):
+        F = FieldDesc(p, k, tuple(n // p ** i % p for i in range(k)) + (1,))
+        assert _is_irreducible(F) == reference_is_irreducible(F), F.modulus
+
+
+def test_power_is_square_and_multiply():
+    # the integers mod m, boxed in 1-tuples, against pow: one square per
+    # bit past the first, each taken as mul(a, a), one product per set bit
+    m = 10 ** 9 + 7
+    calls = []
+
+    def mul(a, b):
+        calls.append(a is b)
+        return (a[0] * b[0] % m,)
+
+    rng = random.Random(7)
+    for e in [0, 1, 2, 3, 64, 65] + [rng.randrange(1, 2 ** 70)
+                                    for _ in range(20)]:
+        del calls[:]
+        a = rng.randrange(2, m)
+        assert power(mul, (1,), (a,), e) == (pow(a, e, m),)
+        assert calls.count(True) == max(e.bit_length() - 1, 0)
+        assert calls.count(False) == bin(e).count("1")
 
 
 def test_make_field_rejects_bad_input():

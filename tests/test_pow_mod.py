@@ -94,6 +94,16 @@ def test_pow_mod_edge_moduli(p, k):
 
 
 @pytest.mark.parametrize("k", [1, 2])
+def test_pow_mod_rejects_a_negative_exponent(k):
+    # F_p first: its ring used to return an inverse power, and over F_{p^2}
+    # the square-and-multiply loop never ended, since -1 >> 1 == -1
+    F = make_field(11, k)
+    m = Poly(F, [1, 2, 0, 3])
+    with pytest.raises(ValueError, match="e >= 0"):
+        Poly(F, [0, 1]).pow_mod(-1, m)
+
+
+@pytest.mark.parametrize("k", [1, 2])
 def test_pow_mod_keeps_one_ring_per_modulus(k):
     F = make_field(11, k)
     m = Poly(F, [1, 2, 0, 3])
