@@ -150,6 +150,8 @@ def cmd_volcano(args):
 
 
 def cmd_dyn_orbit(args):
+    if args.n < 0:
+        raise UsageError("-n must be >= 0")
     M = _precision(args)
     t = PadicNumber(args.p, M, args.t)
     lam = PadicNumber(args.p, M, args.lam)

@@ -40,7 +40,7 @@ from .errors import (BadTorsionOrder, EqualCharacteristic, InvariantBreach,
                      NotAKernel, NotSupersingular, TraceAmbiguous,
                      UnsupportedCharacteristic)
 from .fields import (ExtFieldElement, Poly, distinct_degree_parts,
-                     embed_poly, embedding, factor, make_field,
+                     embed_poly, embedding, factor, make_field, memo,
                      multiplicative_order, order_from_multiple, poly_roots,
                      power, split_equal_degree, split_prime, x_poly)
 
@@ -69,10 +69,7 @@ class Curve:
             raise ValueError("singular curve")
         self.canonical_ss = False
         self._count = count
-        self._divpoly = {}
-        self._coeff_cache = {}
-        self._kernel_cache = {}
-        self._torsion_cache = {}
+        self._memo = {}
 
     def key(self):
         return (self.field.p, self.field.k, self.a.enc(), self.b.enc())
@@ -90,14 +87,11 @@ class Curve:
     def rhs_poly(self):
         return Poly(self.field, [self.b, self.a, self.field.zero(), self.field.one()])
 
+    @memo
     def coeffs_in(self, field):
-        """(a, b) embedded into an extension field, cached."""
-        got = self._coeff_cache.get(id(field))
-        if got is None:
-            emb = embedding(self.field, field)
-            got = (emb(self.a), emb(self.b))
-            self._coeff_cache[id(field)] = got
-        return got
+        """(a, b) embedded into an extension field."""
+        emb = embedding(self.field, field)
+        return emb(self.a), emb(self.b)
 
     def infinity(self, field=None):
         return CurvePoint(self, field or self.field, None, None, True)
@@ -521,22 +515,20 @@ _CANONICAL_CACHE = {}
 # ---------------------------------------------------------------------------
 # division polynomials
 
+@memo
 def _div_B(E, n):
     """The x-part B_n of the n-division polynomial (psi_n = B_n for odd n,
     psi_n = 2y B_n for even n)."""
-    got = E._divpoly.get(n)
-    if got is not None:
-        return got
     F = E.field
     a, b = E.a, E.b
     if n == 0:
-        val = Poly(F, [])
-    elif n in (1, 2):
-        val = Poly(F, [1])
-    elif n == 3:
-        val = Poly(F, [-(a * a), b * 12, a * 6, F.zero(), F.elt(3)])
-    elif n == 4:
-        val = Poly(F, [
+        return Poly(F, [])
+    if n in (1, 2):
+        return Poly(F, [1])
+    if n == 3:
+        return Poly(F, [-(a * a), b * 12, a * 6, F.zero(), F.elt(3)])
+    if n == 4:
+        return Poly(F, [
             -(a * a * a) - b * b * 8,
             -(a * b * 4),
             -(a * a * 5),
@@ -545,25 +537,18 @@ def _div_B(E, n):
             F.zero(),
             F.one(),
         ]).scale(2)
-    else:
-        m, r = divmod(n, 2)
-        f = E.rhs_poly()
-        f2_16 = (f * f).scale(16)
-        if r == 1:
-            bm = _div_B(E, m)
-            bm1 = _div_B(E, m + 1)
-            t1 = _div_B(E, m + 2) * bm * bm * bm
-            t2 = _div_B(E, m - 1) * bm1 * bm1 * bm1
-            if m % 2 == 0:
-                val = f2_16 * t1 - t2
-            else:
-                val = t1 - f2_16 * t2
-        else:
-            t = (_div_B(E, m + 2) * _div_B(E, m - 1) * _div_B(E, m - 1)
-                 - _div_B(E, m - 2) * _div_B(E, m + 1) * _div_B(E, m + 1))
-            val = _div_B(E, m) * t
-    E._divpoly[n] = val
-    return val
+    m, r = divmod(n, 2)
+    if r == 0:
+        t = (_div_B(E, m + 2) * _div_B(E, m - 1) * _div_B(E, m - 1)
+             - _div_B(E, m - 2) * _div_B(E, m + 1) * _div_B(E, m + 1))
+        return _div_B(E, m) * t
+    f = E.rhs_poly()
+    f2_16 = (f * f).scale(16)
+    bm = _div_B(E, m)
+    bm1 = _div_B(E, m + 1)
+    t1 = _div_B(E, m + 2) * bm * bm * bm
+    t2 = _div_B(E, m - 1) * bm1 * bm1 * bm1
+    return f2_16 * t1 - t2 if m % 2 == 0 else t1 - f2_16 * t2
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +604,7 @@ def _kernel_of_factor(E, f, dd):
     return Poly(F, [(c.coeffs or [F.zero()])[0] for c in H])
 
 
+@memo
 def ell_subgroups(E, ell):
     """Kernel polynomials of the rational cyclic order-ell subgroups of E,
     sorted by coefficient encoding.  On canonical supersingular models over
@@ -631,10 +617,6 @@ def ell_subgroups(E, ell):
     p = E.field.p
     if ell == p:
         raise EqualCharacteristic("ell = p = %d" % p)
-    key = ell
-    got = E._kernel_cache.get(key)
-    if got is not None:
-        return got
     if ell == 2:
         roots = sorted(poly_roots(E.rhs_poly()), key=lambda r: r.enc())
         out = [Poly(E.field, [-r, E.field.one()]) for r in roots]
@@ -651,7 +633,6 @@ def ell_subgroups(E, ell):
                 if h is not None:
                     out.append(h)
         out.sort(key=lambda f: f.key())
-    E._kernel_cache[key] = out
     return out
 
 
@@ -670,15 +651,12 @@ class Isogeny:
         self.den = den
         self.dnum = num.derivative()
         self.dden = den.derivative()
-        self._embedded = {}
+        self._memo = {}
 
+    @memo
     def _maps_in(self, field):
-        got = self._embedded.get(id(field))
-        if got is None:
-            got = tuple(embed_poly(f, field) for f in
-                        (self.num, self.den, self.dnum, self.dden))
-            self._embedded[id(field)] = got
-        return got
+        return tuple(embed_poly(f, field) for f in
+                     (self.num, self.den, self.dnum, self.dden))
 
     def __call__(self, P):
         if P.inf:
@@ -775,23 +753,20 @@ def scaled_point(P, u, target):
     return CurvePoint(target, P.field, P.x * u2, P.y * u2 * u, False, check=False)
 
 
+@memo
 def _binomial_roots(F, e, r):
     """The roots of x^e - r in F, sorted by encoding; cached on F.  For even
     e, u^e = r iff u^2 is a root of x^(e/2) - r, so poly_roots runs only
     for odd e."""
-    key = (e, r.enc())
-    got = F._root_cache.get(key)
-    if got is None:
-        if e % 2:
-            roots = poly_roots(Poly(F, [-r] + [0] * (e - 1) + [1]))
-        else:
-            roots = set()
-            for y in _binomial_roots(F, e // 2, r):
-                w = y.sqrt()
-                if w is not None:
-                    roots |= {w, -w}
-        got = F._root_cache[key] = sorted(roots, key=lambda t: t.enc())
-    return got
+    if e % 2:
+        roots = poly_roots(Poly(F, [-r] + [0] * (e - 1) + [1]))
+    else:
+        roots = set()
+        for y in _binomial_roots(F, e // 2, r):
+            w = y.sqrt()
+            if w is not None:
+                roots |= {w, -w}
+    return sorted(roots, key=lambda t: t.enc())
 
 
 def automorphism_scalars(E):
@@ -835,17 +810,12 @@ def _companion_order(t, q, m):
     return order_from_multiple(n, lambda e: power(mul, one, C, e) == one)
 
 
+@memo
 def torsion_field_degree(E, m):
     """Extension degree r over E.field with E[m] rational over it; cheap."""
-    got = E._torsion_cache.get(("degree", m))
-    if got is not None:
-        return got
     if E.canonical_ss:
-        r = multiplicative_order(E.field.p, m)
-    else:
-        r = _companion_order(trace_of_frobenius(E), E.field.order, m)
-    E._torsion_cache[("degree", m)] = r
-    return r
+        return multiplicative_order(E.field.p, m)
+    return _companion_order(trace_of_frobenius(E), E.field.order, m)
 
 
 def _order_over(E, r):
@@ -859,18 +829,13 @@ def _order_over(E, r):
     return q ** r + 1 - t1
 
 
+@memo
 def torsion_field(E, m):
     """(big field, #E over it, extension degree r) with E[m] rational there."""
-    got = E._torsion_cache.get(("field", m))
-    if got is not None:
-        return got
     p = E.field.p
     r = torsion_field_degree(E, m)
     n = (p ** r - 1) ** 2 if E.canonical_ss else _order_over(E, r)
-    big = make_field(p, E.field.k * r)
-    got = (big, n, r)
-    E._torsion_cache[("field", m)] = got
-    return got
+    return make_field(p, E.field.k * r), n, r
 
 
 def _point_order_in_sylow(R, ell, cap):
@@ -934,13 +899,11 @@ def _prime_power_basis(E, ell, e):
     raise InvariantBreach("no independent %d^%d-torsion basis found" % (ell, e))
 
 
+@memo
 def torsion_basis(E, N):
     """(P1, P2) generating E[N] over the minimal torsion field; N >= 2."""
     if N % E.field.p == 0:
         raise BadTorsionOrder("p divides N")
-    got = E._torsion_cache.get(("basis", N))
-    if got is not None:
-        return got
     big, _, _ = torsion_field(E, N)
     P1 = E.infinity(big)
     P2 = E.infinity(big)
@@ -951,10 +914,10 @@ def torsion_basis(E, N):
         B = CurvePoint(E, big, emb(B.x), emb(B.y), False, check=False)
         P1 = P1 + A
         P2 = P2 + B
-    E._torsion_cache[("basis", N)] = (P1, P2)
     return P1, P2
 
 
+@memo
 def torsion_grid(E, N):
     """{(i, j): i P1 + j P2} over all of E[N] in row-major key order, on the
     basis (P1, P2) = torsion_basis(E, N); {(0, 0): O} at N = 1.  Cached on
@@ -967,9 +930,6 @@ def torsion_grid(E, N):
     the chord denominators, and the rest are their negatives."""
     if N == 1:
         return {(0, 0): E.infinity()}
-    got = E._torsion_cache.get(("grid", N))
-    if got is not None:
-        return got
     P1, P2 = torsion_basis(E, N)
     F = P1.field
     mul, sub = F._mulc, F._subc
@@ -1009,18 +969,14 @@ def torsion_grid(E, N):
                     check=False)
             else:
                 grid[i, j] = -grid[N - i, N - j]
-    E._torsion_cache[("grid", N)] = grid
     return grid
 
 
+@memo
 def torsion_index(E, N):
     """{P.key(): (i, j)}, the inverse of torsion_grid(E, N), cached on E;
     callers must not mutate it."""
-    got = E._torsion_cache.get(("index", N))
-    if got is None:
-        got = {P.key(): c for c, P in torsion_grid(E, N).items()}
-        E._torsion_cache[("index", N)] = got
-    return got
+    return {P.key(): c for c, P in torsion_grid(E, N).items()}
 
 
 def all_points_of_order(E, N):

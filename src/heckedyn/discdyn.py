@@ -70,6 +70,8 @@ def serre_tate_multivar(F_inv, G_dag, T):
 def classify_periodic(lam, m, conductor_valuation_a):
     """True iff the circle of p^a-th roots of unity is pointwise m-periodic
     for the automorphism with exponent lam; a = 0 asks about the centre."""
+    if m < 1:
+        raise UsageError("period m must be >= 1")
     if conductor_valuation_a < 0:
         raise UsageError("conductor valuation must be >= 0")
     if conductor_valuation_a == 0:

@@ -10,7 +10,8 @@ the equal-degree splitting seeds its own random.Random(0), so repeated runs
 produce identical output.  Factorization is squarefree, then distinct-degree
 by the one loop ``distinct_degree_parts``, then equal-degree.  ``power`` is
 the package's one square-and-multiply loop, here and in the curve and
-volcano layers.
+volcano layers, and ``memo`` its one per-object cache: fields, curves,
+isogenies and graphs each keep their answers in one ``_memo`` dict.
 
 Scale: odd p < 2**31 with plain Python integers.  Products in F_{p^2} use a
 closed form in the reduction row x^2 = r0 + r1 x, and inverses the norm.
@@ -25,6 +26,7 @@ k >= 2, the packed ring.  Products, gcds and division of polynomials stay
 schoolbook.
 """
 
+import functools
 import math
 import random
 import struct
@@ -131,6 +133,25 @@ def multiplicative_order(a, m):
     return order_from_multiple(phi, lambda e: pow(a, e, m) == 1 % m)
 
 
+def memo(fn):
+    """fn(obj, *args) computed once per object and arguments: the package's
+    one per-object cache.  The result is kept in ``obj._memo`` under
+    (fn's name, *args); a call that raises stores nothing.  Callers must
+    not mutate what it returns."""
+    name = (fn.__name__,)
+
+    @functools.wraps(fn)
+    def memoized(obj, *args):
+        key = name + args
+        try:
+            return obj._memo[key]
+        except KeyError:
+            pass
+        got = obj._memo[key] = fn(obj, *args)
+        return got
+    return memoized
+
+
 def power(mul, one, a, e):
     """a^e for an integer e >= 0 by square-and-multiply, with ``mul`` the
     product and ``one`` its identity: the package's one such loop.  It
@@ -184,8 +205,7 @@ class FieldDesc:
     the one class scan; it skips F_p when F_p^x cannot meet the class.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_red", "_mulc", "_square_set",
-                 "_root_cache", "_nonresidue")
+    __slots__ = ("p", "k", "modulus", "order", "_red", "_mulc", "_memo")
 
     def __init__(self, p, k, modulus):
         self.p = p
@@ -201,9 +221,7 @@ class FieldDesc:
             self._mulc = ring.mulc
         else:
             self._mulc = self._mul_quadratic if k == 2 else self._mul_prime
-        self._square_set = None
-        self._root_cache = {}  # (e, enc(r)) -> sorted roots of x^e - r
-        self._nonresidue = None
+        self._memo = {}
 
     # ---- element constructors -------------------------------------------
 
@@ -312,15 +330,10 @@ class FieldDesc:
 
     # ---- cached per-field tables ------------------------------------------
 
+    @memo
     def square_set(self):
         """Set of encodings of nonzero squares; built once, O(q)."""
-        if self._square_set is None:
-            s = set()
-            for n in range(1, self.order):
-                z = self.from_enc(n)
-                s.add((z * z).enc())
-            self._square_set = s
-        return self._square_set
+        return {(z * z).enc() for z in map(self.from_enc, range(1, self.order))}
 
     def first_in_class(self, e, c):
         """The first nonzero z in encoding order with z^((q-1)/e) = c, for
@@ -335,11 +348,10 @@ class FieldDesc:
                 return z
         raise ValueError("%r has no class %r mod %d-th powers" % (self, c, e))
 
+    @memo
     def nonresidue(self):
         """The first non-square in encoding order (odd q), found once."""
-        if self._nonresidue is None:
-            self._nonresidue = self.first_in_class(2, self.elt(-1))
-        return self._nonresidue
+        return self.first_in_class(2, self.elt(-1))
 
     def __repr__(self):
         return "F_%d^%d" % (self.p, self.k)

@@ -187,12 +187,6 @@ class ClassGroupTable:
                 raise RuntimeError("composition table is not a group")
         return n
 
-    def power(self, i, e):
-        acc = self.identity
-        for _ in range(e):
-            acc = self.mul(acc, i)
-        return acc
-
 
 def class_group(D):
     return ClassGroupTable(D)

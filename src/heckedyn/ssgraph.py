@@ -25,7 +25,7 @@ from .curves import (IsogenyArrow, action_matrix, automorphism_scalars,
                      trace_from_residues, velu)
 from .errors import (BudgetExhausted, EvenEll, InvariantBreach,
                      ScaleExceeded, SharedCharacteristic, UsageError)
-from .fields import is_prime, squarefree_split
+from .fields import is_prime, memo, squarefree_split
 from .markov import closed_walk_start, is_strongly_connected, out_period
 
 
@@ -53,9 +53,7 @@ class SSGraph:
         self.vertices = vertices
         self.arrows = arrows
         self.curves = curves
-        # (arrow index, m) -> the arrow on E_src[m] -> E_dst[m], see
-        # _arrow_matrix
-        self.arrow_matrices = {}
+        self._memo = {}
         self.out_arrows = [[] for _ in vertices]
         for ar in arrows:
             self.out_arrows[ar.src].append(ar.index)
@@ -262,18 +260,16 @@ def graph_report(G):
 # ---------------------------------------------------------------------------
 # walks and their endomorphisms
 
+@memo
 def _arrow_matrix(G, ai, m):
     """The ``action_matrix`` of the arrow ai on E[m], cached on G.  The
     canonical models all have Frobenius_{p^2} = [p], so E[m] of every curve
     lies over the same field and the bases can be compared."""
-    M = G.arrow_matrices.get((ai, m))
-    if M is None:
-        ar = G.arrows[ai]
-        E1 = G.vertices[ar.dst].curve
-        M = G.arrow_matrices[(ai, m)] = action_matrix(
-            lambda P: scaled_point(ar.isogeny(P), ar.post_scalar, E1),
-            G.vertices[ar.src].curve, m)
-    return M
+    ar = G.arrows[ai]
+    E1 = G.vertices[ar.dst].curve
+    return action_matrix(
+        lambda P: scaled_point(ar.isogeny(P), ar.post_scalar, E1),
+        G.vertices[ar.src].curve, m)
 
 
 def _walk_matrix(G, walk, m):

@@ -13,7 +13,7 @@ from .curves import (Curve, IsogenyArrow, chain_trace, ell_subgroups,
                      trace_of_frobenius, velu)
 from .errors import (BadDiscriminant, ExcludedJ, InvariantBreach, NotClosed,
                      ScaleExceeded, SupersingularStart, UsageError)
-from .fields import embedding, is_prime, make_field, power, split_prime
+from .fields import embedding, is_prime, make_field, memo, power, split_prime
 from .markov import _bfs_dist, closed_walk_start
 from .padics import PadicNumber, quadratic_roots
 from .quadforms import (MAX_LEVEL_BITS, fundamental_discriminant, kronecker,
@@ -40,7 +40,7 @@ class SyntheticVolcano:
     """Volcano predicted by the class-group data of the rim order.
 
     Vertices are (level, index) pairs; undirected edges carry an id and a
-    kind in {rim, rim2, loop, loop2, down}.  ``loop2`` marks the split one
+    kind in {rim, loop, loop2, down}.  ``loop2`` marks the split one
     vertex rim traversable in two directions; ``loop`` is self-dual.
     """
 
@@ -209,7 +209,7 @@ class EmpiricalVolcano:
         self.curves = []
         self.arrows = []
         self.vertex_degree = []
-        self.f2_models = {}  # vertex -> its model over F_{p^2}
+        self._memo = {}
         self._explore(j0, depth)
         self._assign_levels()
 
@@ -304,23 +304,26 @@ def build_empirical(p, j0, ell, depth=None):
     return EmpiricalVolcano(p, j0, ell, depth)
 
 
+@memo
+def _f2_model(vol, v):
+    """The model of vertex v over F_{p^2}, one per vertex so that it keeps
+    its torsion bases.  Every vertex has trace +-t, so by base change its
+    F_{p^2} model has trace t^2 - 2p."""
+    F2 = make_field(vol.p, 2)
+    emb = embedding(vol.field, F2)
+    E = vol.curves[v]
+    t, p = vol.frobenius_trace, vol.p
+    return Curve(F2, emb(E.a), emb(E.b), count=p * p + 1 - (t * t - 2 * p))
+
+
 def walk_endo_empirical(vol, walk):
     """(trace, norm) of the composed endomorphism of a closed walk of arrow
     indices in an empirical volcano, recovered from torsion action."""
     if not walk:
         return (2, 1)
     v0 = closed_walk_start(vol.arrows, walk)
-    # base everything on the F_{p^2} model so twist scalars embed; one
-    # model per vertex keeps its torsion bases.  Every vertex has trace +-t,
-    # so by base change its F_{p^2} model has trace t^2 - 2p
-    E2 = vol.f2_models.get(v0)
-    if E2 is None:
-        F2 = make_field(vol.p, 2)
-        emb = embedding(vol.field, F2)
-        E = vol.curves[v0]
-        t, p = vol.frobenius_trace, vol.p
-        E2 = vol.f2_models[v0] = Curve(F2, emb(E.a), emb(E.b),
-                                       count=p * p + 1 - (t * t - 2 * p))
+    # base everything on the F_{p^2} model so twist scalars embed
+    E2 = _f2_model(vol, v0)
     arrows = [vol.arrows[ai] for ai in walk]
     # the last arrow lands on E2, so images are read on E2's torsion basis
     targets = [vol.curves[ar.dst] for ar in arrows[:-1]] + [E2]

@@ -251,6 +251,27 @@ def test_dyn_periodic(capsys):
     assert code == 0 and out.strip() == "false"
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_dyn_periodic_rejects_a_period_below_one(capsys, m):
+    # m = 0 asked whether lam^0 = 1 fixes the circle, true for every lam
+    assert run(["dyn", "periodic", "-p", "5", "--lam", "7", "-a", "1",
+                "-m", "1"], capsys)[:2] == (0, "false\n")
+    code, out, err = run(["dyn", "periodic", "-p", "5", "--lam", "7",
+                          "-a", "1", "-m", m], capsys)
+    assert code == 1 and out == ""
+    assert "m must be >= 1" in err
+
+
+def test_dyn_orbit_rejects_a_negative_length(capsys):
+    code, out, err = run(["dyn", "orbit", "-p", "5", "--lam", "2", "--t", "5",
+                          "-n", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert "-n must be >= 0" in err
+    code, out, err = run(["dyn", "orbit", "-p", "5", "--lam", "2", "--t", "5",
+                          "-n", "0"], capsys)
+    assert code == 0 and json.loads(out)["orbit"] == []
+
+
 def test_dyn_closure(capsys):
     code, out, err = run(["dyn", "closure", "-p", "5", "--lam", "2"], capsys)
     assert code == 0

@@ -17,7 +17,7 @@ from heckedyn.curves import (Curve, _binomial_roots, _div_B,
                              supersingular_seed, torsion_basis, torsion_grid,
                              trace_of_frobenius, velu)
 from heckedyn.fields import (ExtFieldElement, Poly, distinct_degree_parts,
-                             embedding, factor, is_prime, make_field,
+                             embedding, factor, is_prime, make_field, memo,
                              poly_factor)
 from heckedyn.graphio import ssgraph_to_dict
 from heckedyn import ssgraph
@@ -1089,7 +1089,7 @@ def _walk_model(p, j, ell):
     a = next(ar for ar in vol.arrows if ar.src == 0)
     b = next(ar for ar in vol.arrows if ar.src == a.dst and ar.dst == 0)
     walk_endo_empirical(vol, [a.index, b.index])
-    return vol.f2_models[0]
+    return vol._memo["_f2_model", 0]
 
 
 def test_ordinary_basis_scan_matches_scan_from_zero():
@@ -1097,7 +1097,7 @@ def test_ordinary_basis_scan_matches_scan_from_zero():
     # from encoding 0, for every auxiliary prime the walk used
     for p, j, ell in ((41, 12, 3), (1009, 5, 2)):
         E2 = _walk_model(p, j, ell)
-        used = sorted(key[1] for key in E2._torsion_cache if key[0] == "basis")
+        used = sorted(key[1] for key in E2._memo if key[0] == "torsion_basis")
         assert used
         for m in used:
             assert curves._order_over(E2, 2) % m
@@ -1168,10 +1168,69 @@ def test_torsion_grid_matches_scalar_multiples(p):
 
 def test_torsion_grid_on_ordinary_walk_model():
     E2 = _walk_model(41, 12, 3)
-    used = sorted(key[1] for key in E2._torsion_cache if key[0] == "grid")
+    used = sorted(key[1] for key in E2._memo if key[0] == "torsion_grid")
     assert used
     for m in used:
         assert_grid_is_scalar_sums(E2, m)
+
+
+def test_memo_runs_once_per_object_and_arguments():
+    calls = []
+
+    @memo
+    def halves(E, n):
+        calls.append(n)
+        return [n // 2]
+
+    E = Curve(F11, 1, 1)
+    first = halves(E, 6)
+    assert halves(E, 6) is first and calls == [6]
+    assert halves(E, 8) == [4] and calls == [6, 8]
+    assert E._memo["halves", 6] is first
+    # the package's own sites: a division polynomial, a basis, kernels
+    E = canonical_ss_model(supersingular_js(11)[0])
+    for fn, arg in ((_div_B, 7), (torsion_basis, 5), (ell_subgroups, 3)):
+        got = fn(E, arg)
+        assert fn(E, arg) is got and E._memo[fn.__name__, arg] is got
+
+
+def test_memo_stores_no_exception():
+    calls = []
+
+    @memo
+    def second_try(E):
+        calls.append(None)
+        if len(calls) == 1:
+            raise InvariantBreach("first call")
+        return len(calls)
+
+    E = Curve(F11, 1, 1)
+    with pytest.raises(InvariantBreach):
+        second_try(E)
+    assert E._memo == {}
+    assert second_try(E) == 2 and second_try(E) == 2 and len(calls) == 2
+    # a refused torsion order is refused again, and nothing is kept
+    for _ in range(2):
+        with pytest.raises(BadTorsionOrder):
+            torsion_basis(E, 22)
+    assert ("torsion_basis", 22) not in E._memo
+
+
+def test_memo_keeps_equal_curves_apart():
+    # Curve hashes by value, but a twin not flagged canonical must not read
+    # the canonical model's answers
+    E = canonical_ss_model(supersingular_js(11)[0])
+    twin = Curve(E.field, E.a, E.b)
+    assert twin == E and hash(twin) == hash(E) and not twin.canonical_ss
+
+    @memo
+    def flagged(E):
+        return E.canonical_ss
+
+    assert flagged(E) is True and flagged(twin) is False
+    basis = torsion_basis(E, 5)
+    assert ("torsion_basis", 5) not in twin._memo
+    assert torsion_basis(twin, 5) is not basis
 
 
 @pytest.mark.parametrize("N", [4, 5])
@@ -1181,10 +1240,10 @@ def test_torsion_grid_rejects_a_dependent_basis(N):
     E0 = canonical_ss_model(supersingular_js(11)[0])
     E = Curve(E0.field, E0.a, E0.b)
     P1 = torsion_basis(E0, N)[0]
-    E._torsion_cache[("basis", N)] = (P1, 2 * P1)
+    E._memo["torsion_basis", N] = (P1, 2 * P1)
     with pytest.raises(InvariantBreach):
         torsion_grid(E, N)
-    assert ("grid", N) not in E._torsion_cache
+    assert ("torsion_grid", N) not in E._memo
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])

@@ -175,6 +175,15 @@ def test_classify_periodic():
     assert classify_periodic(lam, 1, 1) != classify_periodic(other, 1, 1)
 
 
+def test_classify_periodic_rejects_a_period_below_one():
+    lam = PadicNumber(5, 8, 7)
+    assert not classify_periodic(lam, 1, 1)
+    for m in (0, -1):
+        for a in (0, 1):
+            with pytest.raises(UsageError):
+                classify_periodic(lam, m, a)
+
+
 def test_classify_periodic_monotone_in_a():
     lam = PadicNumber(5, 10, 1 + 25)
     for m in (1, 2, 3):

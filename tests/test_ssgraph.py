@@ -430,7 +430,8 @@ def test_matrix_traces_equal_chain_trace(case, g_11_3_1, g_11_5_1, g_13_5_1):
         assert walk_char_poly(G, w) == (_reference_trace(G, w),
                                         G.ell ** len(w)), w
     if G.N > 1:
-        assert {(ai, 5) for w in walks for ai in w} <= set(G.arrow_matrices)
+        assert ({("_arrow_matrix", ai, 5) for w in walks for ai in w}
+                <= set(G._memo))
 
 
 @pytest.mark.parametrize("p,j0,ell", [(41, 12, 3), (11, 2, 2)])
@@ -453,7 +454,7 @@ def test_volcano_traces_equal_relation_search(p, j0, ell):
         t, n = walk_endo_empirical(vol, w)
         steps = arrow_steps(vol.arrows, vol.curves, w)
         # the F_{p^2} model of the base vertex that the walk traced on
-        E2 = vol.f2_models[vol.arrows[w[0]].src]
+        E2 = vol._memo["_f2_model", vol.arrows[w[0]].src]
         assert t == reference_chain_trace(steps, E2, ell, len(w)), w
         assert n == ell ** len(w)
 
@@ -475,9 +476,10 @@ def test_arrow_matrix_determinant_oracle():
     G = build_ssgraph(11, 3, 1)
     w = closed_walks(G, 0, 1)[0]
     walk_char_poly(G, w)
-    (ai, m), (a, b, c, d) = next(iter(G.arrow_matrices.items()))
+    (name, ai, m), (a, b, c, d) = next(iter(G._memo.items()))
+    assert name == "_arrow_matrix"
     # scaling one column by 2 doubles the determinant mod m
-    G.arrow_matrices[(ai, m)] = (2 * a % m, b, 2 * c % m, d)
+    G._memo[name, ai, m] = (2 * a % m, b, 2 * c % m, d)
     with pytest.raises(InvariantBreach):
         walk_char_poly(G, w)
 
@@ -490,20 +492,25 @@ def test_torsion_coordinates_round_trip(g_11_5_1):
             assert torsion_coordinates(a * Q1 + b * Q2, m) == (a, b)
 
 
+# (curve, Q2, m) -> {(b Q2).key(): b}, the baby steps of
+# reference_torsion_coordinates
+_BABY_STEPS = {}
+
+
 def reference_torsion_coordinates(R, m):
     """(a, b) with R = a Q1 + b Q2 on the basis (Q1, Q2) = torsion_basis(E, m)
     of R's curve: baby steps in <Q2>, a table of m points cached per curve,
     and giant steps R - a Q1."""
     E = R.curve
     Q1, Q2 = torsion_basis(E, m)
-    table = E._torsion_cache.get(("baby", m))
+    key = (E.key(), Q2.key(), m)
+    table = _BABY_STEPS.get(key)
     if table is None:
-        table = {}
+        table = _BABY_STEPS[key] = {}
         S = E.infinity(Q2.field)
         for b in range(m):
             table[S.key()] = b
             S = S + Q2
-        E._torsion_cache[("baby", m)] = table
     S = R
     for a in range(m):
         b = table.get(S.key())

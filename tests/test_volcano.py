@@ -286,7 +286,7 @@ def test_walk_endo_empirical_counts_each_vertex_model_once(monkeypatch):
     assert walk_endo_empirical(vol, [i, j]) == first
     assert len(scans) == 0
     monkeypatch.undo()
-    E2 = vol.f2_models[0]
+    E2 = vol._memo["_f2_model", 0]
     assert E2._count == count(curves.Curve(E2.field, E2.a, E2.b))
 
 
