@@ -11,6 +11,7 @@ division, made once per unit.
 """
 
 import random
+from itertools import islice, repeat
 
 from .errors import (ChartEscape, InvariantBreach, NotAUnit,
                      PrecisionExhausted, UsageError)
@@ -353,13 +354,23 @@ def random_walk(generators, x0, steps, seed, k=1, checkpoints=()):
 
     Unit Moebius maps are isometries, so the walk runs on the classes
     u = w/p mod p^k, which are the keys; inputs must be known to w mod
-    p^(k+1).  Each generator is turned into its map on u once.  Checkpoints
-    outside 1..steps are ignored.
+    p^(k+1).  Each generator's map g: u -> (A u + B) / (1 + C u) is a skew
+    product over the classes mod p^(k-1): for u = v + p^(k-1) h, with v a
+    class mod p^(k-1) and h in F_{p^2}, g(u) = g(v) + p^(k-1) A h mod p^k,
+    since g' = A mod p (C = 0 mod p) and (p^(k-1) h)^2 = 0 mod p^k; at
+    k = 1, v = 0 and g is affine.  A step reads g(v) from a base table and
+    h -> A h + t from a fiber table, each filled on first use, so a walk
+    makes at most min(steps, p^(2(k-1)) len(generators)) Moebius
+    evaluations.  Checkpoints outside 1..steps are ignored.
 
     Returns (measure, trajectory of checkpoint measures).
     """
     if not generators:
         raise UsageError("need at least one generator")
+    if k < 1:
+        raise UsageError("class level k must be >= 1, got %d" % k)
+    if steps < 1:
+        raise UsageError("steps must be >= 1, got %d" % steps)
     invs = [g.inverse() for g in generators]
     p = x0.w.p
     prec = min([x0.w.prec] + [min(g.a.prec, g.b.prec) for g in invs])
@@ -367,32 +378,67 @@ def random_walk(generators, x0, steps, seed, k=1, checkpoints=()):
         raise UsageError("classes mod %d^%d need precision >= %d, got %d"
                          % (p, k, k + 1, prec))
     P = p ** k
+    Q = P // p
+    # class u is the key u0 K + u1 = V + H, with V = v0 K + v1 and
+    # H = Q (h0 K + h1); K = 2P leaves room for the sum of two fiber
+    # digits, at most 2p - 2
+    K = 2 * P
     n = _newton_steps(k)
     d = invs[0].a.d
     maps = [_unit_map(g, P) for g in invs]
+    # A mod p for each map; A = a/a^sigma has norm 1, so 1/A is its
+    # conjugate, and at most p + 1 maps have distinct A mod p
+    units = [(g[0] % p, g[1] % p, d * g[1] % p) for g in maps]
+    # bases[r]: V -> (V', T) with g(v) = v' + Q t and T = Q (t/A packed);
+    # fibers[r]: X = H + T -> A X mod p, packed as H, one per A
+    bases = [{} for _ in maps]
+    by_unit = {}
+    fibers = [by_unit.setdefault(a, {}) for a in units]
+    mobius = _mobius_u
     # the draw of Random.choice(maps), inline: getrandbits of the bit length
     # of len(maps) until it falls below len(maps), so a seed gives the same
     # walk as through choice or randrange
     getrandbits = random.Random(seed).getrandbits
     n_maps = len(maps)
     bits = n_maps.bit_length()
-    step = _mobius_u
-    # visits keyed by u0 P + u1; dicts keep first-visit order
+    # visits by key; dicts keep first-visit order, and classes holds the
+    # keys decoded so far in that order
     counts = {}
     get = counts.get
+    classes = []
     u0, u1 = x0.w.a0.val // p % P, x0.w.a1.val // p % P
+    V = u0 % Q * K + u1 % Q
+    H = Q * (u0 // Q * K + u1 // Q)
     cps = sorted({c for c in checkpoints if 1 <= c <= steps})
     snaps = []
     done = 0
-    for stop in cps + [max(steps, 0)]:
+    for stop in cps + [steps]:
         for _ in range(stop - done):
             r = getrandbits(bits)
             while r >= n_maps:
                 r = getrandbits(bits)
-            u0, u1 = step(maps[r], u0, u1, d, P, n)
-            key = u0 * P + u1
+            e = bases[r].get(V)
+            if e is None:
+                a0, a1, da1 = units[r]
+                y0, y1 = mobius(maps[r], V // K, V % K, d, P, n)
+                t0, t1 = y0 // Q, y1 // Q
+                e = bases[r][V] = (
+                    y0 % Q * K + y1 % Q,
+                    Q * ((a0 * t0 - da1 * t1) % p * K
+                         + (a0 * t1 - a1 * t0) % p))
+            V, T = e
+            X = H + T
+            H = fibers[r].get(X)
+            if H is None:
+                a0, a1, da1 = units[r]
+                z0, z1 = divmod(X // Q, K)
+                H = fibers[r][X] = Q * ((a0 * z0 + da1 * z1) % p * K
+                                        + (a0 * z1 + a1 * z0) % p)
+            key = V + H
             counts[key] = get(key, 0) + 1
         done = stop
+        classes.extend(map(divmod, islice(counts, len(classes), None),
+                           repeat(K)))
         snaps.append((stop, EmpiricalMeasure(
-            k, {divmod(key, P): c for key, c in counts.items()}, stop)))
+            k, dict(zip(classes, counts.values())), stop)))
     return snaps.pop()[1], snaps

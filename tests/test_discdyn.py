@@ -332,6 +332,28 @@ def test_newton_steps_are_ceil_log2():
     assert [_newton_steps(k) for k in range(7)] == [0, 0, 1, 2, 2, 3, 3]
 
 
+@pytest.mark.parametrize("inst", [(11, 5, 1), (13, 3, 1)])
+def test_unit_map_is_a_skew_product(inst):
+    # g(v + p^(k-1) h) = g(v) + p^(k-1) (A h mod p) mod p^k, A = g's A mod p
+    p, M = inst[0], 8
+    invs = _walk_inverses(build_ssgraph(*inst), p, M)
+    d = invs[0].a.d
+    rng = random.Random(p)
+    for k in range(1, 6):
+        P, Q = p ** k, p ** (k - 1)
+        n = _newton_steps(k)
+        for gamma in invs:
+            g = _unit_map(gamma, P)
+            a0, a1 = g[0] % p, g[1] % p
+            for _ in range(20):
+                v0, v1 = rng.randrange(Q), rng.randrange(Q)
+                h0, h1 = rng.randrange(p), rng.randrange(p)
+                y0, y1 = _mobius_u(g, v0, v1, d, P, n)
+                assert _mobius_u(g, v0 + Q * h0, v1 + Q * h1, d, P, n) == (
+                    (y0 + Q * ((a0 * h0 + d * a1 * h1) % p)) % P,
+                    (y1 + Q * ((a0 * h1 + a1 * h0) % p)) % P)
+
+
 @pytest.mark.parametrize("prec", [1, 2, 3])
 def test_mobius_apply_at_low_precision_matches_wq_arithmetic(prec):
     p = 11
@@ -463,19 +485,59 @@ def test_random_walk_ignores_checkpoints_outside_steps():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 27, 32, 33])
 def test_random_walk_draws_as_random_choice(n, monkeypatch):
-    # generator i's map is i, and a step records the map it is given
-    counter = itertools.count()
-    monkeypatch.setattr(discdyn, "_unit_map", lambda g, P: next(counter) % n)
-    drawn = []
-    monkeypatch.setattr(discdyn, "_mobius_u",
-                        lambda g, u0, u1, d, P, k: drawn.append(g) or (u0, u1))
+    # at k = 1 generator i acts as the translation by i % p + (i // p) delta,
+    # and a checkpoint at every step shows which translation each step drew
     p, M = 11, 4
+    counter = itertools.count()
+
+    def translation(gamma, P):
+        i = next(counter) % n
+        return (1, 0, i % p, i // p, 0, 0)
+
+    monkeypatch.setattr(discdyn, "_unit_map", translation)
     for seed in range(10):
-        drawn.clear()
-        random_walk([identity_unit(p, M)] * n, DiscPoint(wq(p, M, p, 0)),
-                    2000, seed)
+        _, snaps = random_walk([identity_unit(p, M)] * n,
+                               DiscPoint(wq(p, M, p, 0)), 2000, seed,
+                               checkpoints=range(1, 2001))
+        drawn = []
+        u, prev = (1, 0), {}
+        for _, m in snaps:
+            (v, _), = m.counts.items() - prev.items()
+            drawn.append((v[0] - u[0]) % p + p * ((v[1] - u[1]) % p))
+            u, prev = v, m.counts
         rng = random.Random(seed)
         assert drawn == [rng.choice(range(n)) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_random_walk_rejects_k_below_one(k):
+    p, M = 11, 4
+    with pytest.raises(UsageError):
+        random_walk([identity_unit(p, M)], DiscPoint(wq(p, M, p, 0)), 10,
+                    seed=1, k=k)
+
+
+@pytest.mark.parametrize("steps", [0, -5])
+def test_random_walk_rejects_steps_below_one(steps):
+    p, M = 11, 4
+    with pytest.raises(UsageError):
+        random_walk([identity_unit(p, M)], DiscPoint(wq(p, M, p, 0)), steps,
+                    seed=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_random_walk_bounds_its_mobius_evaluations(k, g_11_5_1, monkeypatch):
+    p, M = 11, 8
+    gens = [g.inverse() for g in _walk_inverses(g_11_5_1, p, M)]
+    x0 = DiscPoint(wq(p, M, p, 3 * p))
+    calls = []
+    mobius = discdyn._mobius_u
+    monkeypatch.setattr(discdyn, "_mobius_u",
+                        lambda *args: calls.append(args) or mobius(*args))
+    for steps in (100, 20000):
+        calls.clear()
+        random_walk(gens, x0, steps, 7, k)
+        assert len(calls) <= min(steps, p ** (2 * (k - 1)) * len(gens))
 
 
 def test_transitivity_witness_roundtrip():
