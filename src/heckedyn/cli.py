@@ -53,6 +53,7 @@ def build_parser():
     g.add_argument("--dot", help="write DOT here")
     g.add_argument("--report", nargs="?", const="-",
                    help="write the structural report (default stdout)")
+    g.set_defaults(run=cmd_ssgraph)
 
     v = sub.add_parser("volcano", help="build an isogeny volcano")
     v.add_argument("--disc", type=int, help="synthetic: discriminant of the rim order")
@@ -62,6 +63,7 @@ def build_parser():
     v.add_argument("--depth", type=int, default=None)
     v.add_argument("--out", help="write JSON here")
     v.add_argument("--dot", help="write DOT here (empirical only)")
+    v.set_defaults(run=cmd_volcano)
 
     d = sub.add_parser("dyn", help="disc dynamics")
     dsub = d.add_subparsers(dest="dyn_command", required=True)
@@ -73,12 +75,14 @@ def build_parser():
     orb.add_argument("-n", type=int, default=10)
     orb.add_argument("-M", type=int, default=None)
     orb.add_argument("--out")
+    orb.set_defaults(run=cmd_dyn_orbit)
 
     clo = dsub.add_parser("closure", help="orbit closure descriptor")
     clo.add_argument("-p", type=int, required=True)
     clo.add_argument("--lam", "--lambda", dest="lam", type=int, required=True)
     clo.add_argument("-M", type=int, default=None)
     clo.add_argument("--out")
+    clo.set_defaults(run=cmd_dyn_closure)
 
     per = dsub.add_parser("periodic", help="is the p^a circle m-periodic")
     per.add_argument("-p", type=int, required=True)
@@ -86,6 +90,7 @@ def build_parser():
     per.add_argument("-a", type=int, required=True)
     per.add_argument("-m", type=int, default=1)
     per.add_argument("-M", type=int, default=None)
+    per.set_defaults(run=cmd_dyn_periodic)
 
     wm = dsub.add_parser("walk-measure", help="random walk empirical measure")
     wm.add_argument("-p", type=int, required=True)
@@ -97,6 +102,7 @@ def build_parser():
     wm.add_argument("-M", type=int, default=None)
     wm.add_argument("--out")
     wm.add_argument("--tv-csv", help="write dyadic TV checkpoints as CSV")
+    wm.set_defaults(run=cmd_dyn_walk_measure)
 
     m = sub.add_parser("markov", help="analyze a graph JSON file")
     m.add_argument("--graph", required=True)
@@ -104,6 +110,7 @@ def build_parser():
     m.add_argument("--mixing", type=float, default=None,
                    help="epsilon in (0, 1) for the mixing report")
     m.add_argument("--out")
+    m.set_defaults(run=cmd_markov)
 
     return top
 
@@ -271,26 +278,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "ssgraph":
-            return cmd_ssgraph(args)
-        if args.command == "volcano":
-            return cmd_volcano(args)
-        if args.command == "dyn":
-            # the p-adic classes take p on trust; walk-measure checks it
-            # when it builds the graph
-            if args.dyn_command != "walk-measure" and not is_prime(args.p):
-                raise NonPrime("p = %d is not prime" % args.p)
-            if args.dyn_command == "orbit":
-                return cmd_dyn_orbit(args)
-            if args.dyn_command == "closure":
-                return cmd_dyn_closure(args)
-            if args.dyn_command == "periodic":
-                return cmd_dyn_periodic(args)
-            if args.dyn_command == "walk-measure":
-                return cmd_dyn_walk_measure(args)
-        if args.command == "markov":
-            return cmd_markov(args)
-        raise UsageError("unknown command")
+        # the p-adic classes take p on trust; walk-measure checks it when it
+        # builds the graph
+        if (args.command == "dyn" and args.dyn_command != "walk-measure"
+                and not is_prime(args.p)):
+            raise NonPrime("p = %d is not prime" % args.p)
+        return args.run(args)
     except InvariantBreach as exc:
         sys.stderr.write("invariant breach: %s\n" % exc)
         return 2

@@ -277,31 +277,31 @@ def model_from_j(field, j):
 
 
 def count_points(E):
-    """#E(F_q) by exhaustive scan with a cached square table, unless the
-    count is already known; the reference for every other count."""
-    if E._count is None:
-        F = E.field
-        sq = F.square_set()
-        a, b = E.a, E.b
-        n = 1
-        for e in range(F.order):
-            x = F.from_enc(e)
-            rhs = (x * x + a) * x + b
-            if rhs.is_zero():
-                n += 1
-            elif rhs.enc() in sq:
-                n += 2
-        E._count = n
-    return E._count
+    """#E(F_q) by exhaustive scan with a cached square table; the reference
+    for every other count.  ``trace_of_frobenius`` keeps counts on E."""
+    F = E.field
+    sq = F.square_set()
+    a, b = E.a, E.b
+    n = 1
+    for e in range(F.order):
+        x = F.from_enc(e)
+        rhs = (x * x + a) * x + b
+        if rhs.is_zero():
+            n += 1
+        elif rhs.enc() in sq:
+            n += 2
+    return n
 
 
 def trace_of_frobenius(E):
-    """q + 1 - #E(F_q): by Shanks-Mestre over F_p with p > MESTRE_MIN_P,
-    otherwise by the exhaustive count."""
+    """q + 1 - #E(F_q), with the count read from and kept on E: by
+    Shanks-Mestre over F_p with p > MESTRE_MIN_P, otherwise by the
+    exhaustive count."""
     F = E.field
-    if E._count is None and F.k == 1 and F.p > MESTRE_MIN_P:
-        E._count = _mestre_count(E)
-    return F.order + 1 - count_points(E)
+    if E._count is None:
+        E._count = (_mestre_count(E) if F.k == 1 and F.p > MESTRE_MIN_P
+                    else count_points(E))
+    return F.order + 1 - E._count
 
 
 # above this p the orders of points on E and its twist fix #E(F_p)

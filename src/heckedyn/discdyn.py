@@ -6,8 +6,9 @@ The disc of interest is restricted to unramified points: coordinates are
 elements of W(F_{p^2}) of valuation >= 1.  The Moebius chart is pinned by
 two constraints: the identity matrix acts trivially, and unit matrices map
 the disc into itself isometrically.  The Moebius step works on u = w/p, so
-its image p u' lies in the disc by construction; ChartEscape guards its one
-division, made once per unit.
+its image p u' lies in the disc by construction.  ChartEscape guards the
+one division by Nm(a), made once per unit; each evaluation then inverts
+the norm of its denominator 1 + C u, a unit by construction.
 """
 
 import random
@@ -184,33 +185,22 @@ def _unit_map(gamma, P):
             p * (b0 * a1 + b1 * a0) * ninv % P)
 
 
-def _newton_steps(k):
-    """Newton steps that invert a unit = 1 mod p modulo p^k: ceil(log2 k)."""
-    return (k - 1).bit_length() if k > 1 else 0
-
-
-def _mobius_u(g, u0, u1, d, P, n):
+def _mobius_u(g, u0, u1, d, P):
     """u -> (A u + B) / (1 + C u) mod P on u = u0 + u1*delta, for the map
-    g = _unit_map(gamma, P) and n = _newton_steps(k) at P = p^k.
+    g = _unit_map(gamma, P).
 
-    C = 0 mod p, so 1 + C u = 1 mod p, and n Newton steps
-    r <- r (2 - (1 + C u) r) from r = 1 invert it.  With s = -C u the
-    iterates are (1 + s)(1 + s^2)...(1 + s^(2^(n-1))), so each step is one
-    factor; at k = 1 the step is affine.  The image w' = p u' lies in the
-    disc {ord >= 1} by construction.
+    C = 0 mod p, so y = 1 + C u = 1 mod p and Nm(y) = y y^sigma is a unit:
+    1/y = y^sigma / Nm(y), one inverse mod P per evaluation.  The image
+    w' = p u' lies in the disc {ord >= 1} by construction.
     """
     A0, A1, B0, B1, C0, C1 = g
     x0 = A0 * u0 + d * A1 * u1 + B0
     x1 = A0 * u1 + A1 * u0 + B1
-    if n:
-        s0 = -(C0 * u0 + d * C1 * u1)
-        s1 = -(C0 * u1 + C1 * u0)
-        x0, x1 = x0 + x0 * s0 + d * x1 * s1, x1 + x0 * s1 + x1 * s0
-        for _ in range(n - 1):
-            s0, s1 = (s0 * s0 + d * s1 * s1) % P, 2 * s0 * s1 % P
-            x0, x1 = ((x0 + x0 * s0 + d * x1 * s1) % P,
-                      (x1 + x0 * s1 + x1 * s0) % P)
-    return x0 % P, x1 % P
+    y0 = 1 + C0 * u0 + d * C1 * u1
+    y1 = C0 * u1 + C1 * u0
+    ninv = pow((y0 * y0 - d * y1 * y1) % P, -1, P)
+    return ((x0 * y0 - d * x1 * y1) * ninv % P,
+            (x1 * y0 - x0 * y1) * ninv % P)
 
 
 def mobius_apply(gamma, pt):
@@ -222,7 +212,7 @@ def mobius_apply(gamma, pt):
     P = p ** (prec - 1)
     d = gamma.a.d
     u0, u1 = _mobius_u(_unit_map(gamma, P), w.a0.val // p, w.a1.val // p,
-                       d, P, _newton_steps(prec - 1))
+                       d, P)
     return DiscPoint(WqElement(PadicNumber(p, prec, p * u0),
                                PadicNumber(p, prec, p * u1), d))
 
@@ -383,7 +373,6 @@ def random_walk(generators, x0, steps, seed, k=1, checkpoints=()):
     # H = Q (h0 K + h1); K = 2P leaves room for the sum of two fiber
     # digits, at most 2p - 2
     K = 2 * P
-    n = _newton_steps(k)
     d = invs[0].a.d
     maps = [_unit_map(g, P) for g in invs]
     # A mod p for each map; A = a/a^sigma has norm 1, so 1/A is its
@@ -420,7 +409,7 @@ def random_walk(generators, x0, steps, seed, k=1, checkpoints=()):
             e = bases[r].get(V)
             if e is None:
                 a0, a1, da1 = units[r]
-                y0, y1 = mobius(maps[r], V // K, V % K, d, P, n)
+                y0, y1 = mobius(maps[r], V // K, V % K, d, P)
                 t0, t1 = y0 // Q, y1 // Q
                 e = bases[r][V] = (
                     y0 % Q * K + y1 % Q,

@@ -8,7 +8,8 @@ test runs in the candidate ring F_p[x]/(f) itself.  Elements
 carry an integer encoding used for every lex tie-break in the package, and
 the equal-degree splitting seeds its own random.Random(0), so repeated runs
 produce identical output.  Factorization is squarefree, then distinct-degree
-by the one loop ``distinct_degree_parts``, then equal-degree.  ``power`` is
+by the one loop ``distinct_degree_parts``, then equal-degree; roots are the
+equal-degree split of its degree-1 part.  ``power`` is
 the package's one square-and-multiply loop, here and in the curve and
 volcano layers, and ``memo`` its one per-object cache: fields, curves,
 isogenies and graphs each keep their answers in one ``_memo`` dict.
@@ -891,7 +892,9 @@ def distinct_degree_parts(f, top=None):
     irreducible factors of f of degree d, listed for each d <= top (every
     d when top is None) with f_d != 1.  The roots of f_d are those of
     x^(q^d) - x that no smaller d took; once degree(rest) < 2d, the rest
-    is irreducible."""
+    is irreducible.  top = 1 is valid for any nonzero f: the first entry,
+    if any, is (1, gcd(f, x^q - x)), whose roots are those of f in F_q (a
+    repeated linear factor may be listed once more after it)."""
     F = f.field
     x = x_poly(F)
     rest = f.monic()
@@ -952,19 +955,15 @@ def poly_factor(f):
 
 
 def poly_roots(f):
-    """All roots of f in its coefficient field (multiplicity discarded)."""
+    """All roots of f in its coefficient field (multiplicity discarded), by
+    splitting the degree-1 part gcd(f, x^q - x) into linear factors."""
     if f.is_zero():
         raise ZeroPolynomial("root-finding needs a nonzero polynomial")
-    F = f.field
-    if f.degree() == 0:
+    parts = distinct_degree_parts(f, 1)
+    if not parts:
         return set()
-    lin = f.gcd(x_poly(F).pow_mod(F.order, f) - x_poly(F))
-    if lin.degree() == 0:
-        return set()
-    roots = set()
-    for g in split_equal_degree(lin, 1):
-        roots.add(-ExtFieldElement(F, g._c[0]))
-    return roots
+    return {-ExtFieldElement(f.field, g._c[0])
+            for g in split_equal_degree(parts[0][1], 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -771,6 +771,24 @@ def test_trace_of_frobenius_matches_exhaustive_count(p):
                 assert curves._mestre_count(Curve(F, E.a, E.b)) == p + 1 - t
 
 
+def test_trace_of_frobenius_scans_once(monkeypatch):
+    # the count is kept on the curve: a second trace reads it, and a count
+    # given to the constructor is never rescanned
+    scans = []
+    scan = curves.count_points
+    monkeypatch.setattr(curves, "count_points",
+                        lambda E: scans.append(E) or scan(E))
+    F = make_field(101, 1)
+    E = Curve(F, 2, 3)
+    t = trace_of_frobenius(E)
+    assert trace_of_frobenius(E) == t
+    assert len(scans) == 1
+    given = Curve(F, 2, 3, count=102 - t)
+    assert trace_of_frobenius(given) == t
+    assert len(scans) == 1
+    assert t == 102 - brute_count(101, 2, 3)
+
+
 def test_trace_of_frobenius_on_seeded_curves_near_ten_thousand():
     rng = random.Random(10007)
     for p in (10007, 10009, 10037):

@@ -6,7 +6,7 @@ import pytest
 
 from heckedyn import discdyn
 from heckedyn.discdyn import (DiscAutomorphism, DiscPoint, EmpiricalMeasure,
-                              QuatUnit, _mobius_u, _newton_steps, _unit_map,
+                              QuatUnit, _mobius_u, _unit_map,
                               apply, classify_periodic, identity_unit,
                               mobius_apply, qc_count, quat_embed, random_walk,
                               serre_tate_multivar, transitivity_witness)
@@ -313,23 +313,21 @@ def test_integer_kernel_matches_wq_arithmetic(g_11_5_1):
         for c0 in range(p):
             for c1 in range(p):
                 pt = DiscPoint(wq(p, M, p * c0, p * c1))
-                assert _mobius_u(g, c0, c1, d, P, 0) \
+                assert _mobius_u(g, c0, c1, d, P) \
                     == _reference_key(gamma, pt, 1)
-    # seeded (generator, class) pairs, class lifts with high digits
+    # seeded (generator, class) pairs, class lifts with high digits up to
+    # the precision; k = 8 and 23 invert the norm mod high powers of p
     rng = random.Random(11)
-    for k, pairs in ((2, 2000), (3, 500), (5, 500)):
+    for k, pairs in ((2, 2000), (3, 500), (5, 500), (8, 300), (23, 100)):
         P = p ** k
+        span = p ** max(6, min(k + 2, M - 1))
         maps = [_unit_map(gamma, P) for gamma in invs]
         for _ in range(pairs):
             i = rng.randrange(len(invs))
-            u0, u1 = rng.randrange(p ** 6), rng.randrange(p ** 6)
+            u0, u1 = rng.randrange(span), rng.randrange(span)
             pt = DiscPoint(wq(p, M, p * u0, p * u1))
-            got = _mobius_u(maps[i], u0 % P, u1 % P, d, P, _newton_steps(k))
+            got = _mobius_u(maps[i], u0 % P, u1 % P, d, P)
             assert got == _reference_key(invs[i], pt, k)
-
-
-def test_newton_steps_are_ceil_log2():
-    assert [_newton_steps(k) for k in range(7)] == [0, 0, 1, 2, 2, 3, 3]
 
 
 @pytest.mark.parametrize("inst", [(11, 5, 1), (13, 3, 1)])
@@ -341,15 +339,14 @@ def test_unit_map_is_a_skew_product(inst):
     rng = random.Random(p)
     for k in range(1, 6):
         P, Q = p ** k, p ** (k - 1)
-        n = _newton_steps(k)
         for gamma in invs:
             g = _unit_map(gamma, P)
             a0, a1 = g[0] % p, g[1] % p
             for _ in range(20):
                 v0, v1 = rng.randrange(Q), rng.randrange(Q)
                 h0, h1 = rng.randrange(p), rng.randrange(p)
-                y0, y1 = _mobius_u(g, v0, v1, d, P, n)
-                assert _mobius_u(g, v0 + Q * h0, v1 + Q * h1, d, P, n) == (
+                y0, y1 = _mobius_u(g, v0, v1, d, P)
+                assert _mobius_u(g, v0 + Q * h0, v1 + Q * h1, d, P) == (
                     (y0 + Q * ((a0 * h0 + d * a1 * h1) % p)) % P,
                     (y1 + Q * ((a0 * h1 + a1 * h0) % p)) % P)
 

@@ -395,6 +395,29 @@ def test_poly_roots_examples():
     assert {r.enc() for r in roots} == brute
 
 
+@pytest.mark.parametrize("p, k", [(7, 1), (11, 1), (3, 2)])
+def test_poly_roots_match_exhaustive_evaluation(p, k):
+    # a nonzero constant times up to three linear factors, each to a power
+    # up to 3, times up to two irreducible quadratics: repeated roots,
+    # rootless cofactors and constants, against every element of F
+    F = make_field(p, k)
+    elts = list(F.elements())
+    irreducible = [q for q in (Poly(F, [c, b, F.one()])
+                               for b in elts for c in elts)
+                   if not any(q(z).is_zero() for z in elts)]
+    rng = random.Random(p ** k)
+    for trial in range(48):
+        f = Poly(F, [F.from_enc(rng.randrange(1, F.order))])
+        for i in range(trial % 4):
+            linear = Poly(F, [-rng.choice(elts), F.one()])
+            for _ in range(1 + (trial + i) % 3):
+                f = f * linear
+        for _ in range(trial // 4 % 3):
+            f = f * rng.choice(irreducible)
+        brute = {z.enc() for z in elts if f(z).is_zero()}
+        assert {r.enc() for r in poly_roots(f)} == brute
+
+
 def test_poly_roots_rejects_zero():
     F5 = make_field(5, 1)
     with pytest.raises(ZeroPolynomial):
