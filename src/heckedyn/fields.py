@@ -19,12 +19,14 @@ closed form in the reduction row x^2 = r0 + r1 x, and inverses the norm.
 Every other product runs in the one packed ring ``_PolyRing``: F[x]/(m)
 for F = F_{p^k} and m monic of degree n, each element one integer whose
 slot (2k-1) j + i holds the coefficient of t^i x^j.  A product there is one
-integer product whose high slots fold back through packed rows t^i x^j mod
-m, then one reduction mod p.  F_{p^k}, k >= 3, is that ring over F_p with
-m its modulus.  ``Poly.pow_mod`` powers in the residue ring of its modulus
-m: over F_p that is ``FieldDesc(p, n, m)`` itself, and over F_{p^k},
-k >= 2, the packed ring.  Products, gcds and division of polynomials stay
-schoolbook.
+integer product whose high slots fold back, then one reduction mod p: over
+F_p with m = x^n - T, 2 deg T <= n + 1, as the high half times T, in one
+or two rounds; otherwise through packed rows t^i x^j mod m.  F_{p^k},
+k >= 3, is that ring over F_p with m its modulus; the canonical moduli,
+x^k plus a tail of low degree, take the tail fold.  ``Poly.pow_mod``
+powers in the residue ring of its modulus m: over F_p that is
+``FieldDesc(p, n, m)`` itself, and over F_{p^k}, k >= 2, the packed ring.
+Products, gcds and division of polynomials stay schoolbook.
 """
 
 import functools
@@ -201,25 +203,26 @@ class FieldDesc:
     candidates, and ``Poly.pow_mod`` over F_p to power in F_p[x]/(m).
     The product is chosen once per field: F_p and the closed form of F_{p^2}
     here, and for k >= 3 the packed ring ``_PolyRing`` over F_p with this
-    modulus, whose rows x^j mod modulus also fill ``_red``.
+    modulus, which itself picks its fold from the modulus (through the
+    tail x^k = ``_tail`` when the modulus is sparse, through rows
+    otherwise).  ``_red`` is x^j mod modulus for j < 2k - 1, built only
+    when a ring over this field asks for it.
     ``first_in_class`` (the first element of a class mod e-th powers) is
     the one class scan; it skips F_p when F_p^x cannot meet the class.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_red", "_mulc", "_memo")
+    __slots__ = ("p", "k", "modulus", "order", "_tail", "_mulc", "_memo")
 
     def __init__(self, p, k, modulus):
         self.p = p
         self.k = k
         self.modulus = tuple(modulus)  # length k+1, monic
         self.order = p ** k
-        # reduction rows: x^j mod modulus for j in [k, 2k-2]
-        self._red = {k: tuple((-c) % p for c in modulus[:k])}
+        # x^k = -(modulus - x^k) mod modulus
+        self._tail = tuple((-c) % p for c in modulus[:k])
         if k >= 3:
-            ring = _PolyRing(FieldDesc(p, 1, (0, 1)), [(c,) for c in modulus])
-            for j, row in enumerate(ring._rows[1:], k + 1):
-                self._red[j] = tuple(ring._unpack(row))
-            self._mulc = ring.mulc
+            self._mulc = _PolyRing(FieldDesc(p, 1, (0, 1)),
+                                    [(c,) for c in modulus]).mulc
         else:
             self._mulc = self._mul_quadratic if k == 2 else self._mul_prime
         self._memo = {}
@@ -260,7 +263,7 @@ class FieldDesc:
         a0, a1 = a
         b0, b1 = b
         t = a1 * b1
-        r0, r1 = self._red[2]
+        r0, r1 = self._tail
         return ((a0 * b0 + t * r0) % p, (a0 * b1 + a1 * b0 + t * r1) % p)
 
     def _addc(self, a, b):
@@ -297,7 +300,7 @@ class FieldDesc:
             # conjugate over the norm: with x^2 = r0 + r1 x, the product
             # (a0 + a1 x)(a0 + r1 a1 - a1 x) is a0^2 + r1 a0 a1 - r0 a1^2
             a0, a1 = a
-            r0, r1 = self._red[2]
+            r0, r1 = self._tail
             norm = (a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1) % p
             if not norm:
                 raise ZeroDivisionError("element not invertible")
@@ -330,6 +333,19 @@ class FieldDesc:
         return tuple([c * inv % p for c in s1])
 
     # ---- cached per-field tables ------------------------------------------
+
+    @memo
+    def _red(self):
+        """x^j mod modulus for j < 2k - 1: x^j itself below x^k, then each
+        row x times the one before, its top term folded through x^k =
+        ``_tail``."""
+        p, k, tail = self.p, self.k, self._tail
+        rows = [(0,) * j + (1,) + (0,) * (k - 1 - j) for j in range(k)]
+        for _ in range(k - 1):
+            row = rows[-1]
+            rows.append(tuple([(row[-1] * t + r) % p
+                               for t, r in zip(tail, (0,) + row[:-1])]))
+        return tuple(rows)
 
     @memo
     def square_set(self):
@@ -729,39 +745,59 @@ class _PolyRing:
     product.  With t the generator of F, the coefficient of t^i x^j sits in
     slot (2k-1) j + i, so the product of two reduced elements (i < k,
     j < n) is one integer product whose slots hold every term without a
-    carry.  ``mulc`` folds the slots past i < k or j < n back through
-    packed rows t^i x^j mod m (for j < n the field's rows t^i mod its
-    modulus, for j >= n rows built from x^n = -(m - x^n) by shifting one
-    x-slot at a time) and reduces each slot mod p.  Over F_p (k = 1) the
-    slots are the coefficients of x^j, and ``mulc`` is the product of
-    F_{p^n} with modulus m, n >= 3."""
+    carry.  ``mulc(a, b)`` takes two reduced elements as their n w slot
+    values and returns their product as such a tuple.  Over F_p (k = 1)
+    the slots are the coefficients of x^j, and ``mulc`` is the product of
+    F_{p^n} with modulus m, n >= 3.
+
+    The slots past i < k or j < n fold back in one of two ways, chosen
+    once from m.  Over F_p, when m = x^n - T(x) with 2 deg T <= n + 1,
+    ``mulc`` folds through the tail: the high half H of the product comes
+    back as H T, one integer product, in one round when deg T <= 1 and two
+    otherwise, with no slot unpacked or reduced in between (von zur
+    Gathen-Gerhard, Modern Computer Algebra, 8.4); such a ring builds no
+    rows.  Every other ring (over F_{p^k}, k >= 2, or with a denser m)
+    folds each slot, reduced mod p, through packed rows t^i x^j mod m:
+    for j < n the field's rows t^i mod its modulus, for j >= n rows built
+    from x^n = -(m - x^n) by shifting one x-slot at a time.  Either way
+    each slot is then reduced mod p once."""
 
     __slots__ = ("p", "k", "n", "_w", "_bits", "_structs", "_read",
-                 "_folded", "_mask", "_rows")
+                 "_folded", "_mask", "_rows", "_tail", "mulc")
 
     def __init__(self, F, m):
         p, k, n = F.p, F.k, len(m) - 1
         w = 2 * k - 1
         nw = n * w
+        self.p, self.k, self.n, self._w = p, k, n, w
+        if k == 1:
+            # m = x^n - T(x) with T = sum t_i x^i of degree d
+            tail = [(-c) % p for c, in m[:n]]
+            d = max((i for i, t in enumerate(tail) if t), default=-1)
+            if 2 * d <= n + 1:
+                # a product slot holds at most n (p-1)^2, and a round
+                # adds at most sum(t_i) times the largest slot to each;
+                # ``_mul_tail`` reads the high half from bit ``_read`` on
+                rounds = 1 if d <= 1 else 2
+                self._slots(n * (p - 1) ** 2 * (1 + sum(tail)) ** rounds,
+                            (n,))
+                self._read = self._bits * n
+                self._mask = (1 << self._read) - 1
+                self._tail = self._pack(tail)
+                self.mulc = self._mul_tail
+                return
         # a low slot gathers at most n k product terms and one term from
         # each of the (n - 1) w rows past x^n and the k - 1 rows past t^k,
-        # each term below p^2; slots of 8, 16, 32 or 64 bits are packed by
-        # ``struct``, wider ones (p near 2^31 and above) by shifts
-        bits = ((n * k + (n - 1) * w + k - 1) * (p - 1) ** 2).bit_length()
-        code = next((c for c in "BHIQ" if bits <= 8 * struct.calcsize(c)),
-                    None)
-        self._structs = None
-        if code is not None:
-            bits = 8 * struct.calcsize(code)
-            self._structs = tuple(struct.Struct("<%d%s" % (count, code))
-                                  for count in (nw, 2 * nw - w))
-        self.p, self.k, self.n, self._w, self._bits = p, k, n, w, bits
-        # ``mulc`` reads a product's slots from slot ``first`` on: a slot
-        # packed by shifts costs a shift to read, so when only the slots
-        # past x^n fold (k = 1) the rest are skipped.  ``_folded`` slices
-        # out the slots that fold, in the order of the rows: those past
-        # x^n, then those past t^k below x^n
-        first = nw if k == 1 and code is None else 0
+        # each term below p^2
+        self._slots((n * k + (n - 1) * w + k - 1) * (p - 1) ** 2,
+                    (nw, 2 * nw - w))
+        bits = self._bits
+        # ``_mul_rows`` reads a product's slots from slot ``first`` on: a
+        # slot packed by shifts costs a shift to read, so when only the
+        # slots past x^n fold (k = 1) the rest are skipped.  ``_folded``
+        # slices out the slots that fold, in the order of the rows: those
+        # past x^n, then those past t^k below x^n
+        first = nw if k == 1 and self._structs is None else 0
         self._read = (bits * first, 2 * nw - w - first)
         self._folded = (slice(nw - first, None),
                         tuple(slice(i, nw, w) for i in range(k, w)))
@@ -770,8 +806,7 @@ class _PolyRing:
         self._mask = self._pack([top if i < k else 0
                                  for _ in range(n) for i in range(w)])
         # t^i x^n = -t^i (m - x^n) for every i < 2k - 1
-        t_pow = [(0,) * i + (1,) + (0,) * (k - 1 - i) for i in range(k)]
-        t_pow += [F._red[i] for i in range(k, w)]
+        t_pow = F._red()
         neg_m = [F._negc(c) for c in m[:n]]
         base = [self._pack(self._flat([F._mulc(t, c) for c in neg_m]))
                 for t in t_pow]
@@ -794,9 +829,24 @@ class _PolyRing:
                 row = [times_x(r) for r in row]
         # slot (j, i) with j < n, i >= k: the field's row t^i mod modulus
         for i in range(k, w):
-            r = _pack_shift(F._red[i], bits)
+            r = _pack_shift(t_pow[i], bits)
             rows += [r << (group * j) for j in range(n)]
         self._rows = rows
+        self.mulc = self._mul_rows
+
+    def _slots(self, bound, counts):
+        """Slots wide enough for values up to bound: 8, 16, 32 or 64 bits
+        packed by ``struct`` (one format per slot count in counts), wider
+        ones (p near 2^31 and above) by shifts."""
+        bits = bound.bit_length()
+        code = next((c for c in "BHIQ" if bits <= 8 * struct.calcsize(c)),
+                    None)
+        self._structs = None
+        if code is not None:
+            bits = 8 * struct.calcsize(code)
+            self._structs = tuple(struct.Struct("<%d%s" % (count, code))
+                                  for count in counts)
+        self._bits = bits
 
     def _pack(self, vals):
         """The integer with the n w slot values ``vals``."""
@@ -818,10 +868,31 @@ class _PolyRing:
         flat = [v for c in coeffs for v in c + pad]
         return tuple(flat + [0] * (self.n * self._w - len(flat)))
 
-    def mulc(self, a, b):
-        """The product of two reduced elements given as their n w slot
-        values, as a tuple: one integer product, then the slots past t^k
-        and x^n, each reduced mod p, fold back through the rows."""
+    def _mul_tail(self, a, b):
+        """``mulc`` through the tail: one integer product c, then
+        c = (c mod x^n) + (c div x^n) T while slots past x^n remain, then
+        each slot reduced mod p."""
+        p, S = self.p, self._structs
+        if S is None:
+            bits = self._bits
+            A = _pack_shift(a, bits)
+            c = A * A if a is b else A * _pack_shift(b, bits)
+        else:
+            pk, = S
+            A = int.from_bytes(pk.pack(*a), "little")
+            c = A * A if a is b else A * int.from_bytes(pk.pack(*b), "little")
+        low, shift, tail = self._mask, self._read, self._tail
+        while c > low:
+            c = (c & low) + (c >> shift) * tail
+        if S is None:
+            vals = _unpack_shift(c, bits, self.n)
+        else:
+            vals = pk.unpack(c.to_bytes(pk.size, "little"))
+        return tuple([v % p for v in vals])
+
+    def _mul_rows(self, a, b):
+        """``mulc`` through the rows: one integer product, then the slots
+        past t^k and x^n, each reduced mod p, fold back through the rows."""
         p, S = self.p, self._structs
         if S is None:
             bits = self._bits
@@ -888,13 +959,13 @@ def split_equal_degree(f, d):
 
 
 def distinct_degree_parts(f, top=None):
-    """[(d, f_d), ...] for a squarefree f: f_d is the monic product of the
-    irreducible factors of f of degree d, listed for each d <= top (every
-    d when top is None) with f_d != 1.  The roots of f_d are those of
-    x^(q^d) - x that no smaller d took; once degree(rest) < 2d, the rest
-    is irreducible.  top = 1 is valid for any nonzero f: the first entry,
-    if any, is (1, gcd(f, x^q - x)), whose roots are those of f in F_q (a
-    repeated linear factor may be listed once more after it)."""
+    """[(d, f_d), ...] for a nonzero f: f_d is the monic product of the
+    distinct irreducible factors of f of degree d, listed for each d <= top
+    (every d when top is None) with f_d != 1.  The roots of f_d are those
+    of x^(q^d) - x that no smaller d took; every further copy of them is
+    divided out of the rest, so once degree(rest) < 2d, the rest is
+    irreducible.  With top = 1 the entry, if any, is (1, gcd(f, x^q - x)),
+    whose roots are those of f in F_q."""
     F = f.field
     x = x_poly(F)
     rest = f.monic()
@@ -906,7 +977,10 @@ def distinct_degree_parts(f, top=None):
         part = rest.gcd(h - x)
         if part.degree() > 0:
             out.append((d, part))
-            rest = rest // part
+            g = part
+            while g.degree() > 0:
+                rest = rest // g
+                g = rest.gcd(g)
             h = h % rest
         d += 1
     if rest.degree() > 0 and (top is None or rest.degree() <= top):

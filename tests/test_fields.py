@@ -525,6 +525,49 @@ def test_distinct_degree_parts_leftover_past_half_the_degree(p, k):
     assert distinct_degree_parts(g5, 5) == [(5, g5)]
 
 
+def test_distinct_degree_parts_list_each_repeated_factor_once():
+    F = make_field(7, 1)
+    lin1, lin2, quad = Poly(F, [-1, 1]), Poly(F, [-2, 1]), Poly(F, [1, 0, 1])
+    assert distinct_degree_parts(lin1 * lin1 * lin2) == [(1, lin1 * lin2)]
+    assert distinct_degree_parts(lin1 * lin1 * lin2, 1) == [(1, lin1 * lin2)]
+    assert distinct_degree_parts(quad * quad) == [(2, quad)]
+    assert distinct_degree_parts(lin1 * lin1 * quad) == [(1, lin1), (2, quad)]
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (3, 2)])
+def test_distinct_degree_parts_of_repeated_factors_match_brute_force(p, k):
+    # a nonzero constant times up to two linear and two irreducible
+    # quadratic factors, each to a power up to 3: each part is the product
+    # of the distinct factors of its degree, the quadratics found by
+    # exhaustive evaluation
+    F = make_field(p, k)
+    elts = list(F.elements())
+    pools = {1: [Poly(F, [-z, F.one()]) for z in elts],
+             2: [q for q in (Poly(F, [c, b, F.one()])
+                             for b in elts for c in elts)
+                 if not any(q(z).is_zero() for z in elts)]}
+    rng = random.Random(p ** k + 1)
+    for trial in range(48):
+        f = Poly(F, [F.from_enc(rng.randrange(1, F.order))])
+        expected = []
+        for d, pool in pools.items():
+            distinct = {}
+            for _ in range((trial >> (d - 1) * 2) % 3):
+                g = rng.choice(pool)
+                distinct[g.key()] = g
+                for _ in range(rng.randrange(1, 4)):
+                    f = f * g
+            if distinct:
+                part = Poly(F, [1])
+                for g in distinct.values():
+                    part = part * g
+                expected.append((d, part))
+        assert distinct_degree_parts(f) == expected
+        for top in (1, 2):
+            assert distinct_degree_parts(f, top) == [
+                (d, g) for d, g in expected if d <= top]
+
+
 def test_split_prime_matches_the_loop():
     rng = random.Random(23)
     for _ in range(500):

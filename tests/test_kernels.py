@@ -3,6 +3,7 @@ the schoolbook product, repeated affine addition, the three-power square
 root and a brute-force order filter."""
 
 import functools
+import random
 
 import pytest
 
@@ -162,6 +163,75 @@ def test_mulc_past_the_product_terms(p, modulus, a):
     other = tuple(list(a))          # equal, but not the same object
     assert F._mulc(a, a) == schoolbook_mulc(F, a, a)
     assert F._mulc(a, other) == schoolbook_mulc(F, a, a)
+
+
+def check_products(F, seed, count):
+    """F._mulc against the schoolbook product on count seeded pairs, on
+    their squares (a is b) and on the all-(p - 1) element, whose product
+    drives every slot nearest its bound."""
+    rng = random.Random(seed)
+    top = (F.p - 1,) * F.k
+    pairs = [(top, (F.p - 1,) * F.k)]
+    pairs += [tuple(tuple(rng.randrange(F.p) for _ in range(F.k))
+                    for _ in "ab") for _ in range(count)]
+    for a, b in pairs:
+        assert F._mulc(a, b) == schoolbook_mulc(F, a, b)
+        assert F._mulc(a, a) == schoolbook_mulc(F, a, a)
+
+
+# every canonical modulus at 3 <= k <= 8 for small p, the long towers of
+# F_11 (F_{11^32} and F_{11^44} fold in two rounds), and p = 2^31 - 1,
+# whose tail-fold slots are packed by shifts
+TAIL_SHAPES = ([(p, k) for p in (3, 5, 7, 11, 13, 47) for k in range(3, 9)]
+               + [(11, 24), (11, 32), (11, 44)]
+               + [(P31, k) for k in range(3, 7)])
+
+
+@pytest.mark.parametrize("p, k", TAIL_SHAPES)
+def test_canonical_moduli_fold_through_the_tail(p, k):
+    F = make_field(p, k)
+    ring = packed_ring(F)
+    assert ring.mulc.__func__ is _PolyRing._mul_tail
+    assert not hasattr(ring, "_rows")
+    check_products(F, p * k, 40)
+
+
+def edge_modulus(p, n, d, rng=None):
+    """x^n plus a tail of degree d: every lower coefficient 1 (so each
+    t_i = p - 1, the most a round can add), or random ones when rng is
+    given; x^n alone for d = -1."""
+    low = [1 if rng is None else rng.randrange(p) for _ in range(d)]
+    return tuple(low + [1] * (d >= 0) + [0] * (n - d - 1) + [1])
+
+
+# (n, d, fold): the tail fold up to 2d = n + 1, the row fold from 2d = n + 2
+EDGE_SHAPES = [(3, -1, "tail"), (6, -1, "tail"), (3, 0, "tail"),
+               (4, 1, "tail"), (3, 2, "tail"), (5, 3, "tail"),
+               (7, 4, "tail"), (9, 5, "tail"), (4, 3, "rows"),
+               (6, 4, "rows"), (8, 5, "rows"), (10, 6, "rows")]
+
+
+@pytest.mark.parametrize("p", [3, 47, 1009, P31])
+@pytest.mark.parametrize("n, d, fold", EDGE_SHAPES)
+def test_edge_moduli_pick_their_fold(p, n, d, fold):
+    rng = random.Random(n * p + d)
+    for modulus in (edge_modulus(p, n, d), edge_modulus(p, n, d, rng)):
+        F = FieldDesc(p, n, modulus)
+        ring = packed_ring(F)
+        assert ring.mulc.__func__ is getattr(_PolyRing, "_mul_" + fold)
+        assert hasattr(ring, "_rows") == (fold == "rows")
+        check_products(F, n * d, 10)
+
+
+@pytest.mark.parametrize("p, k", [(11, 3), (11, 24), (47, 4), (P31, 5)])
+def test_field_rows_are_built_on_demand(p, k):
+    # a tail-folded field builds x^j mod modulus, j < 2k - 1, only when
+    # a ring over it asks; a dense modulus gives the same rows
+    for modulus in (make_field(p, k).modulus, (1,) * (k + 1)):
+        F = FieldDesc(p, k, modulus)
+        assert ("_red",) not in F._memo
+        assert F._red() == tuple(long_division(F, [0] * j + [1])
+                                 for j in range(2 * k - 1))
 
 
 @pytest.mark.parametrize("shape", FIELD_SHAPES)

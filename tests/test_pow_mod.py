@@ -116,6 +116,21 @@ def test_pow_mod_keeps_one_ring_per_modulus(k):
     assert m._ring is ring
 
 
+@pytest.mark.parametrize("p", [11, 2 ** 31 - 1])
+def test_pow_mod_folds_by_the_shape_of_its_modulus(p):
+    # over F_p a dense modulus (every coefficient nonzero, as the parts of
+    # psi_ell mostly are) keeps the row fold, x^7 + x + 1 takes the tail
+    F = make_field(p, 1)
+    rng = random.Random(p)
+    dense = Poly(F, [rng.randrange(1, p) for _ in range(7)] + [1])
+    sparse = Poly(F, [1, 1, 0, 0, 0, 0, 0, 1])
+    for m, fold in ((dense, _PolyRing._mul_rows), (sparse, _PolyRing._mul_tail)):
+        f = random_poly(rng, F, 14)
+        for e in (2, F.order, (F.order - 1) // 2):
+            assert f.pow_mod(e, m) == reference_pow_mod(f, e, m)
+        assert m._ring._mulc.__func__ is fold
+
+
 @pytest.mark.parametrize("p, k, n", [(11, 1, 5), (11, 2, 3), (11, 24, 2),
                                      (2 ** 31 - 1, 1, 5), (2 ** 31 - 1, 2, 3),
                                      (2 ** 31 - 1, 3, 4), (3, 2, 31)])
